@@ -1,8 +1,7 @@
 //! Shared plumbing for the benchmark harness.
 //!
 //! Every table and figure of the paper's evaluation (§4.2) is regenerated
-//! by a binary in `src/bin/` (paper-style printed tables) and, for the
-//! latency experiments, by a Criterion bench in `benches/`. This module
+//! by a binary in `src/bin/` (paper-style printed tables). This module
 //! provides the common pieces: the benchmark layer configuration (windows
 //! and thresholds pushed out so the CCPs hold throughout, exactly as in
 //! the paper where "the outcome of the CCP checks is always the choice to

@@ -1,26 +1,27 @@
-//! Multi-process deterministic simulation.
+//! Multi-process deterministic simulation: the virtual-time shell.
 //!
-//! Ties everything together: each simulated process runs a protocol stack
-//! under an execution engine; the bottom of every stack is connected to a
-//! simulated network ([`ensemble_net`]); timers and packet arrivals are
-//! interleaved on one virtual-time event queue. Runs are reproducible
-//! bit-for-bit from the seed.
-//!
-//! Virtual synchrony is honoured the way Ensemble does it: when a stack
-//! installs a new view ([`UpEvent::View`]), the runtime *rebuilds* the
-//! process's stack for the new membership (Ensemble likewise instantiates
-//! a fresh stack per view).
+//! The protocol state machine is [`GroupCore`] — the same pure
+//! `(now, input) → Vec<Action>` machine the wall-clock runtime drives.
+//! There is one state machine and two shells around it:
+//! `ensemble_runtime`'s shard worker (wall clock and `Transport`) and this
+//! module (virtual clock and [`LinkModel`]). Each simulated process is one
+//! `GroupCore`; the shell owns only what virtual time needs: the simulated
+//! network ([`ensemble_net`]), one event queue interleaving packet
+//! arrivals and timers, the crash flag, the delivery logs, and
+//! virtual-time observability. Everything a process *does* — marshaling,
+//! the bypass, parking application traffic during a flush window,
+//! rebuilding the stack per view, switching stacks at a view boundary —
+//! is `GroupCore`'s. Runs are reproducible bit-for-bit from the seed.
 
-use ensemble_event::{DnEvent, Msg, Payload, UpEvent, ViewState};
-use ensemble_layers::{make_stack, LayerConfig, StackError};
-use ensemble_net::{Arrival, Dest, EventQueue, LinkModel, NetStats, Network, Packet};
+use ensemble_event::ViewState;
+use ensemble_layers::{LayerConfig, StackError};
+use ensemble_net::{Arrival, EventQueue, LinkModel, NetStats, Network};
 use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Histogram, Recorder, Summary, Tag};
-use ensemble_stack::{Boundary, Engine};
-use ensemble_transport::{marshal, unmarshal};
+use ensemble_runtime::{Action, CoreEvent, Delivery, GroupCore, LayerTags};
 use ensemble_util::{Duration, Endpoint, Rank, Time};
-use std::collections::HashMap;
 
 pub use ensemble_obs::TraceEvent;
+pub use ensemble_runtime::BypassError;
 pub use ensemble_stack::EngineKind;
 
 /// Virtual-time observability for a simulation run.
@@ -28,66 +29,43 @@ pub use ensemble_stack::EngineKind;
 /// Every trace event is stamped with the simulator's *virtual* clock
 /// (`t_ns` is virtual nanoseconds since simulation start), so traces are
 /// as reproducible as the run itself. The `group` field carries the
-/// endpoint id of the process the event happened at.
+/// endpoint id of the process the event happened at. Protocol events are
+/// the cores' own [`CoreEvent`]s; the shell adds only the `wire` packet
+/// events.
 struct SimObs {
     recorder: Recorder,
+    wire: Tag,
+    /// Per-process resolvers for the cores' layer indices.
+    tags: Vec<LayerTags>,
+    buf: Vec<CoreEvent>,
     /// Virtual cast→deliver latency: injection at the origin to delivery
     /// at each receiver, in virtual nanoseconds.
     cast_latency: Histogram,
-    tags: HashMap<&'static str, Tag>,
-    /// Injection times per origin endpoint id, in cast order.
-    cast_times: HashMap<u32, Vec<Time>>,
-    /// Casts delivered so far, per `(deliverer, origin)` pair. FIFO
+    /// Injection times per origin process, in cast order.
+    cast_times: Vec<Vec<Time>>,
+    /// Casts delivered so far, as `delivered[deliverer][origin]`. FIFO
     /// delivery per origin makes this the index into `cast_times`.
-    delivered: HashMap<(u32, u32), usize>,
-    seq: u64,
+    delivered: Vec<Vec<usize>>,
 }
 
 impl SimObs {
-    fn new(capacity: usize) -> SimObs {
-        SimObs {
-            recorder: Recorder::new(1, capacity),
-            cast_latency: Histogram::new(),
-            tags: HashMap::new(),
-            cast_times: HashMap::new(),
-            delivered: HashMap::new(),
-            seq: 0,
-        }
-    }
-
-    fn tag(&mut self, name: &'static str) -> Tag {
-        match self.tags.get(name) {
-            Some(t) => *t,
-            None => {
-                let t = self.recorder.register(name);
-                self.tags.insert(name, t);
-                t
-            }
-        }
-    }
-
-    fn trace(
-        &mut self,
-        t: Time,
-        layer: &'static str,
-        kind: EventKind,
-        dir: Direction,
-        ep: u32,
-        aux: u64,
-    ) {
-        let tag = self.tag(layer);
-        self.seq += 1;
+    /// Records a `wire` event: `PacketOut` going down, `PacketIn` coming up.
+    fn wire(&self, t: Time, kind: EventKind, ep: Endpoint, len: usize) {
+        let dir = match kind {
+            EventKind::PacketOut => Direction::Dn,
+            _ => Direction::Up,
+        };
         self.recorder.record(
             0,
             &Event {
                 t_ns: t.nanos(),
-                layer: tag,
+                layer: self.wire,
                 kind,
                 dir,
-                group: ep,
-                seqno: self.seq,
+                group: ep.id(),
+                seqno: 0,
                 ccp: CcpFailure::None,
-                aux,
+                aux: len as u64,
             },
         );
     }
@@ -95,12 +73,9 @@ impl SimObs {
 
 /// One simulated process.
 struct Proc {
-    ep: Endpoint,
-    vs: ViewState,
-    engine: Box<dyn Engine>,
-    generation: u64,
+    core: GroupCore,
+    /// Cleared by [`Simulation::kill`]: a crashed process takes no input.
     alive: bool,
-    exited: bool,
     /// Cast deliveries as `(origin endpoint id, payload bytes)`.
     casts: Vec<(u32, Vec<u8>)>,
     /// Point-to-point deliveries as `(origin endpoint id, payload bytes)`.
@@ -113,10 +88,17 @@ struct Proc {
     stability: Vec<u64>,
 }
 
+impl Proc {
+    /// Neither killed nor exited.
+    fn live(&self) -> bool {
+        self.alive && self.core.alive()
+    }
+}
+
 enum SimEvent {
     Arrival(Arrival),
     Timer {
-        ep: Endpoint,
+        idx: usize,
         layer: usize,
         generation: u64,
     },
@@ -128,26 +110,9 @@ pub struct Simulation<M> {
     net: Network<M>,
     queue: EventQueue<SimEvent>,
     now: Time,
-    stack: Vec<&'static str>,
-    /// A stack to switch to at the next view installation (the paper's
-    /// ref. \[25\]: Ensemble switches protocol stacks on the fly at view
-    /// boundaries; the agreement to switch is made at the application
-    /// level, the view change makes it safe).
-    next_stack: Option<Vec<&'static str>>,
-    kind: EngineKind,
-    cfg: LayerConfig,
     /// Total events processed (observability).
     pub steps: u64,
     obs: Option<SimObs>,
-}
-
-fn build_engine(
-    stack: &[&'static str],
-    vs: &ViewState,
-    cfg: &LayerConfig,
-    kind: EngineKind,
-) -> Result<Box<dyn Engine>, StackError> {
-    Ok(kind.build(make_stack(stack, vs, cfg)?))
 }
 
 impl<M: LinkModel> Simulation<M> {
@@ -161,37 +126,27 @@ impl<M: LinkModel> Simulation<M> {
         seed: u64,
     ) -> Result<Self, StackError> {
         let base = ViewState::initial(n);
-        let net = Network::new(base.members.clone(), model, seed);
         let mut sim = Simulation {
             procs: Vec::new(),
-            net,
+            net: Network::new(base.members.clone(), model, seed),
             queue: EventQueue::new(),
             now: Time::ZERO,
-            stack: stack.to_vec(),
-            next_stack: None,
-            kind,
-            cfg,
             steps: 0,
             obs: None,
         };
         for r in 0..n {
             let vs = base.for_rank(Rank(r as u16));
-            let mut engine = build_engine(stack, &vs, &sim.cfg, kind)?;
-            let boundary = engine.init(Time::ZERO);
+            let (core, init) = GroupCore::new(stack, vs.clone(), kind, cfg.clone(), Time::ZERO)?;
             sim.procs.push(Proc {
-                ep: vs.my_endpoint(),
-                views: vec![vs.clone()],
-                vs,
-                engine,
-                generation: 0,
+                core,
                 alive: true,
-                exited: false,
                 casts: Vec::new(),
                 sends: Vec::new(),
+                views: vec![vs],
                 blocks: 0,
                 stability: Vec::new(),
             });
-            sim.route_boundary(r, boundary);
+            sim.apply(r, init);
         }
         Ok(sim)
     }
@@ -203,12 +158,26 @@ impl<M: LinkModel> Simulation<M> {
 
     /// Turns on the flight recorder with a ring of `capacity` events.
     ///
-    /// Subsequent casts, sends, packets, timers, deliveries, and view
-    /// changes are traced with virtual-time stamps and drained via
-    /// [`Simulation::drain_trace`]; cast→deliver virtual latency
-    /// accumulates into [`Simulation::cast_latency`].
+    /// Subsequent casts, sends, packets, timers, deliveries, bypass
+    /// outcomes and view changes are traced with virtual-time stamps and
+    /// drained via [`Simulation::drain_trace`]; cast→deliver virtual
+    /// latency accumulates into [`Simulation::cast_latency`].
     pub fn enable_obs(&mut self, capacity: usize) {
-        self.obs = Some(SimObs::new(capacity));
+        let recorder = Recorder::new(1, capacity);
+        let n = self.procs.len();
+        for p in &mut self.procs {
+            p.core.set_tracing(true);
+        }
+        let names = self.procs.iter().map(|p| p.core.layer_names());
+        self.obs = Some(SimObs {
+            wire: recorder.register("wire"),
+            tags: names.map(|n| LayerTags::new(n, &recorder)).collect(),
+            recorder,
+            buf: Vec::new(),
+            cast_latency: Histogram::new(),
+            cast_times: vec![Vec::new(); n],
+            delivered: vec![vec![0; n]; n],
+        });
     }
 
     /// Drains all trace events recorded since the last drain (empty when
@@ -237,48 +206,32 @@ impl<M: LinkModel> Simulation<M> {
     }
 
     /// Injects an application cast at the process with endpoint id `id`.
+    /// A cast issued while the stack is blocked (flush window) is parked
+    /// and replayed once, in order, in the next view.
     pub fn cast(&mut self, id: u32, payload: &[u8]) {
-        if self.procs[id as usize].alive {
-            if let Some(o) = &mut self.obs {
-                let (now, len) = (self.now, payload.len() as u64);
-                o.trace(now, "app", EventKind::Cast, Direction::Dn, id, len);
-                o.cast_times.entry(id).or_default().push(now);
-            }
+        if let (Some(o), true) = (&mut self.obs, self.procs[id as usize].live()) {
+            o.cast_times[id as usize].push(self.now);
         }
-        let ev = DnEvent::Cast(Msg::data(Payload::from_slice(payload)));
-        self.inject(id, ev);
+        self.drive(id as usize, |core, now| core.cast(now, payload));
     }
 
-    /// Injects a point-to-point send from `id` to endpoint id `dst`.
+    /// Injects a point-to-point send from `id` to endpoint id `dst`
+    /// (parked during a flush window, like [`Simulation::cast`]).
     pub fn send(&mut self, id: u32, dst: u32, payload: &[u8]) {
-        let Some(dst_rank) = self.procs[id as usize].vs.rank_of(Endpoint::new(dst)) else {
+        let Some(dst) = self.current_view(id).rank_of(Endpoint::new(dst)) else {
             return; // Destination not in the sender's view.
         };
-        if self.procs[id as usize].alive {
-            if let Some(o) = &mut self.obs {
-                let (now, len) = (self.now, payload.len() as u64);
-                o.trace(now, "app", EventKind::Send, Direction::Dn, id, len);
-            }
-        }
-        let ev = DnEvent::Send {
-            dst: dst_rank,
-            msg: Msg::data(Payload::from_slice(payload)),
-        };
-        self.inject(id, ev);
+        self.drive(id as usize, |core, now| core.send(now, dst, payload));
     }
 
     /// Asks process `id` to declare `suspects` (by endpoint id) failed.
     pub fn suspect(&mut self, id: u32, suspects: &[u32]) {
-        let vs = self.procs[id as usize].vs.clone();
+        let vs = self.current_view(id);
         let ranks: Vec<Rank> = suspects
             .iter()
             .filter_map(|s| vs.rank_of(Endpoint::new(*s)))
             .collect();
-        if let Some(o) = &mut self.obs {
-            let (now, n) = (self.now, ranks.len() as u64);
-            o.trace(now, "app", EventKind::Suspect, Direction::Dn, id, n);
-        }
-        self.inject(id, DnEvent::Suspect { ranks });
+        self.drive(id as usize, |core, now| core.suspect(now, ranks));
     }
 
     /// Crashes the process with endpoint id `id` (it stops processing).
@@ -291,139 +244,95 @@ impl<M: LinkModel> Simulation<M> {
     /// the leaver exactly as for a crash (Ensemble's Leave is likewise a
     /// self-initiated departure that the view change makes official).
     pub fn leave(&mut self, id: u32) {
-        if let Some(o) = &mut self.obs {
-            o.trace(self.now, "app", EventKind::Leave, Direction::Dn, id, 0);
-        }
-        self.inject(id, DnEvent::Leave);
+        self.drive(id as usize, |core, now| core.leave(now));
     }
 
     /// Whether the process's stack has exited (left or was excluded).
     pub fn has_exited(&self, id: u32) -> bool {
-        self.procs[id as usize].exited
+        !self.procs[id as usize].core.alive()
     }
 
-    fn inject(&mut self, id: u32, ev: DnEvent) {
-        let idx = id as usize;
-        if !self.procs[idx].alive {
+    /// Synthesizes and installs the MACH bypass at process `id` for its
+    /// current view (dropped again when the next view installs).
+    pub fn install_bypass(&mut self, id: u32) -> Result<(), BypassError> {
+        self.procs[id as usize].core.install_bypass()
+    }
+
+    /// Removes process `id`'s bypass; its traffic takes the engine.
+    pub fn drop_bypass(&mut self, id: u32) {
+        self.procs[id as usize].core.drop_bypass();
+    }
+
+    /// Takes and resets process `id`'s bypass `(hits, misses)` counts.
+    pub fn take_bypass_delta(&mut self, id: u32) -> (u64, u64) {
+        self.procs[id as usize].core.take_bypass_delta()
+    }
+
+    /// Feeds one input to process `idx`'s core at the current virtual
+    /// time and applies the actions it answers with.
+    fn drive(&mut self, idx: usize, input: impl FnOnce(&mut GroupCore, Time) -> Vec<Action>) {
+        let p = &mut self.procs[idx];
+        if !p.alive {
             return;
         }
-        let b = self.procs[idx].engine.inject_dn(self.now, ev);
-        self.route_boundary(idx, b);
+        let actions = input(&mut p.core, self.now);
+        if let Some(o) = &mut self.obs {
+            o.tags[idx].fold(&mut p.core, &o.recorder, 0, &mut o.buf);
+        }
+        self.apply(idx, actions);
     }
 
-    /// Routes one engine boundary: wire events are marshaled and
-    /// transmitted, deliveries recorded, timers scheduled, views
-    /// installed.
-    fn route_boundary(&mut self, idx: usize, mut b: Boundary) {
-        // Timers first (cheap).
-        let generation = self.procs[idx].generation;
-        let ep = self.procs[idx].ep;
-        for (layer, deadline) in b.timers.drain(..) {
-            self.queue.push(
-                deadline.max(self.now),
-                SimEvent::Timer {
-                    ep,
+    /// Turns process `idx`'s actions into network transmissions, queued
+    /// timers and recorded deliveries.
+    fn apply(&mut self, idx: usize, actions: Vec<Action>) {
+        for action in actions {
+            match action {
+                Action::Transmit(pkt) => {
+                    if let Some(o) = &self.obs {
+                        o.wire(self.now, EventKind::PacketOut, pkt.src, pkt.size());
+                    }
+                    for a in self.net.transmit(self.now, pkt) {
+                        self.queue.push(a.at, SimEvent::Arrival(a));
+                    }
+                }
+                Action::Timer {
                     layer,
+                    deadline,
                     generation,
-                },
-            );
-        }
-        // Wire-bound events.
-        for ev in b.wire.drain(..) {
-            match ev {
-                DnEvent::Cast(msg) => {
-                    let bytes = marshal(&msg);
-                    if let Some(o) = &mut self.obs {
-                        let (now, len) = (self.now, bytes.len() as u64);
-                        o.trace(
-                            now,
-                            "wire",
-                            EventKind::PacketOut,
-                            Direction::Dn,
-                            ep.id(),
-                            len,
-                        );
-                    }
-                    let pkt = Packet::cast(ep, bytes);
-                    for a in self.net.transmit(self.now, pkt) {
-                        self.queue.push(a.at, SimEvent::Arrival(a));
-                    }
-                }
-                DnEvent::Send { dst, msg } => {
-                    let dst_ep = self.procs[idx].vs.endpoint_of(dst);
-                    let bytes = marshal(&msg);
-                    if let Some(o) = &mut self.obs {
-                        let (now, len) = (self.now, bytes.len() as u64);
-                        o.trace(
-                            now,
-                            "wire",
-                            EventKind::PacketOut,
-                            Direction::Dn,
-                            ep.id(),
-                            len,
-                        );
-                    }
-                    let pkt = Packet::point(ep, dst_ep, bytes);
-                    for a in self.net.transmit(self.now, pkt) {
-                        self.queue.push(a.at, SimEvent::Arrival(a));
-                    }
-                }
-                // Timer requests exiting the bottom are engine artifacts;
-                // other control events are absorbed at the boundary.
-                _ => {}
+                } => self.queue.push(
+                    deadline,
+                    SimEvent::Timer {
+                        idx,
+                        layer,
+                        generation,
+                    },
+                ),
+                Action::Deliver(d) => self.record(idx, d),
             }
         }
-        // Application events.
-        let my_id = ep.id();
-        let app: Vec<UpEvent> = b.app.drain(..).collect();
-        for ev in app {
-            match ev {
-                UpEvent::Cast { origin, msg } => {
-                    let oid = self.procs[idx].vs.endpoint_of(origin).id();
-                    let bytes = msg.payload().gather();
-                    if let Some(o) = &mut self.obs {
-                        let now = self.now;
-                        let len = bytes.len() as u64;
-                        o.trace(now, "app", EventKind::Deliver, Direction::Up, my_id, len);
-                        // The k-th cast delivered here from `oid` is the
-                        // k-th cast `oid` injected (FIFO per origin).
-                        let k = o.delivered.entry((my_id, oid)).or_insert(0);
-                        let at = o.cast_times.get(&oid).and_then(|v| v.get(*k)).copied();
-                        *k += 1;
-                        if let Some(at) = at {
-                            o.cast_latency.record(now.since(at).nanos());
-                        }
+    }
+
+    /// Logs one application-visible event at process `idx`.
+    fn record(&mut self, idx: usize, d: Delivery) {
+        let p = &mut self.procs[idx];
+        match d {
+            Delivery::Cast { origin, bytes } => {
+                if let Some(o) = &mut self.obs {
+                    // The k-th cast delivered here from `origin` is the
+                    // k-th cast `origin` injected (FIFO per origin).
+                    let k = &mut o.delivered[idx][origin as usize];
+                    if let Some(at) = o.cast_times[origin as usize].get(*k) {
+                        o.cast_latency.record(self.now.since(*at).nanos());
                     }
-                    self.procs[idx].casts.push((oid, bytes));
+                    *k += 1;
                 }
-                UpEvent::Send { origin, msg } => {
-                    let oid = self.procs[idx].vs.endpoint_of(origin).id();
-                    let bytes = msg.payload().gather();
-                    if let Some(o) = &mut self.obs {
-                        let (now, len) = (self.now, bytes.len() as u64);
-                        o.trace(now, "app", EventKind::Deliver, Direction::Up, my_id, len);
-                    }
-                    self.procs[idx].sends.push((oid, bytes));
-                }
-                UpEvent::View(vs) => self.install_view(idx, vs),
-                UpEvent::Block => {
-                    if let Some(o) = &mut self.obs {
-                        o.trace(self.now, "app", EventKind::Block, Direction::Up, my_id, 0);
-                    }
-                    self.procs[idx].blocks += 1;
-                }
-                UpEvent::Exit => {
-                    if let Some(o) = &mut self.obs {
-                        o.trace(self.now, "app", EventKind::Exit, Direction::Up, my_id, 0);
-                    }
-                    self.procs[idx].exited = true;
-                    self.procs[idx].alive = false;
-                }
-                UpEvent::Stable(v) => {
-                    self.procs[idx].stability = v.iter().map(|s| s.0).collect();
-                }
-                _ => {}
+                p.casts.push((origin, bytes));
             }
+            Delivery::Send { origin, bytes } => p.sends.push((origin, bytes)),
+            Delivery::View(vs) => p.views.push(vs),
+            Delivery::Block => p.blocks += 1,
+            Delivery::Stable(v) => p.stability = v,
+            Delivery::Exit => {}
         }
     }
 
@@ -436,39 +345,18 @@ impl<M: LinkModel> Simulation<M> {
     /// Panics if the stack fails the configuration check, so an unsound
     /// switch cannot be scheduled.
     pub fn switch_stack_on_next_view(&mut self, names: &[&'static str]) {
-        ensemble_stack::check_stack(names).expect("switch target must be sound");
-        self.next_stack = Some(names.to_vec());
+        for p in &mut self.procs {
+            p.core
+                .switch_stack_on_next_view(names)
+                .expect("switch target must be sound");
+        }
     }
 
-    /// The stack a process is currently running (top first).
+    /// The stack the group is running (top first): that of the first
+    /// live process, since each process switches as it installs the view.
     pub fn stack_names(&self) -> &[&'static str] {
-        &self.stack
-    }
-
-    /// Installs a new view at process `idx`: fresh stack, new generation.
-    fn install_view(&mut self, idx: usize, vs: ViewState) {
-        if let Some(next) = self.next_stack.take() {
-            // The first installer flips the shared stack; later
-            // installers of the same view pick it up from `self.stack`.
-            self.stack = next;
-        }
-        self.procs[idx].generation += 1;
-        if let Some(o) = &mut self.obs {
-            let (now, ep) = (self.now, self.procs[idx].ep.id());
-            let n = vs.members.len() as u64;
-            o.trace(now, "app", EventKind::ViewInstall, Direction::Up, ep, n);
-        }
-        let mut engine =
-            build_engine(&self.stack, &vs, &self.cfg, self.kind).expect("stack built once already");
-        let boundary = engine.init(self.now);
-        self.procs[idx].engine = engine;
-        self.procs[idx].vs = vs.clone();
-        self.procs[idx].views.push(vs);
-        self.route_boundary(idx, boundary);
-    }
-
-    fn proc_of(&self, ep: Endpoint) -> Option<usize> {
-        self.procs.iter().position(|p| p.ep == ep)
+        let live = self.procs.iter().find(|p| p.live());
+        live.unwrap_or(&self.procs[0]).core.layer_names()
     }
 
     /// Processes a single queued event; returns `false` when idle.
@@ -480,52 +368,20 @@ impl<M: LinkModel> Simulation<M> {
         self.steps += 1;
         match ev {
             SimEvent::Arrival(a) => {
-                let Some(idx) = self.proc_of(a.dst) else {
+                let at_dst = |p: &Proc| p.core.endpoint() == a.dst;
+                let Some(idx) = self.procs.iter().position(at_dst) else {
                     return true;
                 };
-                if !self.procs[idx].alive {
-                    return true;
+                if let (Some(o), true) = (&self.obs, self.procs[idx].live()) {
+                    o.wire(self.now, EventKind::PacketIn, a.dst, a.packet.size());
                 }
-                let Ok(msg) = unmarshal(&a.packet.bytes) else {
-                    return true; // Corrupt packets are dropped.
-                };
-                let Some(origin) = self.procs[idx].vs.rank_of(a.packet.src) else {
-                    return true; // Sender no longer in our view.
-                };
-                if let Some(o) = &mut self.obs {
-                    let now = self.now;
-                    let (ep, len) = (a.dst.id(), a.packet.bytes.len() as u64);
-                    o.trace(now, "wire", EventKind::PacketIn, Direction::Up, ep, len);
-                }
-                let ev = match a.packet.dst {
-                    Dest::Cast => UpEvent::Cast { origin, msg },
-                    Dest::Point(_) => UpEvent::Send { origin, msg },
-                };
-                let b = self.procs[idx].engine.inject_up(self.now, ev);
-                self.route_boundary(idx, b);
+                self.drive(idx, |core, now| core.deliver_packet(now, a.packet));
             }
             SimEvent::Timer {
-                ep,
+                idx,
                 layer,
                 generation,
-            } => {
-                let Some(idx) = self.proc_of(ep) else {
-                    return true;
-                };
-                let p = &self.procs[idx];
-                if !p.alive || p.generation != generation {
-                    return true; // Stale timer from a replaced stack.
-                }
-                if let Some(o) = &mut self.obs {
-                    // Attribute the fire to the layer's name in the
-                    // running stack (top first, as built).
-                    let name = self.stack.get(layer).copied().unwrap_or("engine");
-                    let now = self.now;
-                    o.trace(now, name, EventKind::TimerFire, Direction::None, ep.id(), 0);
-                }
-                let b = self.procs[idx].engine.fire_timer(self.now, layer);
-                self.route_boundary(idx, b);
-            }
+            } => self.drive(idx, |core, now| core.fire_timer(now, layer, generation)),
         }
         true
     }
@@ -579,12 +435,12 @@ impl<M: LinkModel> Simulation<M> {
 
     /// The current view at process `id`.
     pub fn current_view(&self, id: u32) -> &ViewState {
-        self.procs[id as usize].views.last().expect("has a view")
+        self.procs[id as usize].core.view()
     }
 
     /// Whether the process is alive (not killed, not exited).
     pub fn is_alive(&self, id: u32) -> bool {
-        self.procs[id as usize].alive
+        self.procs[id as usize].live()
     }
 
     /// Block notifications seen at process `id`.
@@ -681,6 +537,30 @@ mod tests {
             (s.cast_deliveries(2), s.steps)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn same_seed_replays_the_trace_exactly() {
+        // The trace is the cores' own events now; the promise is still
+        // bit-for-bit replay from the seed, faults included.
+        let run = |seed: u64| {
+            let (kind, cfg) = (EngineKind::Imp, LayerConfig::fast());
+            let model = ensemble_net::LossyModel::default_hostile();
+            let mut s = Simulation::new(3, STACK_10, kind, cfg, model, seed).unwrap();
+            s.enable_obs(1 << 16);
+            for i in 0..20u8 {
+                s.cast(u32::from(i % 3), &[i]);
+                s.run_for(Duration::from_micros(200));
+            }
+            s.run_for(Duration::from_millis(50));
+            assert_eq!(s.cast_deliveries(0).len(), 20, "loss is recovered");
+            (s.drain_trace(), s.steps)
+        };
+        let (trace, steps) = run(11);
+        assert!(trace.len() > 200, "a real trace: {} events", trace.len());
+        assert_eq!((trace.clone(), steps), run(11), "same seed, same run");
+        let (other, _) = run(12);
+        assert_ne!(trace, other, "the fault schedule follows the seed");
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! MACH bypass) and turns application commands, arriving packets, and
 //! timer fires into [`Action`]s — transmissions, timer requests, and
 //! application deliveries. It performs no I/O and reads no clock, so the
-//! same code is driven by the shard workers here and by unit tests
-//! feeding it events directly.
+//! same code is driven by the shard workers here (wall clock), by the
+//! simulator in `ensemble::sim` (virtual clock), and by unit tests feeding
+//! it events directly.
 //!
 //! ## Bypass routing
 //!
@@ -54,8 +55,8 @@
 use ensemble_event::{DnEvent, Msg, Payload, UpEvent, ViewState};
 use ensemble_ir::models::{Case, ModelCtx};
 use ensemble_layers::{make_stack, LayerConfig, StackError};
-use ensemble_obs::{CcpFailure, Direction, EventKind};
-use ensemble_stack::{Boundary, Engine, EngineKind};
+use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Recorder, Tag};
+use ensemble_stack::{check_stack, Boundary, CompatError, Engine, EngineKind};
 use ensemble_synth::{synthesize, BypassOutput, DeferCertificate, StackBypass};
 use ensemble_transport::{marshal, unmarshal, Dest, Packet};
 use ensemble_util::{Counters, Endpoint, Rank, Time};
@@ -82,9 +83,9 @@ enum Parked {
 }
 
 /// Where in the group a trace event originated. The core knows layers by
-/// index only; the worker resolves indices to names (and pseudo-layers to
-/// the `app` / `bypass` / `engine` tags) when folding events into the
-/// node's recorder.
+/// index only; [`LayerTags`] resolves indices to names (and pseudo-layers
+/// to the `app` / `bypass` / `engine` tags) when a shell folds events into
+/// its recorder.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CoreLayer {
     /// The application boundary (casts in, deliveries out).
@@ -120,6 +121,70 @@ pub struct CoreEvent {
     pub ccp: CcpFailure,
     /// Event-specific extra (payload length, stash depth, …).
     pub aux: u64,
+}
+
+/// Recorder tags for one group's [`CoreLayer`]s, resolved once per stack
+/// so folding events never touches a string or a lock. Both shells (the
+/// shard worker and the simulator) fold through this one resolver.
+pub struct LayerTags {
+    app: Tag,
+    bypass: Tag,
+    engine: Tag,
+    layers: Vec<Tag>,
+}
+
+impl LayerTags {
+    /// Registers the pseudo-layers and `names` (top first) with `recorder`.
+    pub fn new(names: &[&'static str], recorder: &Recorder) -> LayerTags {
+        LayerTags {
+            app: recorder.register("app"),
+            bypass: recorder.register("bypass"),
+            engine: recorder.register("engine"),
+            layers: names.iter().map(|n| recorder.register(n)).collect(),
+        }
+    }
+
+    /// The tag `layer` is recorded under.
+    pub fn resolve(&self, layer: CoreLayer) -> Tag {
+        match layer {
+            CoreLayer::App => self.app,
+            CoreLayer::Bypass => self.bypass,
+            CoreLayer::Engine => self.engine,
+            CoreLayer::Layer(i) => self.layers.get(i).copied().unwrap_or(self.engine),
+        }
+    }
+
+    /// Drains `core`'s buffered events (via the scratch `buf`) into
+    /// `recorder`'s ring `shard`, stamped as the core's caller stamped
+    /// them. A view install may have switched stacks, so layer tags are
+    /// re-resolved from that event on.
+    pub fn fold(
+        &mut self,
+        core: &mut GroupCore,
+        recorder: &Recorder,
+        shard: usize,
+        buf: &mut Vec<CoreEvent>,
+    ) {
+        core.take_events(buf);
+        for e in buf.drain(..) {
+            recorder.record(
+                shard,
+                &Event {
+                    t_ns: e.t.0,
+                    layer: self.resolve(e.layer),
+                    kind: e.kind,
+                    dir: e.dir,
+                    group: core.endpoint().id(),
+                    seqno: e.seqno,
+                    ccp: e.ccp,
+                    aux: e.aux,
+                },
+            );
+            if e.kind == EventKind::ViewInstall {
+                *self = LayerTags::new(core.layer_names(), recorder);
+            }
+        }
+    }
 }
 
 /// An application-visible event from the group.
@@ -188,6 +253,11 @@ impl std::fmt::Display for BypassError {
 /// The runtime's per-group state machine.
 pub struct GroupCore {
     names: Vec<&'static str>,
+    /// The stack to build at the next view installation (the paper's
+    /// ref. \[25\]: Ensemble switches protocol stacks on the fly; the
+    /// agreement to switch is made at the application level, the view
+    /// change makes it safe).
+    next_names: Option<Vec<&'static str>>,
     kind: EngineKind,
     cfg: LayerConfig,
     vs: ViewState,
@@ -249,6 +319,7 @@ impl GroupCore {
         let boundary = engine.init(now);
         let mut core = GroupCore {
             names: names.to_vec(),
+            next_names: None,
             kind,
             cfg,
             ep: vs.my_endpoint(),
@@ -437,6 +508,17 @@ impl GroupCore {
     /// The stack's layer names, top first (resolves [`CoreLayer::Layer`]).
     pub fn layer_names(&self) -> &[&'static str] {
         &self.names
+    }
+
+    /// Schedules a protocol-stack switch: the next view this member
+    /// installs is built from `names`. Every member installs the same
+    /// view, so a group whose members all schedule the same switch
+    /// changes stacks together — no mixed-stack window. Refuses a stack
+    /// that fails the configuration check.
+    pub fn switch_stack_on_next_view(&mut self, names: &[&'static str]) -> Result<(), CompatError> {
+        check_stack(names)?;
+        self.next_names = Some(names.to_vec());
+        Ok(())
     }
 
     /// Takes the buffered trace events (empty when tracing is off).
@@ -1038,9 +1120,12 @@ impl GroupCore {
         self.stash.clear();
         self.blocked = false;
         self.stalled = false;
+        if let Some(next) = self.next_names.take() {
+            self.names = next;
+        }
         let mut engine = self
             .kind
-            .build(make_stack(&self.names, &vs, &self.cfg).expect("stack built once already"));
+            .build(make_stack(&self.names, &vs, &self.cfg).expect("stack checked when chosen"));
         let boundary = engine.init(now);
         self.engine = engine;
         self.vs = vs.clone();
@@ -1581,5 +1666,39 @@ mod tests {
         if let Some(layer) = timer {
             assert!(a.fire_timer(Time::ZERO, layer, 99).is_empty());
         }
+    }
+
+    #[test]
+    fn stack_switch_waits_for_the_next_view_and_the_trace_follows_it() {
+        let (mut c, _) = vsync_core(0, 3);
+        let recorder = Recorder::new(1, 64);
+        let mut tags = LayerTags::new(c.layer_names(), &recorder);
+        c.set_tracing(true);
+        assert!(
+            c.switch_stack_on_next_view(&["top", "total", "mnak", "bottom"])
+                .is_err(),
+            "an unsound stack cannot be scheduled"
+        );
+        // `sign` goes in at index 8, where `frag` sits today.
+        let mut signed = ensemble_layers::STACK_VSYNC.to_vec();
+        signed.insert(8, "sign");
+        c.switch_stack_on_next_view(&signed).unwrap();
+        c.fire_timer(Time::ZERO, 8, 0);
+        assert_eq!(c.layer_names(), ensemble_layers::STACK_VSYNC, "not yet");
+        let next = c.view().next_view(&[Rank(2)]);
+        c.install_external_view(Time::ZERO, next);
+        assert_eq!(c.layer_names(), signed, "switched with the view");
+        c.fire_timer(Time::ZERO, 8, 1);
+        c.install_external_view(Time::ZERO, c.view().next_view(&[]));
+        assert_eq!(c.layer_names(), signed, "a switch happens once");
+
+        tags.fold(&mut c, &recorder, 0, &mut Vec::new());
+        let fired: Vec<&str> = recorder
+            .drain()
+            .iter()
+            .filter(|e| e.kind == EventKind::TimerFire)
+            .map(|e| e.layer)
+            .collect();
+        assert_eq!(fired, ["frag", "sign"], "index 8, before and after");
     }
 }

@@ -1,9 +1,12 @@
 //! A real-socket, thread-pooled runtime for the ensemble layer stacks.
 //!
-//! The deterministic simulator (`ensemble::sim`) executes stacks over a
-//! modeled network in virtual time. This crate executes the *same* stacks
-//! — same layers, same engines, same marshaling, same synthesized
-//! bypasses — over real transports in wall-clock time:
+//! There is one group state machine, [`GroupCore`] — a pure
+//! `(now, input) → Vec<Action>` function of the engine, the synthesized
+//! bypass, the flush-window parking and the per-view stack rebuild — and
+//! two shells that drive it. This crate holds the machine and the
+//! wall-clock shell (shard workers + [`Transport`]); the deterministic
+//! simulator (`ensemble::sim`) is the virtual-clock shell (event queue +
+//! `LinkModel`) around the very same `GroupCore`. The wall-clock shell:
 //!
 //! * [`Transport`] is the seam: datagrams in, datagrams out, loss allowed.
 //!   [`LoopbackHub`] provides an in-process hub with deterministic,
@@ -15,8 +18,8 @@
 //! * A hierarchical [`TimerWheel`] per shard feeds `Layer::timer`
 //!   deadlines (retransmission, NAK, suspicion, stability).
 //! * [`GroupHandle`] is the application API: `cast`, `send`, `recv`,
-//!   `install_bypass` — mirroring the simulator's surface so tests can be
-//!   ported between the two with mechanical changes.
+//!   `install_bypass` — each a command to the group's `GroupCore`, as
+//!   the simulator's methods of the same names are.
 //! * [`Node::stats`] snapshots per-shard counters ([`RuntimeStats`]),
 //!   including the model-cost vocabulary of the paper's Table 2(a).
 //!
@@ -56,7 +59,7 @@ pub mod timer;
 pub mod transport;
 pub mod udp;
 
-pub use group::{Action, BypassError, CoreEvent, CoreLayer, Delivery, GroupCore};
+pub use group::{Action, BypassError, CoreEvent, CoreLayer, Delivery, GroupCore, LayerTags};
 pub use metrics::{RuntimeStats, ShardMetrics, ShardSnapshot, TransportHealth};
 pub use node::{GroupHandle, GroupSender, Node, RuntimeConfig, RuntimeError};
 pub use obs::NodeObs;

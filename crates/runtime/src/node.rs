@@ -15,7 +15,7 @@
 //! thread. The channels at both edges are bounded; see the backpressure
 //! notes on [`GroupHandle`].
 
-use crate::group::{Action, CoreEvent, CoreLayer, Delivery, GroupCore};
+use crate::group::{Action, CoreEvent, Delivery, GroupCore, LayerTags};
 use crate::metrics::{RuntimeStats, ShardMetrics, TransportHealth};
 use crate::obs::NodeObs;
 use crate::timer::TimerWheel;
@@ -132,11 +132,8 @@ struct GroupSlot {
 /// once at join so the event loop never touches a string or a lock.
 struct SlotTags {
     group: u32,
-    app: Tag,
-    bypass: Tag,
-    engine: Tag,
     wire: Tag,
-    layers: Vec<Tag>,
+    core: LayerTags,
     layer_hists: Vec<Arc<Histogram>>,
 }
 
@@ -145,21 +142,9 @@ impl SlotTags {
         let names = core.layer_names();
         SlotTags {
             group: core.endpoint().id(),
-            app: obs.recorder.register("app"),
-            bypass: obs.recorder.register("bypass"),
-            engine: obs.recorder.register("engine"),
             wire: obs.recorder.register("wire"),
-            layers: names.iter().map(|n| obs.recorder.register(n)).collect(),
+            core: LayerTags::new(names, &obs.recorder),
             layer_hists: names.iter().map(|n| obs.layer_handler_ns.get(n)).collect(),
-        }
-    }
-
-    fn resolve(&self, layer: CoreLayer) -> Tag {
-        match layer {
-            CoreLayer::App => self.app,
-            CoreLayer::Bypass => self.bypass,
-            CoreLayer::Engine => self.engine,
-            CoreLayer::Layer(i) => self.layers.get(i).copied().unwrap_or(self.engine),
         }
     }
 }
@@ -796,22 +781,8 @@ fn worker_loop(
 
 /// Drains a group's buffered trace events into the shard's ring.
 fn fold_events(slot: &mut GroupSlot, shard: usize, obs: &NodeObs, buf: &mut Vec<CoreEvent>) {
-    slot.core.take_events(buf);
-    for e in buf.drain(..) {
-        obs.recorder.record(
-            shard,
-            &Event {
-                t_ns: e.t.0,
-                layer: slot.tags.resolve(e.layer),
-                kind: e.kind,
-                dir: e.dir,
-                group: slot.tags.group,
-                seqno: e.seqno,
-                ccp: e.ccp,
-                aux: e.aux,
-            },
-        );
-    }
+    let recorder = &obs.recorder;
+    slot.tags.core.fold(&mut slot.core, recorder, shard, buf);
 }
 
 /// Everything [`route_actions`] needs besides the groups themselves.

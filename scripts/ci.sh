@@ -159,4 +159,7 @@ for series in \
   }
 done
 
+echo "==> non-test Rust lines per crate (informational; quote the total in CHANGES.md)"
+scripts/loc.sh
+
 echo "CI OK"

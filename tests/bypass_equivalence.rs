@@ -246,3 +246,157 @@ fn all_theorems_hold_on_randomized_inputs() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// MACH ≡ IMP in virtual time: whole groups, driven by the simulator.
+// ---------------------------------------------------------------------
+
+use ensemble::sim::{EngineKind, Simulation};
+use ensemble::{PerfectModel, STACK_VSYNC};
+use ensemble_util::Duration;
+
+/// What an observer of one virtual-time run can see.
+struct Observed {
+    /// `cast_deliveries` per process.
+    casts: Vec<Vec<(u32, Vec<u8>)>>,
+    /// Installed views per process.
+    views: Vec<Vec<ViewState>>,
+    /// Bypass `(hits, misses)` per process.
+    bypass: Vec<(u64, u64)>,
+}
+
+/// Twelve seed-drawn casts (fewer than any flow or gossip window) from
+/// the first `senders` members of a 3-member group over a perfect link,
+/// with the bypass on every member when `mach`. With `view_change`,
+/// member 2 then crashes, the coordinator suspects it, and the two
+/// survivors cast twelve more in the successor view.
+fn virtual_run(
+    stack: &'static [&'static str],
+    seed: u64,
+    mach: bool,
+    senders: u64,
+    view_change: bool,
+) -> Observed {
+    let (kind, cfg) = (EngineKind::Imp, LayerConfig::fast());
+    let mut sim = Simulation::new(3, stack, kind, cfg, PerfectModel::via(), seed).unwrap();
+    if mach {
+        for id in 0..3 {
+            sim.install_bypass(id).unwrap();
+        }
+    }
+    let mut rng = DetRng::new(seed);
+    let mut burst = |sim: &mut Simulation<PerfectModel>, senders: u64| {
+        for _ in 0..12 {
+            let mut body = vec![0u8; 1 + rng.below(32) as usize];
+            rng.fill_bytes(&mut body);
+            sim.cast(rng.below(senders) as u32, &body);
+            sim.run_for(Duration::from_micros(rng.below(300)));
+        }
+        sim.run_for(Duration::from_millis(20));
+    };
+    burst(&mut sim, senders);
+    let bypass = (0..3).map(|id| sim.take_bypass_delta(id)).collect();
+    if view_change {
+        sim.kill(2);
+        sim.suspect(0, &[2]);
+        sim.run_for(Duration::from_millis(200));
+        burst(&mut sim, senders.min(2));
+    }
+    Observed {
+        casts: (0..3).map(|id| sim.cast_deliveries(id)).collect(),
+        views: (0..3).map(|id| sim.views(id).to_vec()).collect(),
+        bypass,
+    }
+}
+
+/// The paper's theorem, service-independent and deterministic: a group
+/// running the synthesized bypass delivers exactly what the same group
+/// delivers through the interpreted stack. Sequencer-only traffic is
+/// the pure common case (every cast a bypass hit at every member);
+/// any-member traffic adds sender-CCP fallbacks, which must be as
+/// invisible.
+#[test]
+fn mach_equals_imp_in_virtual_time() {
+    for seed in 1..=6u64 {
+        for senders in [1, 3] {
+            let imp = virtual_run(STACK_10, seed, false, senders, false);
+            let mach = virtual_run(STACK_10, seed, true, senders, false);
+            assert_eq!(
+                imp.bypass,
+                vec![(0, 0); 3],
+                "seed {seed}: IMP ran no bypass"
+            );
+            if senders == 1 {
+                assert_eq!(mach.bypass, vec![(12, 0); 3], "seed {seed}: all hits");
+            }
+            for r in 0..3 {
+                assert_eq!(imp.casts[r].len(), 12, "seed {seed} rank {r}");
+                assert_eq!(
+                    imp.casts[r], mach.casts[r],
+                    "seed {seed}, {senders} sender(s), rank {r}"
+                );
+            }
+        }
+    }
+}
+
+/// The same through a crash and the view change that excludes it: the
+/// bypass is dropped when the successor view installs, and neither the
+/// views nor the deliveries tell the two runs apart.
+#[test]
+fn mach_equals_imp_across_a_view_change() {
+    for seed in 1..=6u64 {
+        for senders in [1, 3] {
+            let imp = virtual_run(STACK_VSYNC, seed, false, senders, true);
+            let mach = virtual_run(STACK_VSYNC, seed, true, senders, true);
+            assert!(
+                mach.bypass[0].0 > 0,
+                "seed {seed}: the bypass carried traffic"
+            );
+            for r in 0..3 {
+                let installed = if r == 2 { 1 } else { 2 };
+                assert_eq!(imp.views[r].len(), installed, "seed {seed} rank {r}");
+                assert_eq!(imp.views[r], mach.views[r], "seed {seed} rank {r}: views");
+                assert_eq!(
+                    imp.casts[r], mach.casts[r],
+                    "seed {seed}, {senders} sender(s), rank {r}"
+                );
+            }
+            assert_eq!(imp.casts[0].len(), 24, "seed {seed}: both bursts delivered");
+        }
+    }
+}
+
+/// Virtual-time reproducer of the blocker in front of running the
+/// service on the bypass (ROADMAP direction 2), first seen from outside
+/// by the benchmark: with `LayerConfig::default()` the 16th cast on
+/// `STACK_10` is `collect`'s gossip turn (`collect_every` = 16), so it
+/// fails the sender CCP and takes the engine — and because the bypass's
+/// compiled state is never reconciled with the engine's, the counter
+/// that failed the check never advances: every later cast misses too.
+/// Delivery stays exactly-once and in order throughout. Direction 2
+/// flips the second half of this test: hits must resume after the 16th.
+#[test]
+fn direction2_blocker_bypass_never_recovers_after_the_16th_cast() {
+    let (kind, cfg) = (EngineKind::Imp, LayerConfig::default());
+    let mut sim = Simulation::new(3, STACK_10, kind, cfg, PerfectModel::via(), 1).unwrap();
+    for id in 0..3 {
+        sim.install_bypass(id).unwrap();
+    }
+    for i in 0..48u8 {
+        sim.cast(0, &[i]);
+        sim.run_for(Duration::from_millis(1));
+        let sender = sim.take_bypass_delta(0);
+        let receivers = [sim.take_bypass_delta(1), sim.take_bypass_delta(2)];
+        if i < 15 {
+            assert_eq!((sender, receivers), ((1, 0), [(1, 0); 2]), "cast {i}");
+        } else {
+            // Engine-format packets are not the receivers' bypass misses.
+            assert_eq!((sender, receivers), ((0, 1), [(0, 0); 2]), "cast {i}");
+        }
+    }
+    let expected: Vec<(u32, Vec<u8>)> = (0..48u8).map(|i| (0, vec![i])).collect();
+    for r in 0..3 {
+        assert_eq!(sim.cast_deliveries(r), expected, "rank {r}");
+    }
+}

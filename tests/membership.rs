@@ -248,3 +248,49 @@ fn protocol_stack_switches_at_the_view_boundary() {
         "new-stack traffic delivered: {d1:?}"
     );
 }
+
+#[test]
+fn casts_inside_the_flush_window_replay_once_in_the_successor_view() {
+    // A cast entering the stack after its `FlushOk` was reported can
+    // fall out of the agreed cut. `GroupCore` parks application traffic
+    // while the stack is blocked and replays it through the fresh stack
+    // of the next view; the simulator drives the same machine, so the
+    // same holds in virtual time.
+    let mut sim = vsync_sim(3, 10);
+    sim.run_for(Duration::from_millis(30));
+    sim.kill(2);
+    sim.suspect(0, &[2]);
+    assert_eq!(sim.blocks(0), 1, "the coordinator blocks at once");
+    for i in 0..5u8 {
+        sim.cast(0, &[i]);
+    }
+    // Member 1 blocks when the coordinator's flush reaches it.
+    while sim.blocks(1) == 0 {
+        assert!(sim.step(), "the flush must reach member 1");
+    }
+    for i in 0..5u8 {
+        sim.cast(1, &[100 + i]);
+    }
+    // Nothing cast inside the window is delivered in the closing view.
+    while sim.views(0).len() < 2 || sim.views(1).len() < 2 {
+        assert!(sim.step(), "the view change must complete");
+        for r in [0u32, 1] {
+            if sim.views(r).len() == 1 {
+                assert!(sim.cast_deliveries(r).is_empty(), "rank {r}: old view");
+            }
+        }
+    }
+    sim.run_for(Duration::from_millis(100));
+    let from = |log: &[(u32, Vec<u8>)], origin: u32| -> Vec<u8> {
+        let of_origin = log.iter().filter(|(o, _)| *o == origin);
+        of_origin.map(|(_, b)| b[0]).collect()
+    };
+    for r in [0u32, 1] {
+        assert_eq!(sim.current_view(r).nmembers(), 2, "rank {r}");
+        let log = sim.cast_deliveries(r);
+        assert_eq!(log.len(), 10, "rank {r}: exactly once: {log:?}");
+        assert_eq!(from(&log, 0), [0, 1, 2, 3, 4], "rank {r}: in order");
+        assert_eq!(from(&log, 1), [100, 101, 102, 103, 104], "rank {r}");
+    }
+    assert_eq!(sim.cast_deliveries(0), sim.cast_deliveries(1), "one order");
+}
