@@ -22,11 +22,9 @@
 //! growing, jittered backoff so a restarting cluster is not hammered by
 //! synchronized reconnect storms.
 
-use crate::proto::{
-    decode_response, encode_request, write_frame, KvError, KvOp, KvResult, MAX_FRAME,
-};
+use crate::proto::{decode_response, encode_request, put_frame, FrameBuf, KvError, KvOp, KvResult};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -199,26 +197,30 @@ impl KvClient {
             Some(s) => s,
             None => self.connect()?,
         };
-        // Assign req ids and pipeline every frame before reading.
+        // Assign req ids and pipeline every frame, in one write, before
+        // reading.
         let mut wanted: HashMap<u64, usize> = HashMap::new();
+        let mut batch = Vec::new();
         for &i in todo {
             let req_id = self.next_req;
             self.next_req += 1;
             wanted.insert(req_id, i);
-            write_frame(&mut stream, &encode_request(req_id, &ops[i]))
-                .map_err(|_| KvError::Closed)?;
+            put_frame(&mut batch, &encode_request(req_id, &ops[i]));
         }
-        // Collect completions (any order) until done or deadline.
+        stream.write_all(&batch).map_err(|_| KvError::Closed)?;
+        // Collect completions (any order) until done or deadline: each
+        // read blocks for what is left of the batch's time, no less.
         let deadline = Instant::now() + self.timeout;
-        let mut acc: Vec<u8> = Vec::new();
-        let mut tmp = [0u8; 16 * 1024];
+        let mut frames = FrameBuf::new();
         while !wanted.is_empty() {
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return Err(KvError::Timeout);
             }
-            match stream.read(&mut tmp) {
+            let _ = stream.set_read_timeout(Some(left));
+            match frames.fill(&mut stream) {
                 Ok(0) => return Err(KvError::Closed),
-                Ok(n) => acc.extend_from_slice(&tmp[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == ErrorKind::WouldBlock
                         || e.kind() == ErrorKind::TimedOut
@@ -228,19 +230,8 @@ impl KvClient {
                 }
                 Err(_) => return Err(KvError::Closed),
             }
-            loop {
-                if acc.len() < 4 {
-                    break;
-                }
-                let len = u32::from_le_bytes(acc[..4].try_into().unwrap()) as usize;
-                if len > MAX_FRAME {
-                    return Err(KvError::Malformed);
-                }
-                if acc.len() < 4 + len {
-                    break;
-                }
-                let payload: Vec<u8> = acc.drain(..4 + len).skip(4).collect();
-                let Some((req_id, result)) = decode_response(&payload) else {
+            while let Some(payload) = frames.next_frame().map_err(|_| KvError::Malformed)? {
+                let Some((req_id, result)) = decode_response(payload) else {
                     return Err(KvError::Malformed);
                 };
                 let Some(i) = wanted.remove(&req_id) else {
@@ -249,10 +240,7 @@ impl KvClient {
                 match result {
                     // The replica is stalled: fail the whole batch over
                     // to the next replica (every op still unanswered).
-                    KvResult::Err(KvError::NotServing) => {
-                        wanted.insert(req_id, i);
-                        return Err(KvError::NotServing);
-                    }
+                    KvResult::Err(KvError::NotServing) => return Err(KvError::NotServing),
                     r => results[i] = Some(r),
                 }
             }
@@ -267,7 +255,6 @@ impl KvClient {
             TcpStream::connect_timeout(&addr, self.timeout.max(Duration::from_millis(100)))
                 .map_err(|_| KvError::Closed)?;
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
         Ok(stream)
     }

@@ -25,6 +25,9 @@ pub struct KvMetrics {
     pub snapshots_skipped: AtomicU64,
     /// TCP connections accepted by the listener.
     pub connections: AtomicU64,
+    /// Returns from a blocking wait in the listener (acceptor, pool
+    /// worker, connection reader or writer). Flat while the plane idles.
+    pub listener_wakeups: AtomicU64,
     /// Operations appended to the WAL (durable once their group-commit
     /// batch syncs, or a checkpoint supersedes them).
     pub wal_appends: AtomicU64,
@@ -72,6 +75,11 @@ impl KvMetrics {
             ld(&self.snapshots_skipped),
         );
         reg.set_int("ensemble_kv_connections_total", &[], ld(&self.connections));
+        reg.set_int(
+            "ensemble_kv_listener_wakeups_total",
+            &[],
+            ld(&self.listener_wakeups),
+        );
         reg.set_int("ensemble_kv_wal_appends_total", &[], ld(&self.wal_appends));
         reg.set_int("ensemble_kv_wal_bytes_total", &[], ld(&self.wal_bytes));
         reg.set_int(
@@ -109,6 +117,7 @@ mod tests {
             "ensemble_kv_snapshots_installed_total",
             "ensemble_kv_snapshots_skipped_total",
             "ensemble_kv_connections_total",
+            "ensemble_kv_listener_wakeups_total",
             "ensemble_kv_wal_appends_total",
             "ensemble_kv_wal_bytes_total",
             "ensemble_kv_wal_append_failures_total",

@@ -350,11 +350,82 @@ pub fn decode_cast(buf: &[u8]) -> Option<(u32, u64, KvOp)> {
     Some((submitter, token, op))
 }
 
-/// Writes one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+/// Appends one length-prefixed frame to `out`, so a caller can encode
+/// any number of frames into one buffer and hand them to one `write_all`.
+pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     debug_assert!(payload.len() <= MAX_FRAME);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Writes one length-prefixed frame (one `write_all`: one syscall and,
+/// with `TCP_NODELAY`, one segment).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::new();
+    put_frame(&mut frame, payload);
+    w.write_all(&frame)
+}
+
+/// The receive side of a connection's framing, for both ends: bytes as
+/// `read` delivers them go in, complete frames come out.
+///
+/// A cursor walks the accumulated bytes, so taking a frame copies
+/// nothing; what the cursor has passed is dropped once per read.
+#[derive(Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Everything before this offset has been handed out as frames.
+    at: usize,
+}
+
+impl FrameBuf {
+    /// Bytes asked of the reader per [`FrameBuf::fill`].
+    const READ_CHUNK: usize = 16 * 1024;
+
+    /// An empty buffer.
+    pub fn new() -> FrameBuf {
+        FrameBuf::default()
+    }
+
+    /// Appends the bytes of one `read` (which blocks as `r` blocks) and
+    /// returns how many there were; 0 is end of stream.
+    pub fn fill(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
+        self.buf.drain(..self.at);
+        self.at = 0;
+        let held = self.buf.len();
+        self.buf.resize(held + Self::READ_CHUNK, 0);
+        let read = r.read(&mut self.buf[held..]);
+        self.buf.truncate(held + read.as_ref().map_or(0, |n| *n));
+        read
+    }
+
+    /// The payload of the next complete frame, `Ok(None)` when only part
+    /// of one has arrived. A length prefix over [`MAX_FRAME`] is an
+    /// `InvalidData` error: the stream cannot be resynchronized.
+    pub fn next_frame(&mut self) -> std::io::Result<Option<&[u8]>> {
+        let rest = &self.buf[self.at..];
+        let Some(len) = rest.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = check_frame_len(u32::from_le_bytes(*len))?;
+        if rest.len() < 4 + len {
+            return Ok(None);
+        }
+        let start = self.at + 4;
+        self.at = start + len;
+        Ok(Some(&self.buf[start..self.at]))
+    }
+}
+
+fn check_frame_len(len: u32) -> std::io::Result<usize> {
+    let len = len as usize;
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
+        ));
+    }
+    Ok(len)
 }
 
 /// Reads one length-prefixed frame.
@@ -367,13 +438,7 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
         0 => return Ok(None),
         n => r.read_exact(&mut len[n..])?,
     }
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
+    let len = check_frame_len(u32::from_le_bytes(len))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
@@ -473,5 +538,46 @@ mod tests {
         buf.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes());
         let mut r = &buf[..];
         assert!(read_frame(&mut r).is_err());
+        let mut frames = FrameBuf::new();
+        frames.fill(&mut &buf[..]).unwrap();
+        assert!(frames.next_frame().is_err());
+    }
+
+    /// A reader that hands out its bytes `step` at a time.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.1.min(self.0.len()).min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_buf_yields_the_same_frames_however_reads_split_them() {
+        let payloads: Vec<Vec<u8>> = vec![b"hello".to_vec(), Vec::new(), vec![7u8; 300]];
+        let mut wire = Vec::new();
+        for p in &payloads {
+            put_frame(&mut wire, p);
+        }
+        // put_frame and write_frame agree on the bytes.
+        let mut written = Vec::new();
+        for p in &payloads {
+            write_frame(&mut written, p).unwrap();
+        }
+        assert_eq!(wire, written);
+        for step in 1..=wire.len() {
+            let mut r = Trickle(&wire, step);
+            let mut frames = FrameBuf::new();
+            let mut got: Vec<Vec<u8>> = Vec::new();
+            while frames.fill(&mut r).unwrap() > 0 {
+                while let Some(p) = frames.next_frame().unwrap() {
+                    got.push(p.to_vec());
+                }
+            }
+            assert_eq!(got, payloads, "reads of {step} bytes");
+        }
     }
 }

@@ -45,13 +45,21 @@ enum Ctl {
     Stable(Sender<(u64, Vec<u8>)>),
 }
 
+/// What the apply loop runs, once, with a request's result. It is called
+/// with the pending table locked, so it must only hand the result on —
+/// push it into a queue — and never block or submit.
+type Completion = Box<dyn FnOnce(KvResult) + Send>;
+
+/// Submitted operations awaiting their commit, by token.
+type PendingTable = Arc<Mutex<HashMap<u64, Completion>>>;
+
 /// The cheaply cloneable client-facing seam of a replica.
 #[derive(Clone)]
 pub struct ReplicaFront {
     id: u32,
     sender: GroupSender,
     serving: Arc<AtomicBool>,
-    pending: Arc<Mutex<HashMap<u64, Sender<KvResult>>>>,
+    pending: PendingTable,
     next_token: Arc<AtomicU64>,
     metrics: Arc<KvMetrics>,
 }
@@ -87,30 +95,48 @@ impl ReplicaFront {
     /// [`withdraw`]: ReplicaFront::withdraw
     pub fn submit_tracked(&self, op: &KvOp) -> (Receiver<KvResult>, Option<u64>) {
         let (tx, rx) = channel();
+        let token = self.submit_with(op, move |result| {
+            let _ = tx.send(result);
+        });
+        (rx, token)
+    }
+
+    /// Proposes `op` and has the apply loop hand its result to `done`,
+    /// which must only pass it on (see `Completion`). `done` runs
+    /// exactly once unless the operation is [`withdraw`]n first; a
+    /// rejection (not serving, cast refused) runs it before this returns.
+    /// Returns the pending-table token, `None` for "not serving".
+    ///
+    /// [`withdraw`]: ReplicaFront::withdraw
+    pub(crate) fn submit_with(
+        &self,
+        op: &KvOp,
+        done: impl FnOnce(KvResult) + Send + 'static,
+    ) -> Option<u64> {
         if !self.serving.load(Ordering::Relaxed) {
             self.metrics
                 .rejected_not_serving
                 .fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(KvResult::Err(KvError::NotServing));
-            return (rx, None);
+            done(KvResult::Err(KvError::NotServing));
+            return None;
         }
         let token = self.next_token.fetch_add(1, Ordering::Relaxed);
         self.pending
             .lock()
             .expect("kv pending table mutex poisoned")
-            .insert(token, tx);
+            .insert(token, Box::new(done));
         self.metrics.requests.fetch_add(1, Ordering::Relaxed);
         if self.sender.cast(&encode_cast(self.id, token, op)).is_err() {
-            let tx = self
+            let done = self
                 .pending
                 .lock()
                 .expect("kv pending table mutex poisoned")
                 .remove(&token);
-            if let Some(tx) = tx {
-                let _ = tx.send(KvResult::Err(KvError::Closed));
+            if let Some(done) = done {
+                done(KvResult::Err(KvError::Closed));
             }
         }
-        (rx, Some(token))
+        Some(token)
     }
 
     /// Withdraws a pending operation the caller no longer waits on.
@@ -119,7 +145,8 @@ impl ReplicaFront {
     /// goes unobserved — but perfectly linearized). Returns `false` if
     /// the commit already completed it; the apply loop completes
     /// entries while holding the table lock, so in that case the result
-    /// is guaranteed to be sitting in the submit receiver.
+    /// is guaranteed to be sitting in the submit receiver (or wherever
+    /// else the operation's completion puts it).
     pub fn withdraw(&self, token: u64) -> bool {
         self.pending
             .lock()
@@ -415,7 +442,7 @@ struct ApplyLoop {
     node: ClusterNode,
     store: Arc<Mutex<KvStore>>,
     log: Arc<Mutex<Vec<(u64, KvOp)>>>,
-    pending: Arc<Mutex<HashMap<u64, Sender<KvResult>>>>,
+    pending: PendingTable,
     metrics: Arc<KvMetrics>,
     ctl_rx: Receiver<Ctl>,
     stop: Arc<AtomicBool>,
@@ -639,8 +666,9 @@ impl ApplyLoop {
     }
 
     /// Completes one pending client while holding the table lock:
-    /// `submit_timeout` relies on remove-then-send being atomic with
-    /// respect to its own withdrawal.
+    /// `submit_timeout` and the listener's connection writers rely on
+    /// remove-then-hand-over being atomic with respect to their own
+    /// withdrawal.
     fn complete(
         &self,
         token: u64,
@@ -654,8 +682,8 @@ impl ApplyLoop {
             .pending
             .lock()
             .expect("kv pending table mutex poisoned");
-        if let Some(tx) = pending.remove(&token) {
-            let _ = tx.send(result);
+        if let Some(done) = pending.remove(&token) {
+            done(result);
             self.metrics.responses.fetch_add(1, Ordering::Relaxed);
             self.record(obs, shard, tag, EventKind::KvResponse, ci);
         }

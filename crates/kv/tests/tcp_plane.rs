@@ -1,12 +1,18 @@
 //! The TCP client plane over real sockets: pipelining, per-request
-//! timeouts, and redirect away from a stalled minority replica.
+//! timeouts, redirect away from a stalled minority replica, and the
+//! event-driven request path (no hop between commit and reply waits on a
+//! timer; an idle plane does not wake).
 //!
 //! Every test binds `127.0.0.1:0`; a sandbox that denies loopback binds
 //! downgrades each test to a logged skip rather than a failure.
 
-use ensemble_kv::{KvClient, KvConfig, KvListener, KvOp, KvReplica, KvResult};
+use ensemble_kv::proto::{decode_response, encode_request, put_frame, read_frame};
+use ensemble_kv::{KvClient, KvConfig, KvError, KvListener, KvOp, KvReplica, KvResult};
 use ensemble_runtime::{FaultPlan, LoopbackHub};
 use ensemble_util::Endpoint;
+use std::io::Write;
+use std::net::TcpStream;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 /// Forms an n-replica group over fresh loopback hubs and starts one TCP
@@ -139,6 +145,226 @@ fn per_request_timeout_fails_fast_when_nothing_serves() {
     );
     control.heal();
     data.heal();
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+/// Cuts replica 2 off from the other two on both hubs.
+fn isolate_replica_2(control: &LoopbackHub, data: &LoopbackHub) {
+    let groups = vec![vec![0u32, 1], vec![2u32]];
+    control.split(groups.clone());
+    data.split(groups);
+}
+
+/// Writes SETs with request ids `ids` to `stream` as one buffer.
+fn send_sets(stream: &mut TcpStream, ids: std::ops::Range<u64>) {
+    let mut batch = Vec::new();
+    for id in ids {
+        let op = KvOp::Set(format!("k{id}").into_bytes(), b"v".to_vec());
+        put_frame(&mut batch, &encode_request(id, &op));
+    }
+    stream.write_all(&batch).expect("requests written");
+}
+
+/// Polls until `cond` holds; panics with `what` after `limit`.
+fn await_that(limit: Duration, what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + limit;
+    while !cond() {
+        assert!(Instant::now() < deadline, "{what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+#[test]
+fn depth_one_call_does_not_wait_for_a_timer() {
+    let Some((_replicas, listeners, _c, _d)) = group(3, 17) else {
+        return;
+    };
+    let addrs = listeners.iter().map(|l| l.addr()).collect();
+    let mut kv = KvClient::new(addrs, Duration::from_secs(5));
+    kv.set(b"warm", b"up").expect("first call commits");
+    let mut lat: Vec<Duration> = (0..200u32)
+        .map(|i| {
+            let t0 = Instant::now();
+            kv.set(b"k", &i.to_le_bytes()).expect("call commits");
+            t0.elapsed()
+        })
+        .collect();
+    lat.sort();
+    // A plane that finds commits by a socket time-out cannot go below two
+    // timer ticks (4 ms at HZ = 250) however idle the machine.
+    assert!(
+        lat[100] < Duration::from_millis(3),
+        "median depth-1 call took {:?}",
+        lat[100]
+    );
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn pipeline_beyond_the_depth_bound_completes() {
+    let Some((_replicas, listeners, _c, _d)) = group(3, 19) else {
+        return;
+    };
+    let addrs = listeners.iter().map(|l| l.addr()).collect();
+    let mut kv = KvClient::new(addrs, Duration::from_secs(10));
+    // Three times what the reader may have unanswered: it must park at
+    // the bound and be woken by the writer, twice over.
+    let n = 3 * KvConfig::new(3).pipeline_depth;
+    let ops: Vec<KvOp> = (0..n)
+        .flat_map(|i| {
+            let key = format!("k{i}").into_bytes();
+            [KvOp::Set(key.clone(), key.clone()), KvOp::Get(key)]
+        })
+        .take(n)
+        .collect();
+    let results = kv.pipeline(&ops).expect("batch completes");
+    assert_eq!(results.len(), n);
+    for (op, r) in ops.iter().zip(&results) {
+        match (op, r) {
+            (KvOp::Set(..), KvResult::Applied { ci }) => assert!(*ci > 0),
+            (KvOp::Get(k), KvResult::Value { value, .. }) => assert_eq!(value.as_ref(), Some(k)),
+            other => panic!("wrong result shape: {other:?}"),
+        }
+    }
+    assert_eq!(kv.redirects(), 0);
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn uncommitted_request_times_out_once_and_stays_answered() {
+    let Some((replicas, listeners, control, data)) = group(3, 23) else {
+        return;
+    };
+    let timeout = KvConfig::new(3).request_timeout;
+    let metrics = replicas[2].metrics();
+    let mut stream = TcpStream::connect(listeners[2].addr()).expect("connect");
+    stream.set_read_timeout(Some(timeout * 3)).unwrap();
+    // Cut the replica off *after* connecting and submit before its
+    // failure detector notices: the request is accepted, its cast never
+    // reaches the sequencer, and no commit comes.
+    isolate_replica_2(&control, &data);
+    let t0 = Instant::now();
+    send_sets(&mut stream, 1..2);
+    let frame = read_frame(&mut stream).unwrap().expect("a response");
+    let waited = t0.elapsed();
+    assert_eq!(
+        decode_response(&frame),
+        Some((1, KvResult::Err(KvError::Timeout)))
+    );
+    assert!(
+        waited >= timeout && waited < timeout + Duration::from_millis(500),
+        "answered after {waited:?}"
+    );
+    assert_eq!(metrics.requests.load(Relaxed), 1, "it was accepted");
+    assert_eq!(metrics.timeouts.load(Relaxed), 1);
+
+    control.heal();
+    data.heal();
+    let front = replicas[2].front();
+    await_that(Duration::from_secs(20), "replica 2 never resumed", || {
+        front.is_serving()
+    });
+    // Whatever became of the old cast, request 1 is answered: the next
+    // frame on this socket is request 2's, and nothing follows it.
+    send_sets(&mut stream, 2..3);
+    let frame = read_frame(&mut stream).unwrap().expect("a response");
+    let (req_id, _) = decode_response(&frame).expect("decodes");
+    assert_eq!(req_id, 2);
+    stream
+        .set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    assert!(read_frame(&mut stream).is_err(), "an unasked-for frame");
+    assert_eq!(metrics.timeouts.load(Relaxed), 1);
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn dropped_connection_leaves_nothing_behind() {
+    let Some((replicas, listeners, control, data)) = group(3, 29) else {
+        return;
+    };
+    let cfg = KvConfig::new(3);
+    let metrics = replicas[2].metrics();
+    // More connections than the pool has workers, each abandoned with
+    // requests that can never commit: if a reader or writer outlived its
+    // client, the later ones would never be served.
+    let conns = cfg.listener_pool as u64 + 2;
+    let mut open: Vec<TcpStream> = (0..cfg.listener_pool)
+        .map(|_| TcpStream::connect(listeners[2].addr()).expect("connect"))
+        .collect();
+    isolate_replica_2(&control, &data);
+    for c in 0..conns {
+        let mut stream = open
+            .pop()
+            .unwrap_or_else(|| TcpStream::connect(listeners[2].addr()).expect("connect"));
+        send_sets(&mut stream, 0..5);
+        await_that(Duration::from_secs(1), "requests were not accepted", || {
+            metrics.requests.load(Relaxed) == 5 * (c + 1)
+        });
+        drop(stream);
+    }
+    // Abandoned, not timed out: both halves left when the client did and
+    // withdrew what was pending, instead of waiting out the deadlines.
+    std::thread::sleep(cfg.request_timeout + Duration::from_millis(500));
+    assert_eq!(metrics.timeouts.load(Relaxed), 0);
+    assert_eq!(metrics.responses.load(Relaxed), 0);
+    assert_eq!(metrics.requests.load(Relaxed), 5 * conns);
+    control.heal();
+    data.heal();
+    let t0 = Instant::now();
+    for l in listeners {
+        l.shutdown();
+    }
+    assert!(t0.elapsed() < Duration::from_secs(1), "a thread lingered");
+}
+
+#[test]
+fn shutdown_with_an_idle_connection_is_prompt() {
+    let Some((_replicas, listeners, _c, _d)) = group(3, 31) else {
+        return;
+    };
+    let addrs: Vec<_> = listeners.iter().map(|l| l.addr()).collect();
+    let mut kv = KvClient::new(addrs, Duration::from_secs(5));
+    kv.set(b"k", b"v").expect("commits");
+    // `kv` keeps its connection to the first listener open and silent.
+    for l in listeners {
+        let t0 = Instant::now();
+        l.shutdown();
+        assert!(
+            t0.elapsed() < Duration::from_millis(250),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
+    }
+    assert!(kv.set(b"k", b"v").is_err(), "nothing listens any more");
+}
+
+#[test]
+fn idle_plane_does_not_wake_and_a_call_wakes_it_thrice() {
+    let Some((replicas, listeners, _c, _d)) = group(3, 37) else {
+        return;
+    };
+    let addrs = listeners.iter().map(|l| l.addr()).collect();
+    let mut kv = KvClient::new(addrs, Duration::from_secs(5));
+    kv.set(b"warm", b"up").expect("first call commits");
+    let wakeups = || replicas[0].metrics().listener_wakeups.load(Relaxed);
+    let idle = wakeups();
+    assert!(idle > 0, "accepting and serving the first call woke it");
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(wakeups(), idle, "an open, silent connection woke a thread");
+    kv.set(b"k", b"v").expect("commits");
+    // The reader for the request, the writer for the submission and for
+    // the commit; the two writer wake-ups merge when the commit is quick.
+    let cost = wakeups() - idle;
+    assert!((2..=4).contains(&cost), "one call cost {cost} wake-ups");
     for l in listeners {
         l.shutdown();
     }

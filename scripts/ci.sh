@@ -47,8 +47,9 @@ echo "==> kv: chaos linearizability + TCP client plane (release)"
 # chaos_load_stays_linearizable drives 100 concurrent clients through
 # seeded split/stall/heal/merge rounds and replays every commit and
 # response against the linearizability checker; tcp_plane exercises
-# pipelining, redirect-away-from-stalled, and per-request timeouts
-# over real sockets.
+# pipelining, redirect-away-from-stalled, per-request timeouts, and the
+# event-driven request path (sub-tick depth-1 latency, back-pressure at
+# the pipeline bound, no wake-up while idle) over real sockets.
 cargo test --release -p ensemble-kv --test kv_chaos
 cargo test --release -p ensemble-kv --test tcp_plane
 
@@ -80,7 +81,8 @@ echo "==> kv: metrics exposition carries the required series"
 for series in \
   'ensemble_kv_requests_total' \
   'ensemble_kv_commits_total' \
-  'ensemble_kv_responses_total'; do
+  'ensemble_kv_responses_total' \
+  'ensemble_kv_listener_wakeups_total'; do
   grep -q "^$series" <<<"$KV_LOAD_OUT" || {
     echo "missing series: $series" >&2
     exit 1
