@@ -39,6 +39,9 @@ pub struct KvMetrics {
     pub wal_append_failures: AtomicU64,
     /// Checkpoints written (dual-slot) with the log truncated.
     pub checkpoints: AtomicU64,
+    /// Bytes written into checkpoint slots (slot header included); over
+    /// `wal_bytes` this is the durability plane's write amplification.
+    pub checkpoint_bytes: AtomicU64,
     /// Recoveries performed at startup (checkpoint load + tail replay).
     pub recoveries: AtomicU64,
     /// Torn/short/corrupt tail records dropped during recovery replay.
@@ -88,6 +91,11 @@ impl KvMetrics {
             ld(&self.wal_append_failures),
         );
         reg.set_int("ensemble_kv_checkpoints_total", &[], ld(&self.checkpoints));
+        reg.set_int(
+            "ensemble_kv_checkpoint_bytes_total",
+            &[],
+            ld(&self.checkpoint_bytes),
+        );
         reg.set_int("ensemble_kv_recoveries_total", &[], ld(&self.recoveries));
         reg.set_int(
             "ensemble_kv_torn_tail_records_total",
@@ -122,6 +130,7 @@ mod tests {
             "ensemble_kv_wal_bytes_total",
             "ensemble_kv_wal_append_failures_total",
             "ensemble_kv_checkpoints_total",
+            "ensemble_kv_checkpoint_bytes_total",
             "ensemble_kv_recoveries_total",
             "ensemble_kv_torn_tail_records_total",
         ] {

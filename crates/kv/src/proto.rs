@@ -187,6 +187,30 @@ fn take_bytes(buf: &[u8], at: &mut usize) -> Option<Vec<u8>> {
     Some(b.to_vec())
 }
 
+/// Appends the encoding of `KvOp::Set(key, value)` to `out` without
+/// owning either: the store's snapshot writes one per binding.
+pub(crate) fn encode_set(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    out.push(0x02);
+    put_bytes(out, key);
+    put_bytes(out, value);
+}
+
+/// Length of [`encode_set`]'s output: tag plus two length prefixes.
+pub(crate) fn encoded_set_len(key: &[u8], value: &[u8]) -> usize {
+    9 + key.len() + value.len()
+}
+
+/// Length of [`encode_op`]'s output, so a caller can size its buffer once.
+pub(crate) fn encoded_op_len(op: &KvOp) -> usize {
+    match op {
+        KvOp::Get(k) | KvOp::Del(k) => 5 + k.len(),
+        KvOp::Set(k, v) => encoded_set_len(k, v),
+        KvOp::Cas { key, expect, new } => {
+            10 + key.len() + new.len() + expect.as_ref().map_or(0, |e| 4 + e.len())
+        }
+    }
+}
+
 /// Appends the encoding of `op` to `out`.
 pub fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
     match op {
@@ -194,11 +218,7 @@ pub fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
             out.push(0x01);
             put_bytes(out, k);
         }
-        KvOp::Set(k, v) => {
-            out.push(0x02);
-            put_bytes(out, k);
-            put_bytes(out, v);
-        }
+        KvOp::Set(k, v) => encode_set(out, k, v),
         KvOp::Del(k) => {
             out.push(0x03);
             put_bytes(out, k);
@@ -464,6 +484,15 @@ mod tests {
                 new: b"2".to_vec(),
             },
         ]
+    }
+
+    #[test]
+    fn encoded_lengths_match_the_encoder() {
+        for op in ops() {
+            let mut buf = Vec::new();
+            encode_op(&mut buf, &op);
+            assert_eq!(encoded_op_len(&op), buf.len(), "{op:?}");
+        }
     }
 
     #[test]

@@ -708,13 +708,16 @@ impl ApplyLoop {
     /// truncates the log; on success anything the log could not make
     /// durable is durable now, so held-back acks drain.
     fn take_checkpoint(&mut self, obs: &NodeObs, shard: usize, tag: Tag) {
-        let (ci, snap) = {
-            let s = self.store.lock().expect("kv store mutex poisoned");
-            (s.commit_index(), s.snapshot())
-        };
         let Some(wal) = &mut self.wal else { return };
-        if wal.checkpoint(ci, &snap).is_ok() {
+        let (ci, written) = {
+            let s = self.store.lock().expect("kv store mutex poisoned");
+            (s.commit_index(), wal.checkpoint_store(&s))
+        };
+        if let Ok(bytes) = written {
             self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
+            self.metrics
+                .checkpoint_bytes
+                .fetch_add(bytes as u64, Ordering::Relaxed);
             self.record(obs, shard, tag, EventKind::Checkpoint, ci);
             self.drain_acks(obs, shard, tag);
         }

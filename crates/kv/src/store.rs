@@ -7,7 +7,7 @@
 //! computes is the `(commit_index, result)` every replica computes, and
 //! the commit index doubles as the operation's linearization point.
 
-use crate::proto::{decode_op, encode_op, KvOp, KvResult};
+use crate::proto::{decode_op, encode_set, encoded_set_len, KvOp, KvResult};
 use std::collections::BTreeMap;
 
 /// One replica's materialized state.
@@ -75,14 +75,22 @@ impl KvStore {
     /// Serializes the full state (commit index + every binding) for the
     /// cluster's snapshot channel (joiner Welcomes and merge grants).
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.map.len() * 16);
+        let mut out = Vec::new();
+        self.encode_snapshot(&mut out);
+        out
+    }
+
+    /// Appends the snapshot to `out` (reserved once, exactly) — the WAL
+    /// passes a buffer that already holds its slot header.
+    pub(crate) fn encode_snapshot(&self, out: &mut Vec<u8>) {
+        let bindings: usize = self.map.iter().map(|(k, v)| encoded_set_len(k, v)).sum();
+        out.reserve(12 + bindings);
         out.extend_from_slice(&self.commit_index.to_le_bytes());
         out.extend_from_slice(&(self.map.len() as u32).to_le_bytes());
         for (k, v) in &self.map {
             // Reuse the wire op encoding: one SET per binding.
-            encode_op(&mut out, &KvOp::Set(k.clone(), v.clone()));
+            encode_set(out, k, v);
         }
-        out
     }
 
     /// Replaces this store with a snapshot's state. Returns `false`
@@ -173,6 +181,33 @@ mod tests {
         assert_eq!(t, s);
         assert_eq!(t.commit_index(), 11);
         assert_eq!(t.peek(&[3]), None);
+    }
+
+    #[test]
+    fn snapshot_bytes_are_one_owned_set_encoding_per_binding() {
+        // The format's definition: what the cloning encoder produced.
+        let mut rng = ensemble_util::DetRng::new(18);
+        let mut s = KvStore::new();
+        s.apply(&KvOp::Set(Vec::new(), Vec::new()));
+        for _ in 0..300 {
+            let mut k = vec![0u8; rng.below(24) as usize];
+            let mut v = vec![0u8; rng.below(300) as usize];
+            rng.fill_bytes(&mut k);
+            rng.fill_bytes(&mut v);
+            s.apply(&KvOp::Set(k, v));
+        }
+        let mut want = Vec::new();
+        want.extend_from_slice(&s.commit_index.to_le_bytes());
+        want.extend_from_slice(&(s.map.len() as u32).to_le_bytes());
+        for (k, v) in &s.map {
+            crate::proto::encode_op(&mut want, &KvOp::Set(k.clone(), v.clone()));
+        }
+        assert_eq!(s.snapshot(), want);
+        // Appending after a reserved header leaves the header alone.
+        let mut framed = vec![0xA5; 12];
+        s.encode_snapshot(&mut framed);
+        assert_eq!(framed[..12], [0xA5; 12]);
+        assert_eq!(framed[12..], want);
     }
 
     #[test]

@@ -17,15 +17,23 @@
 //!   not cover the coordinator's version, and the rejoiner catches up
 //!   by snapshot transfer (`snapshots_installed`).
 //!
+//! Both shapes run twice: on a small store, where checkpoints go by
+//! record count, and on one whose snapshot outweighs
+//! `checkpoint_every` records of log, where the WAL's byte rule holds
+//! the next checkpoint back and recovery replays a tail longer than
+//! `checkpoint_every`.
+//!
 //! Either way the run must end with every replica applying the same
 //! operations at the same commit indices and the offline
 //! linearizability replay (including the recovery invariants) clean.
 
 use ensemble_kv::{
-    KvConfig, KvLinearizabilityChecker, KvOp, KvReplica, KvResult, MemDisk, StorageFaults, Wal,
+    KvConfig, KvLinearizabilityChecker, KvOp, KvReplica, KvResult, MemDisk, RecoveryReport,
+    StorageFaults, Wal,
 };
 use ensemble_runtime::{FaultPlan, LoopbackHub};
 use ensemble_util::Endpoint;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 const REPLICAS: usize = 3;
@@ -40,17 +48,35 @@ fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
-/// Forms the durable group, one WAL per replica on its own disk.
-fn form_group(control: &LoopbackHub, data: &LoopbackHub, disks: &[MemDisk]) -> Vec<KvReplica> {
+/// Replica `i`'s WAL on `disks[i]`; with `slot_disk`, the checkpoint
+/// slots live there instead (a victim whose log never syncs but whose
+/// checkpoints do).
+fn open_wal(disks: &[MemDisk], slot_disk: Option<&MemDisk>, i: usize, cfg: &KvConfig) -> Wal {
+    let slots = slot_disk.unwrap_or(&disks[i]);
+    Wal::new(
+        Box::new(disks[i].open(&format!("r{i}.log"))),
+        Box::new(slots.open(&format!("r{i}.ckpt-a"))),
+        Box::new(slots.open(&format!("r{i}.ckpt-b"))),
+        cfg.wal,
+    )
+}
+
+/// Forms the durable group, one WAL per replica on its own disk
+/// (`victim_slots`: see [`open_wal`]).
+fn form_group(
+    control: &LoopbackHub,
+    data: &LoopbackHub,
+    disks: &[MemDisk],
+    victim_slots: Option<&MemDisk>,
+) -> Vec<KvReplica> {
     let seed_ep = Endpoint::new(0);
     let mut formers = Vec::new();
-    for i in 0..REPLICAS as u32 {
-        let ep = Endpoint::new(i);
+    for i in 0..REPLICAS {
+        let ep = Endpoint::new(i as u32);
         let (c, d) = (control.attach(ep), data.attach(ep));
         let cfg = KvConfig::new(REPLICAS);
-        let disk = disks[i as usize].clone();
+        let wal = open_wal(disks, victim_slots.filter(|_| i == VICTIM), i, &cfg);
         formers.push(std::thread::spawn(move || {
-            let wal = Wal::on_mem_disk(&disk, &format!("r{i}"), cfg.wal);
             KvReplica::form_durable(ep, seed_ep, cfg, Box::new(c), Box::new(d), wal).map(|(r, _)| r)
         }));
     }
@@ -63,12 +89,16 @@ fn form_group(control: &LoopbackHub, data: &LoopbackHub, disks: &[MemDisk]) -> V
 /// Commits `n` Sets through `front`-replica 0 and waits until every
 /// live replica has applied them.
 fn push_ops(replicas: &[&KvReplica], n: u64, from_ci: u64) {
+    push_sets(replicas, n, from_ci, 8, 0);
+}
+
+/// [`push_ops`] over `keys` keys with values padded to `value_len`.
+fn push_sets(replicas: &[&KvReplica], n: u64, from_ci: u64, keys: u64, value_len: usize) {
     let front = replicas[0].front();
     for i in 0..n {
-        let op = KvOp::Set(
-            format!("key-{}", i % 8).into_bytes(),
-            format!("v{}", from_ci + i).into_bytes(),
-        );
+        let mut value = format!("v{}", from_ci + i).into_bytes();
+        value.resize(value.len().max(value_len), b'.');
+        let op = KvOp::Set(format!("key-{}", i % keys).into_bytes(), value);
         if let KvResult::Err(e) = front.submit_timeout(&op, Duration::from_secs(5)) {
             panic!("set {} rejected: {e:?}", from_ci + i);
         }
@@ -85,18 +115,22 @@ fn push_ops(replicas: &[&KvReplica], n: u64, from_ci: u64) {
 }
 
 /// Kills the victim, waits for the survivors to evict its incarnation,
-/// and restarts it from its own disk. Returns the reborn replica and
-/// its recovered commit index.
+/// and restarts it from its own disk (`victim_slots`: see [`open_wal`]).
+/// Returns the reborn replica and what its recovery found.
 fn crash_and_restart(
     control: &LoopbackHub,
     data: &LoopbackHub,
     disks: &[MemDisk],
+    victim_slots: Option<&MemDisk>,
     victim: KvReplica,
     survivors: &[&KvReplica],
-) -> (KvReplica, u64) {
+) -> (KvReplica, RecoveryReport) {
     let old_ep = victim.endpoint();
     victim.kill();
     disks[VICTIM].crash();
+    if let Some(slots) = victim_slots {
+        slots.crash();
+    }
     // Restarting earlier risks the coordinator folding the
     // not-yet-suspected corpse into the rejoin merge flush.
     wait_for(
@@ -114,14 +148,14 @@ fn crash_and_restart(
     let mut cfg = KvConfig::new(REPLICAS);
     cfg.cluster.join_deadline = Duration::from_secs(30);
     cfg.cluster.form_timeout = Duration::from_secs(30);
-    let wal = Wal::on_mem_disk(&disks[VICTIM], &format!("r{VICTIM}"), cfg.wal);
+    let wal = open_wal(disks, victim_slots, VICTIM, &cfg);
     let (replica, report) =
         KvReplica::form_durable(reborn, Endpoint::new(0), cfg, Box::new(c), Box::new(d), wal)
             .expect("restarted replica rejoins");
     wait_for("reborn replica serves", Duration::from_secs(30), || {
         replica.is_serving()
     });
-    (replica, report.recovered_ci())
+    (replica, report)
 }
 
 /// Replays the whole execution — the survivors' logs, the victim's
@@ -163,7 +197,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     let disks: Vec<MemDisk> = (0..REPLICAS as u64)
         .map(|i| MemDisk::new(11 ^ i, StorageFaults::clean()))
         .collect();
-    let mut replicas = form_group(&control, &data, &disks);
+    let mut replicas = form_group(&control, &data, &disks, None);
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -178,7 +212,8 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     let victim = replicas.remove(VICTIM);
     let pre_crash = victim.commit_log();
     let survivors: Vec<&KvReplica> = replicas.iter().collect();
-    let (reborn, recovered_ci) = crash_and_restart(&control, &data, &disks, victim, &survivors);
+    let (reborn, report) = crash_and_restart(&control, &data, &disks, None, victim, &survivors);
+    let recovered_ci = report.recovered_ci();
 
     // Recovery reproduced the exact pre-crash state from the local log
     // alone, so the rejoin took the state-transfer fast path: the
@@ -227,7 +262,7 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
             MemDisk::new(23 ^ i as u64, faults)
         })
         .collect();
-    let mut replicas = form_group(&control, &data, &disks);
+    let mut replicas = form_group(&control, &data, &disks, None);
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -240,7 +275,8 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
     let victim = replicas.remove(VICTIM);
     let pre_crash = victim.commit_log();
     let survivors: Vec<&KvReplica> = replicas.iter().collect();
-    let (reborn, recovered_ci) = crash_and_restart(&control, &data, &disks, victim, &survivors);
+    let (reborn, report) = crash_and_restart(&control, &data, &disks, None, victim, &survivors);
+    let recovered_ci = report.recovered_ci();
 
     // The torn WAL recovers only a prefix, the resume hint falls short
     // of the coordinator's version, and the grant ships the full map.
@@ -263,4 +299,104 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
     let group: Vec<&KvReplica> = replicas.iter().chain(std::iter::once(&reborn)).collect();
     push_ops(&group, 10, OPS);
     replay_clean(&survivors, pre_crash, &reborn, recovered_ci);
+}
+
+/// Both crash shapes on a store whose snapshot (56 of 64 keys hold
+/// 1 KiB) outweighs `checkpoint_every` = 256 of the small records that follow
+/// it: after the checkpoint at record 256 the WAL's byte rule holds the
+/// next one back, so the crash finds 300 records past the slot.
+fn big_store_crash(seed: u64, torn: bool) {
+    const LOAD: u64 = 64;
+    const CKPT_AT: u64 = 256;
+    const TAIL: u64 = 300;
+    let control = LoopbackHub::with_faults(seed, FaultPlan::default());
+    let data = LoopbackHub::with_faults(seed ^ 0x5EED, FaultPlan::default());
+    // Torn: the victim's log fails every fsync (all of it stays
+    // volatile and tears) while its slots, on a disk of their own,
+    // checkpoint normally.
+    let disks: Vec<MemDisk> = (0..REPLICAS)
+        .map(|i| {
+            let faults = if torn && i == VICTIM {
+                StorageFaults {
+                    fsync_fail_p: 1.0,
+                    torn_tail_p: 1.0,
+                    ..StorageFaults::clean()
+                }
+            } else {
+                StorageFaults::clean()
+            };
+            MemDisk::new(seed ^ i as u64, faults)
+        })
+        .collect();
+    let slot_disk = torn.then(|| MemDisk::new(seed ^ 0x510, StorageFaults::clean()));
+    let mut replicas = form_group(&control, &data, &disks, slot_disk.as_ref());
+    let all: Vec<&KvReplica> = replicas.iter().collect();
+    let metrics = all[VICTIM].metrics();
+    push_sets(&all, LOAD, 0, LOAD, 1024);
+    push_ops(&all, CKPT_AT - LOAD, LOAD);
+    // Joining installed the seed's empty state with a checkpoint of its
+    // own, so the count-rule one is told apart by its size (the small
+    // sets overwrote 8 of the 64 big values).
+    wait_for("the count-rule checkpoint", Duration::from_secs(10), || {
+        metrics.checkpoint_bytes.load(Relaxed) >= (LOAD - 8) * 1024
+    });
+    let checkpoints = metrics.checkpoints.load(Relaxed);
+    push_ops(&all, TAIL, CKPT_AT);
+    assert_eq!(
+        metrics.checkpoints.load(Relaxed),
+        checkpoints,
+        "{TAIL} small records do not outweigh a 56 KiB snapshot"
+    );
+    drop(all);
+    if !torn {
+        wait_for("victim WAL fully synced", Duration::from_secs(10), || {
+            disks[VICTIM].pending_len() == 0
+        });
+    }
+
+    let victim = replicas.remove(VICTIM);
+    let pre_crash = victim.commit_log();
+    let survivors: Vec<&KvReplica> = replicas.iter().collect();
+    let (reborn, report) = crash_and_restart(
+        &control,
+        &data,
+        &disks,
+        slot_disk.as_ref(),
+        victim,
+        &survivors,
+    );
+    assert_eq!(report.checkpoint_ci, CKPT_AT);
+    let recovered_ci = report.recovered_ci();
+    if torn {
+        assert!(
+            (CKPT_AT..CKPT_AT + TAIL).contains(&recovered_ci),
+            "the slot holds, the torn log loses records (recovered {recovered_ci})"
+        );
+        wait_for(
+            "snapshot transfer recorded",
+            Duration::from_secs(10),
+            || reborn.metrics().snapshots_installed.load(Relaxed) >= 1,
+        );
+    } else {
+        assert_eq!(report.replayed, TAIL, "the whole tail past the slot");
+        assert_eq!(recovered_ci, CKPT_AT + TAIL, "quiet crash loses nothing");
+        wait_for("fast path recorded", Duration::from_secs(10), || {
+            reborn.metrics().snapshots_skipped.load(Relaxed) >= 1
+        });
+        assert_eq!(reborn.metrics().snapshots_installed.load(Relaxed), 0);
+    }
+
+    let group: Vec<&KvReplica> = replicas.iter().chain(std::iter::once(&reborn)).collect();
+    push_ops(&group, 10, CKPT_AT + TAIL);
+    replay_clean(&survivors, pre_crash, &reborn, recovered_ci);
+}
+
+#[test]
+fn quiet_crash_under_the_byte_rule_replays_a_long_tail_and_skips_the_snapshot() {
+    big_store_crash(31, false);
+}
+
+#[test]
+fn torn_crash_under_the_byte_rule_falls_back_to_the_slot_and_catches_up() {
+    big_store_crash(37, true);
 }

@@ -105,6 +105,7 @@ for series in \
   'ensemble_kv_wal_appends_total' \
   'ensemble_kv_wal_bytes_total' \
   'ensemble_kv_checkpoints_total' \
+  'ensemble_kv_checkpoint_bytes_total' \
   'ensemble_kv_recoveries_total' \
   'ensemble_kv_torn_tail_records_total'; do
   grep -q "^$series" <<<"$KV_CRASH_OUT" || {
@@ -160,6 +161,13 @@ for series in \
     exit 1
   }
 done
+
+echo "==> benchmark: the repo benchmark builds against the workspace"
+# benchmark/ is its own package (tier-1 does not compile it) with path
+# deps on crates/*: a changed WalConfig literal, StorageMedium/Transport
+# method set or wal::crc32 path must fail here, not in the pipeline that
+# measures the PR.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> non-test Rust lines per crate (informational; quote the total in CHANGES.md)"
 scripts/loc.sh
