@@ -220,8 +220,14 @@ fn run_sim_client(
     (ok, redirects)
 }
 
+/// A TCP client thinks for a seeded time, uniform below this many
+/// microseconds, before every batch (the repo benchmark's clients do
+/// the same).
+const THINK_MAX_US: u64 = 4_000;
+
 /// One real TCP client: pipelines batches through [`KvClient`] against
-/// every replica's listener. The redirecting client hides which replica
+/// every replica's listener, thinking up to [`THINK_MAX_US`] between
+/// them. The redirecting client hides which replica
 /// served each completion, so responses feed the checker unattributed.
 fn run_tcp_client(
     client: usize,
@@ -233,11 +239,17 @@ fn run_tcp_client(
     sched_done: &AtomicBool,
 ) -> (u64, u64) {
     let mut rng = DetRng::new(seed ^ (0xD1B54A32D192ED03u64.wrapping_mul(client as u64 + 1)));
+    // A stream of its own, so that thinking does not shift the operations.
+    let mut think = DetRng::new(seed ^ (0xA076_1D64_78BD_642Fu64.wrapping_mul(client as u64 + 1)));
     let mut kv = KvClient::new(addrs, Duration::from_secs(2));
     let batch_size = 8;
     let mut ok = 0u64;
     let mut done = 0;
     while done < ops || !sched_done.load(Ordering::Relaxed) {
+        // A client that sends the moment its reply arrives offers more
+        // load every time the server gets faster; the gates are about
+        // faults under load, not about saturation.
+        std::thread::sleep(Duration::from_micros(think.below(THINK_MAX_US)));
         let n = batch_size.min(ops.saturating_sub(done).max(1));
         let batch: Vec<KvOp> = (0..n).map(|_| next_op(&mut rng, 10_000 + client)).collect();
         let t0 = Instant::now();

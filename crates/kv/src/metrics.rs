@@ -9,6 +9,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct KvMetrics {
     /// Operations submitted into the total order.
     pub requests: AtomicU64,
+    /// Casts that carried them: one per socket read (or per direct
+    /// submit). `requests / casts` is the operations per cast.
+    pub casts: AtomicU64,
+    /// Ordered casts this replica could not decode and therefore applied
+    /// none of. Any value but zero means it has diverged from a replica
+    /// that could.
+    pub undecodable_casts: AtomicU64,
     /// Operations applied to the state machine (commit indices assigned).
     pub commits: AtomicU64,
     /// Completions handed back to a waiting client.
@@ -55,6 +62,12 @@ impl KvMetrics {
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut reg = Registry::new();
         reg.set_int("ensemble_kv_requests_total", &[], ld(&self.requests));
+        reg.set_int("ensemble_kv_casts_total", &[], ld(&self.casts));
+        reg.set_int(
+            "ensemble_kv_undecodable_casts_total",
+            &[],
+            ld(&self.undecodable_casts),
+        );
         reg.set_int("ensemble_kv_commits_total", &[], ld(&self.commits));
         reg.set_int("ensemble_kv_responses_total", &[], ld(&self.responses));
         reg.set_int(
@@ -118,6 +131,8 @@ mod tests {
         let text = m.render();
         for series in [
             "ensemble_kv_requests_total 42",
+            "ensemble_kv_casts_total 0",
+            "ensemble_kv_undecodable_casts_total 0",
             "ensemble_kv_commits_total 40",
             "ensemble_kv_responses_total 0",
             "ensemble_kv_rejected_total{reason=\"not_serving\"}",

@@ -21,9 +21,21 @@
 //!           | 0x8F code:u8              (error; no commit index)
 //! ```
 //!
-//! The same `op` encoding doubles as the replicated cast payload (see
-//! [`encode_cast`]), so what the group orders is byte-for-byte what the
-//! client asked for.
+//! The same `op` encoding doubles as the replicated cast payload, so what
+//! the group orders is byte-for-byte what the client asked for:
+//!
+//! ```text
+//! cast     := submitter:u32le (token:u64le op)+
+//! ```
+//!
+//! One cast carries every request one socket `read` delivered on one
+//! connection ([`encode_cast_batch`]; a depth-1 call is a cast of one
+//! op). Its ops commit at consecutive commit indices in request order.
+//! That is a property of the current server, bounded by the read size
+//! and by `pipeline_depth`, and not a promise: a client that needs two
+//! operations to be adjacent must not rely on having written them
+//! together. A cast is decoded completely before any of it is applied
+//! ([`decode_cast_batch`]): every replica applies all of its ops or none.
 
 use std::io::{Read, Write};
 
@@ -346,28 +358,51 @@ pub fn decode_response(buf: &[u8]) -> Option<(u64, KvResult)> {
     Some((req_id, result))
 }
 
-/// Encodes the replicated cast payload: who proposed (`submitter`, an
-/// endpoint id), their local pending `token`, and the operation. The
-/// committing replica that proposed the op uses the token to find the
-/// waiting client.
+/// Encodes the replicated cast payload for one operation: the one-op
+/// case of [`encode_cast_batch`].
 pub fn encode_cast(submitter: u32, token: u64, op: &KvOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20);
+    encode_cast_batch(submitter, token, std::slice::from_ref(op))
+}
+
+/// Decodes a replicated cast payload that carries exactly one operation.
+pub fn decode_cast(buf: &[u8]) -> Option<(u32, u64, KvOp)> {
+    let (submitter, mut ops) = decode_cast_batch(buf)?;
+    let (token, op) = ops.pop()?;
+    ops.is_empty().then_some((submitter, token, op))
+}
+
+/// Encodes the replicated cast payload: who proposed (`submitter`, an
+/// endpoint id) and, per operation, the proposer's local pending token
+/// — `first_token`, `first_token + 1`, … in `ops` order — and the
+/// operation. The committing replica that proposed the ops uses the
+/// tokens to find the waiting clients.
+pub fn encode_cast_batch(submitter: u32, first_token: u64, ops: &[KvOp]) -> Vec<u8> {
+    debug_assert!(!ops.is_empty(), "a cast carries at least one operation");
+    let len = 4 + ops.iter().map(|op| 8 + encoded_op_len(op)).sum::<usize>();
+    let mut out = Vec::with_capacity(len);
     out.extend_from_slice(&submitter.to_le_bytes());
-    out.extend_from_slice(&token.to_le_bytes());
-    encode_op(&mut out, op);
+    for (token, op) in (first_token..).zip(ops) {
+        out.extend_from_slice(&token.to_le_bytes());
+        encode_op(&mut out, op);
+    }
     out
 }
 
-/// Decodes a replicated cast payload.
-pub fn decode_cast(buf: &[u8]) -> Option<(u32, u64, KvOp)> {
+/// Decodes a replicated cast payload into its submitter and every
+/// `(token, op)` it carries, in order. All or nothing: a payload with
+/// no operation, a truncated one or trailing bytes is refused whole, so
+/// a replica never applies part of a cast.
+pub fn decode_cast_batch(buf: &[u8]) -> Option<(u32, Vec<(u64, KvOp)>)> {
     let mut at = 0;
     let submitter = take_u32(buf, &mut at)?;
-    let token = take_u64(buf, &mut at)?;
-    let op = decode_op(buf, &mut at)?;
-    if at != buf.len() {
-        return None;
+    let mut ops = Vec::new();
+    loop {
+        let token = take_u64(buf, &mut at)?;
+        ops.push((token, decode_op(buf, &mut at)?));
+        if at == buf.len() {
+            return Some((submitter, ops));
+        }
     }
-    Some((submitter, token, op))
 }
 
 /// Appends one length-prefixed frame to `out`, so a caller can encode
@@ -530,6 +565,52 @@ mod tests {
             let buf = encode_cast(3, 42, &op);
             assert_eq!(decode_cast(&buf), Some((3, 42, op)));
         }
+    }
+
+    #[test]
+    fn one_op_batch_is_the_single_cast_byte_for_byte() {
+        for op in ops() {
+            // The layout the parent wrote: submitter, token, op.
+            let mut want = Vec::new();
+            want.extend_from_slice(&3u32.to_le_bytes());
+            want.extend_from_slice(&42u64.to_le_bytes());
+            encode_op(&mut want, &op);
+            assert_eq!(encode_cast(3, 42, &op), want);
+            assert_eq!(encode_cast_batch(3, 42, std::slice::from_ref(&op)), want);
+            assert_eq!(decode_cast_batch(&want), Some((3, vec![(42, op)])));
+        }
+    }
+
+    #[test]
+    fn cast_batch_roundtrip_numbers_tokens_from_the_first() {
+        let buf = encode_cast_batch(9, 100, &ops());
+        let want: Vec<(u64, KvOp)> = (100..).zip(ops()).collect();
+        assert_eq!(decode_cast_batch(&buf), Some((9, want)));
+        // More than one op is not a single cast.
+        assert_eq!(decode_cast(&buf), None);
+    }
+
+    #[test]
+    fn cast_batch_is_refused_whole_at_every_truncation_and_with_trailing_bytes() {
+        let full = encode_cast_batch(9, 100, &ops());
+        // Cuts at an op boundary leave a shorter valid batch; every
+        // other cut — inside any op, not only the last — is refused.
+        let boundaries: Vec<usize> = (1..=ops().len())
+            .map(|n| encode_cast_batch(9, 100, &ops()[..n]).len())
+            .collect();
+        for cut in 0..full.len() {
+            let got = decode_cast_batch(&full[..cut]);
+            match boundaries.iter().position(|&b| b == cut) {
+                Some(i) => assert_eq!(got.map(|(_, ops)| ops.len()), Some(i + 1), "cut {cut}"),
+                None => assert_eq!(got, None, "cut at {cut}"),
+            }
+        }
+        for garbage in [&[0u8][..], &[0xFF; 7], &[0; 8], &[1; 12]] {
+            let mut buf = full.clone();
+            buf.extend_from_slice(garbage);
+            assert_eq!(decode_cast_batch(&buf), None, "trailing {garbage:?}");
+        }
+        assert_eq!(decode_cast_batch(&9u32.to_le_bytes()), None, "no op at all");
     }
 
     #[test]

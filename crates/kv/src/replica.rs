@@ -15,7 +15,7 @@
 
 use crate::config::KvConfig;
 use crate::metrics::KvMetrics;
-use crate::proto::{decode_cast, encode_cast, KvError, KvOp, KvResult};
+use crate::proto::{decode_cast_batch, encode_cast_batch, KvError, KvOp, KvResult};
 use crate::store::KvStore;
 use crate::wal::{RecoveryReport, Wal};
 use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, StateProvider};
@@ -48,7 +48,7 @@ enum Ctl {
 /// What the apply loop runs, once, with a request's result. It is called
 /// with the pending table locked, so it must only hand the result on —
 /// push it into a queue — and never block or submit.
-type Completion = Box<dyn FnOnce(KvResult) + Send>;
+pub(crate) type Completion = Box<dyn FnOnce(KvResult) + Send>;
 
 /// Submitted operations awaiting their commit, by token.
 type PendingTable = Arc<Mutex<HashMap<u64, Completion>>>;
@@ -95,48 +95,62 @@ impl ReplicaFront {
     /// [`withdraw`]: ReplicaFront::withdraw
     pub fn submit_tracked(&self, op: &KvOp) -> (Receiver<KvResult>, Option<u64>) {
         let (tx, rx) = channel();
-        let token = self.submit_with(op, move |result| {
+        let done: Completion = Box::new(move |result| {
             let _ = tx.send(result);
         });
+        let token = self.submit_batch(std::slice::from_ref(op), vec![done]);
         (rx, token)
     }
 
-    /// Proposes `op` and has the apply loop hand its result to `done`,
-    /// which must only pass it on (see `Completion`). `done` runs
-    /// exactly once unless the operation is [`withdraw`]n first; a
-    /// rejection (not serving, cast refused) runs it before this returns.
-    /// Returns the pending-table token, `None` for "not serving".
+    /// Proposes `ops` as one cast — they commit at consecutive commit
+    /// indices, in order — and has the apply loop hand the result of
+    /// `ops[i]` to `done[i]`, which must only pass it on (see
+    /// `Completion`). Each completion runs exactly once unless its
+    /// operation is [`withdraw`]n first; a rejection (not serving, cast
+    /// refused) runs them all before this returns. Returns the
+    /// pending-table token of `ops[0]` — `ops[i]` holds that plus `i` —
+    /// or `None` for "not serving".
     ///
     /// [`withdraw`]: ReplicaFront::withdraw
-    pub(crate) fn submit_with(
-        &self,
-        op: &KvOp,
-        done: impl FnOnce(KvResult) + Send + 'static,
-    ) -> Option<u64> {
+    pub(crate) fn submit_batch(&self, ops: &[KvOp], done: Vec<Completion>) -> Option<u64> {
+        assert!(!ops.is_empty(), "a cast carries at least one operation");
+        assert_eq!(ops.len(), done.len(), "one completion per operation");
+        let n = ops.len() as u64;
         if !self.serving.load(Ordering::Relaxed) {
             self.metrics
                 .rejected_not_serving
-                .fetch_add(1, Ordering::Relaxed);
-            done(KvResult::Err(KvError::NotServing));
+                .fetch_add(n, Ordering::Relaxed);
+            for done in done {
+                done(KvResult::Err(KvError::NotServing));
+            }
             return None;
         }
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        self.pending
-            .lock()
-            .expect("kv pending table mutex poisoned")
-            .insert(token, Box::new(done));
-        self.metrics.requests.fetch_add(1, Ordering::Relaxed);
-        if self.sender.cast(&encode_cast(self.id, token, op)).is_err() {
-            let done = self
-                .pending
-                .lock()
-                .expect("kv pending table mutex poisoned")
-                .remove(&token);
-            if let Some(done) = done {
+        let first = self.next_token.fetch_add(n, Ordering::Relaxed);
+        self.lock_pending().extend((first..).zip(done));
+        self.metrics.requests.fetch_add(n, Ordering::Relaxed);
+        self.metrics.casts.fetch_add(1, Ordering::Relaxed);
+        if self
+            .sender
+            .cast(&encode_cast_batch(self.id, first, ops))
+            .is_err()
+        {
+            let refused: Vec<Completion> = {
+                let mut pending = self.lock_pending();
+                (first..first + n)
+                    .filter_map(|token| pending.remove(&token))
+                    .collect()
+            };
+            for done in refused {
                 done(KvResult::Err(KvError::Closed));
             }
         }
-        Some(token)
+        Some(first)
+    }
+
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Completion>> {
+        self.pending
+            .lock()
+            .expect("kv pending table mutex poisoned")
     }
 
     /// Withdraws a pending operation the caller no longer waits on.
@@ -148,11 +162,12 @@ impl ReplicaFront {
     /// is guaranteed to be sitting in the submit receiver (or wherever
     /// else the operation's completion puts it).
     pub fn withdraw(&self, token: u64) -> bool {
-        self.pending
-            .lock()
-            .expect("kv pending table mutex poisoned")
-            .remove(&token)
-            .is_some()
+        self.lock_pending().remove(&token).is_some()
+    }
+
+    /// Operations submitted here and neither completed nor withdrawn.
+    pub fn pending_len(&self) -> usize {
+        self.lock_pending().len()
     }
 
     /// Proposes `op` and waits up to `timeout` for its commit.
@@ -448,8 +463,9 @@ struct ApplyLoop {
     stop: Arc<AtomicBool>,
     /// Durable mode: every commit is WAL-appended before its ack.
     wal: Option<Wal>,
-    /// Acks held back until the WAL's durable frontier covers them
-    /// (commit index, pending-table token, result).
+    /// This replica's own operations, applied and not yet acknowledged:
+    /// held until the WAL's durable frontier covers them, when there is
+    /// a WAL (commit index, pending-table token, result).
     await_ack: VecDeque<(u64, u64, KvResult)>,
     /// Commit index recovered at startup (0 = cold start).
     recovered_ci: u64,
@@ -598,66 +614,7 @@ impl ApplyLoop {
                 }
             }
             ClusterEvent::Delivery(Delivery::Cast { bytes, .. }) => {
-                let Some((submitter, token, op)) = decode_cast(&bytes) else {
-                    return;
-                };
-                let result = self
-                    .store
-                    .lock()
-                    .expect("kv store mutex poisoned")
-                    .apply(&op);
-                let ci = match &result {
-                    KvResult::Value { ci, .. }
-                    | KvResult::Applied { ci }
-                    | KvResult::Cas { ci, .. } => *ci,
-                    KvResult::Err(_) => unreachable!("apply always commits"),
-                };
-                self.log
-                    .lock()
-                    .expect("kv commit log mutex poisoned")
-                    .push((ci, op.clone()));
-                self.metrics.commits.fetch_add(1, Ordering::Relaxed);
-                self.record(obs, shard, tag, EventKind::KvCommit, ci);
-                let mine = submitter == self.my_id;
-                match &mut self.wal {
-                    Some(wal) => {
-                        // Write-ahead before ack: the record must be
-                        // durable (or superseded by a checkpoint) before
-                        // the submitting client hears the result.
-                        let (durable, len) = wal.append(ci, &op);
-                        self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-                        self.metrics
-                            .wal_bytes
-                            .fetch_add(len as u64, Ordering::Relaxed);
-                        let errs = wal.take_io_errors();
-                        if errs > 0 {
-                            self.metrics
-                                .wal_append_failures
-                                .fetch_add(errs, Ordering::Relaxed);
-                        }
-                        if durable >= ci {
-                            // Group-commit boundary: everything up to
-                            // `ci` just became durable.
-                            self.record(obs, shard, tag, EventKind::WalAppend, ci);
-                        }
-                        if mine {
-                            self.await_ack.push_back((ci, token, result));
-                        }
-                        self.drain_acks(obs, shard, tag);
-                        if self
-                            .wal
-                            .as_ref()
-                            .map(|w| w.checkpoint_due())
-                            .unwrap_or(false)
-                        {
-                            self.take_checkpoint(obs, shard, tag);
-                        }
-                    }
-                    None if mine => {
-                        self.complete(token, result, ci, obs, shard, tag);
-                    }
-                    None => {}
-                }
+                self.on_cast(&bytes, obs, shard, tag);
             }
             // Views, sends, stalls, fences: membership is the cluster
             // layer's business; the serving flag already reflects it.
@@ -665,42 +622,104 @@ impl ApplyLoop {
         }
     }
 
-    /// Completes one pending client while holding the table lock:
-    /// `submit_timeout` and the listener's connection writers rely on
-    /// remove-then-hand-over being atomic with respect to their own
-    /// withdrawal.
-    fn complete(
-        &self,
-        token: u64,
-        result: KvResult,
-        ci: u64,
-        obs: &NodeObs,
-        shard: usize,
-        tag: Tag,
-    ) {
-        let mut pending = self
-            .pending
-            .lock()
-            .expect("kv pending table mutex poisoned");
-        if let Some(done) = pending.remove(&token) {
-            done(result);
-            self.metrics.responses.fetch_add(1, Ordering::Relaxed);
-            self.record(obs, shard, tag, EventKind::KvResponse, ci);
+    /// Applies one ordered cast: every operation it carries, in order at
+    /// consecutive commit indices, logged with one WAL append — or, if
+    /// it does not decode, none of them.
+    fn on_cast(&mut self, bytes: &[u8], obs: &NodeObs, shard: usize, tag: Tag) {
+        let Some((submitter, ops)) = decode_cast_batch(bytes) else {
+            // Every replica was delivered these bytes at this position:
+            // one that cannot decode them has diverged from any that
+            // can, and the least it owes is to say so.
+            self.metrics
+                .undecodable_casts
+                .fetch_add(1, Ordering::Relaxed);
+            self.record(
+                obs,
+                shard,
+                tag,
+                EventKind::KvUndecodable,
+                bytes.len() as u64,
+            );
+            return;
+        };
+        let n = ops.len() as u64;
+        let (first_ci, results): (u64, Vec<KvResult>) = {
+            let mut store = self.store.lock().expect("kv store mutex poisoned");
+            let first_ci = store.commit_index() + 1;
+            (
+                first_ci,
+                ops.iter().map(|(_, op)| store.apply(op)).collect(),
+            )
+        };
+        let last_ci = first_ci + n - 1;
+        self.metrics.commits.fetch_add(n, Ordering::Relaxed);
+        if let Some(wal) = &mut self.wal {
+            // Write-ahead before ack: a record must be durable (or
+            // superseded by a checkpoint) before the submitting client
+            // hears the result.
+            let records = (first_ci..).zip(ops.iter().map(|(_, op)| op));
+            let (durable, len) = wal.append_batch(records);
+            let errs = wal.take_io_errors();
+            self.metrics.wal_appends.fetch_add(n, Ordering::Relaxed);
+            self.metrics
+                .wal_bytes
+                .fetch_add(len as u64, Ordering::Relaxed);
+            if errs > 0 {
+                self.metrics
+                    .wal_append_failures
+                    .fetch_add(errs, Ordering::Relaxed);
+            }
+            if durable >= last_ci {
+                // Group-commit boundary: everything up to `last_ci`
+                // just became durable.
+                self.record(obs, shard, tag, EventKind::WalAppend, last_ci);
+            }
+        }
+        let mine = submitter == self.my_id;
+        {
+            let mut log = self.log.lock().expect("kv commit log mutex poisoned");
+            for (ci, ((token, op), result)) in (first_ci..).zip(ops.into_iter().zip(results)) {
+                log.push((ci, op));
+                self.record(obs, shard, tag, EventKind::KvCommit, ci);
+                if mine {
+                    self.await_ack.push_back((ci, token, result));
+                }
+            }
+        }
+        self.drain_acks(obs, shard, tag);
+        if self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
+            self.take_checkpoint(obs, shard, tag);
         }
     }
 
-    /// Releases every held-back ack the durable frontier now covers.
+    /// Releases every held-back ack the durable frontier now covers
+    /// (without a WAL: all of them). The table lock is held across each
+    /// remove-then-hand-over: `submit_timeout` and the listener's
+    /// connection writers rely on that being atomic with respect to
+    /// their own withdrawal.
     fn drain_acks(&mut self, obs: &NodeObs, shard: usize, tag: Tag) {
         let durable = match &self.wal {
             Some(wal) => wal.durable_ci(),
             None => u64::MAX,
         };
-        while let Some((ci, _, _)) = self.await_ack.front() {
-            if *ci > durable {
-                break;
-            }
+        if self.await_ack.front().is_none_or(|(ci, ..)| *ci > durable) {
+            return;
+        }
+        let mut pending = self
+            .pending
+            .lock()
+            .expect("kv pending table mutex poisoned");
+        while self
+            .await_ack
+            .front()
+            .is_some_and(|(ci, ..)| *ci <= durable)
+        {
             let (ci, token, result) = self.await_ack.pop_front().expect("front checked");
-            self.complete(token, result, ci, obs, shard, tag);
+            if let Some(done) = pending.remove(&token) {
+                done(result);
+                self.metrics.responses.fetch_add(1, Ordering::Relaxed);
+                self.record(obs, shard, tag, EventKind::KvResponse, ci);
+            }
         }
     }
 
@@ -740,5 +759,130 @@ impl ApplyLoop {
                 aux,
             },
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ensemble_runtime::{FaultPlan, LoopbackHub};
+    use std::time::Instant;
+
+    /// A three-replica group over fresh loopback hubs (control, data).
+    fn group(seed: u64) -> (Vec<KvReplica>, LoopbackHub, LoopbackHub) {
+        let control = LoopbackHub::with_faults(seed, FaultPlan::default());
+        let data = LoopbackHub::with_faults(seed ^ 0x5EED, FaultPlan::default());
+        let formers: Vec<_> = (0..3u32)
+            .map(|i| {
+                let ep = Endpoint::new(i);
+                let (c, d) = (control.attach(ep), data.attach(ep));
+                std::thread::spawn(move || {
+                    KvReplica::form(
+                        ep,
+                        Endpoint::new(0),
+                        KvConfig::new(3),
+                        Box::new(c),
+                        Box::new(d),
+                    )
+                })
+            })
+            .collect();
+        let replicas = formers
+            .into_iter()
+            .map(|f| f.join().unwrap().expect("replica rendezvous completes"))
+            .collect();
+        (replicas, control, data)
+    }
+
+    fn await_that(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn sets(n: usize) -> Vec<KvOp> {
+        (0..n)
+            .map(|i| KvOp::Set(format!("k{i}").into_bytes(), vec![i as u8; i % 5]))
+            .collect()
+    }
+
+    #[test]
+    fn a_cast_truncated_inside_any_op_is_applied_by_no_replica() {
+        let (replicas, _control, _data) = group(41);
+        let front = replicas[1].front();
+        let ops = sets(6);
+        let whole = encode_cast_batch(front.id(), 1 << 40, &ops);
+        // Cut inside the first, a middle and the last op.
+        let cuts = [1, 3, 6].map(|k| encode_cast_batch(front.id(), 1 << 40, &ops[..k]).len() - 2);
+        for cut in cuts {
+            front.sender.cast(&whole[..cut]).expect("cast accepted");
+        }
+        let probe = KvOp::Set(b"after".to_vec(), b"1".to_vec());
+        let result = front.submit_timeout(&probe, Duration::from_secs(5));
+        // Ordered behind the three bad casts, and still the first commit.
+        assert_eq!(result, KvResult::Applied { ci: 1 });
+        for r in &replicas {
+            await_that("a replica never saw the casts", || {
+                r.metrics().undecodable_casts.load(Ordering::Relaxed) == 3
+                    && r.metrics().commits.load(Ordering::Relaxed) == 1
+            });
+            assert_eq!(
+                r.commit_log(),
+                vec![(1, probe.clone())],
+                "no op of a bad cast"
+            );
+        }
+    }
+
+    #[test]
+    fn withdrawing_one_op_of_a_batch_leaves_the_others_answered_once() {
+        let (replicas, _control, data) = group(43);
+        let front = replicas[2].front();
+        // Cut the data plane only: nobody is suspected, the cast goes
+        // nowhere until the heal, so the withdrawal cannot lose a race.
+        data.split(vec![vec![0, 1], vec![2]]);
+        let ops = sets(32);
+        let (tx, rx) = channel();
+        let done: Vec<Completion> = (0..ops.len())
+            .map(|i| {
+                let tx = tx.clone();
+                Box::new(move |result| tx.send((i, result)).expect("test is listening"))
+                    as Completion
+            })
+            .collect();
+        let first = front.submit_batch(&ops, done).expect("serving");
+        assert_eq!(front.pending_len(), 32);
+        assert_eq!(front.metrics().casts.load(Ordering::Relaxed), 1);
+        assert!(front.withdraw(first + 7), "still pending");
+        data.heal();
+        let mut answered: Vec<(usize, KvResult)> = (0..31)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(20))
+                    .expect("31 answers")
+            })
+            .collect();
+        answered.sort_by_key(|(i, _)| *i);
+        // The withdrawn op committed like the rest, unobserved: the
+        // others sit at consecutive commit indices around its gap.
+        let want: Vec<(usize, KvResult)> = (0..32)
+            .filter(|&i| i != 7)
+            .map(|i| (i, KvResult::Applied { ci: i as u64 + 1 }))
+            .collect();
+        assert_eq!(answered, want);
+        assert_eq!(front.pending_len(), 0);
+        for r in &replicas {
+            await_that("a replica never applied the batch", || {
+                r.commit_log().len() == 32
+            });
+            let log: Vec<KvOp> = r.commit_log().into_iter().map(|(_, op)| op).collect();
+            assert_eq!(log, ops);
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a second answer"
+        );
+        assert_eq!(front.metrics().responses.load(Ordering::Relaxed), 31);
     }
 }

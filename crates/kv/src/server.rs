@@ -8,16 +8,18 @@
 //! wait in the queue.
 //!
 //! A connection is two blocking halves joined by one queue. The pool
-//! worker is the *reader*: it blocks in `read`, decodes, and submits,
-//! stopping at `pipeline_depth` requests whose response is not written
-//! yet. A per-connection *writer* blocks on the queue, into which the
-//! replica's apply loop pushes each result the moment it commits; it
-//! encodes everything that is ready when it wakes into one buffer and
-//! writes it with one `write_all`, in *completion* order — clients
-//! match responses by `req_id`, not position. Nothing polls: every
-//! thread here blocks until a byte, a commit, a deadline or a halt
-//! arrives, and `ensemble_kv_listener_wakeups_total` counts each return
-//! from such a wait.
+//! worker is the *reader*: it blocks in `read`, decodes, and submits
+//! every complete frame that `read` delivered as one batch — one cast,
+//! one traversal of the stack, one WAL append, however many requests the
+//! client wrote together — stopping at `pipeline_depth` requests whose
+//! response is not written yet. A per-connection *writer* blocks on the
+//! queue, into which the replica's apply loop pushes each result the
+//! moment it commits; it encodes everything that is ready when it wakes
+//! into one buffer and writes it with one `write_all`, in *completion*
+//! order — clients match responses by `req_id`, not position. Nothing
+//! polls: every thread here blocks until a byte, a commit, a deadline or
+//! a halt arrives, and `ensemble_kv_listener_wakeups_total` counts each
+//! return from such a wait.
 //!
 //! A request that misses its deadline is answered with a timeout error
 //! and withdrawn from the replica's pending table; one that arrives
@@ -26,8 +28,8 @@
 //! waiting. Rejections travel through the queue like any completion, so
 //! only the writer ever writes to the socket.
 
-use crate::proto::{decode_request, encode_response, put_frame, FrameBuf, KvError, KvResult};
-use crate::replica::ReplicaFront;
+use crate::proto::{decode_request, encode_response, put_frame, FrameBuf, KvError, KvOp, KvResult};
+use crate::replica::{Completion, ReplicaFront};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -206,11 +208,12 @@ fn woke(front: &ReplicaFront) {
 
 /// What arrives in a connection's queue.
 enum ConnEvent {
-    /// The reader submitted this request. Sent once `submit_with` has
-    /// returned, so it can trail the request's own `Done`.
-    Submitted(Inflight),
+    /// The reader submitted these requests as one batch. Sent once
+    /// `submit_batch` has returned, so it can trail the requests' own
+    /// `Done`s.
+    Submitted(Vec<Inflight>),
     /// Request `seq` has its result: from the apply loop at commit, or
-    /// from `submit_with` itself for a rejection.
+    /// from `submit_batch` itself for a rejection.
     Done {
         seq: u64,
         req_id: u64,
@@ -290,10 +293,10 @@ fn serve_connection(
     writer.withdraw_all();
 }
 
-/// The reading half: blocks in `read`, decodes, submits. Returns when
-/// the client is gone, has sent something that cannot be resynchronized
-/// (an oversized or undecodable frame), or the writer has closed the
-/// connection.
+/// The reading half: blocks in `read`, decodes, and submits what one
+/// `read` delivered as one batch. Returns when the client is gone, has
+/// sent something that cannot be resynchronized (an oversized or
+/// undecodable frame), or the writer has closed the connection.
 fn read_requests(
     mut stream: &TcpStream,
     front: &ReplicaFront,
@@ -302,6 +305,7 @@ fn read_requests(
     gate: &Gate,
 ) {
     let mut frames = FrameBuf::new();
+    let mut batch = Batch::default();
     let mut seq = 0u64;
     loop {
         match frames.fill(&mut stream) {
@@ -310,43 +314,88 @@ fn read_requests(
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
+        // Every complete frame of this fill travels as one cast. Two
+        // things bound it: the fill (`FrameBuf::READ_CHUNK` bytes plus
+        // the partial frame carried over) and `pipeline_depth`.
         loop {
-            let payload = match frames.next_frame() {
-                Ok(Some(payload)) => payload,
+            let decoded = match frames.next_frame() {
+                Ok(Some(payload)) => decode_request(payload),
                 Ok(None) => break,
-                Err(_) => return,
+                Err(_) => None,
             };
-            let Some((req_id, op)) = decode_request(payload) else {
+            let Some((req_id, op)) = decoded else {
+                // What came before the bad frame was well-formed.
+                batch.submit(front, cfg, queue);
                 return;
             };
             // Back-pressure: at the bound, read nothing more until the
             // writer has written (a slow client stalls only itself).
-            while !gate.closed.load(Ordering::SeqCst)
-                && gate.unwritten.load(Ordering::SeqCst) >= cfg.pipeline_depth
-            {
-                std::thread::park();
-                woke(front);
+            // What is batched goes first — the writer cannot make room
+            // by answering requests that were never submitted.
+            if gate.unwritten.load(Ordering::SeqCst) >= cfg.pipeline_depth {
+                batch.submit(front, cfg, queue);
+                while !gate.closed.load(Ordering::SeqCst)
+                    && gate.unwritten.load(Ordering::SeqCst) >= cfg.pipeline_depth
+                {
+                    std::thread::park();
+                    woke(front);
+                }
             }
             if gate.closed.load(Ordering::SeqCst) {
                 return;
             }
             gate.unwritten.fetch_add(1, Ordering::SeqCst);
-            let done = queue.clone();
-            let token = front.submit_with(&op, move |result| {
-                let _ = done.send(ConnEvent::Done {
-                    seq,
-                    req_id,
-                    result,
-                });
-            });
-            let _ = queue.send(ConnEvent::Submitted(Inflight {
-                seq,
-                req_id,
-                token,
-                deadline: Instant::now() + cfg.request_timeout,
-            }));
+            batch.ops.push(op);
+            batch.reqs.push((seq, req_id));
             seq += 1;
         }
+        batch.submit(front, cfg, queue);
+    }
+}
+
+/// The requests decoded from one `read`, in arrival order, not yet
+/// submitted. Each already counts in `Gate::unwritten`.
+#[derive(Default)]
+struct Batch {
+    ops: Vec<KvOp>,
+    /// `(seq, req_id)` of `ops[i]`.
+    reqs: Vec<(u64, u64)>,
+}
+
+impl Batch {
+    /// Submits the batch as one cast, announces it to the writer, and
+    /// leaves the batch empty.
+    fn submit(&mut self, front: &ReplicaFront, cfg: &ListenerConfig, queue: &Sender<ConnEvent>) {
+        if self.ops.is_empty() {
+            return;
+        }
+        let done = self
+            .reqs
+            .iter()
+            .map(|&(seq, req_id)| {
+                let queue = queue.clone();
+                Box::new(move |result| {
+                    let _ = queue.send(ConnEvent::Done {
+                        seq,
+                        req_id,
+                        result,
+                    });
+                }) as Completion
+            })
+            .collect();
+        let first = front.submit_batch(&self.ops, done);
+        let deadline = Instant::now() + cfg.request_timeout;
+        let submitted = (0u64..)
+            .zip(self.reqs.drain(..))
+            .map(|(i, (seq, req_id))| Inflight {
+                seq,
+                req_id,
+                token: first.map(|t| t + i),
+                deadline,
+            })
+            .collect();
+        let _ = queue.send(ConnEvent::Submitted(submitted));
+        self.ops.clear();
     }
 }
 
@@ -413,10 +462,14 @@ impl Writer<'_> {
 
     fn on_event(&mut self, event: ConnEvent) -> bool {
         match event {
-            ConnEvent::Submitted(req) => match self.early.iter().position(|&seq| seq == req.seq) {
-                Some(i) => drop(self.early.swap_remove(i)),
-                None => self.inflight.push_back(req),
-            },
+            ConnEvent::Submitted(reqs) => {
+                for req in reqs {
+                    match self.early.iter().position(|&seq| seq == req.seq) {
+                        Some(i) => drop(self.early.swap_remove(i)),
+                        None => self.inflight.push_back(req),
+                    }
+                }
+            }
             ConnEvent::Done {
                 seq,
                 req_id,
@@ -496,9 +549,9 @@ impl Writer<'_> {
     /// threads have left, so the queue holds every `Submitted` the table
     /// does not.
     fn withdraw_all(self) {
-        let queued = self.events.try_iter().filter_map(|event| match event {
-            ConnEvent::Submitted(req) => Some(req),
-            _ => None,
+        let queued = self.events.try_iter().flat_map(|event| match event {
+            ConnEvent::Submitted(reqs) => reqs,
+            _ => Vec::new(),
         });
         for req in self.inflight.into_iter().chain(queued) {
             if let Some(token) = req.token {

@@ -29,10 +29,13 @@
 //! until the next checkpoint truncates them, appended records are held
 //! back (never written behind them, never reported durable).
 //!
-//! Durability tracking: [`Wal::append`] buffers the record and tries to
-//! flush (append, then fsync by group commit — the sync runs once
-//! [`WalConfig::sync_every`] records sit unsynced, or on any forced
-//! [`Wal::flush`]). The caller may only acknowledge a client once
+//! Durability tracking: [`Wal::append_batch`] encodes the records of
+//! one cast into one buffer and tries to flush it (one medium append,
+//! then fsync by group commit — the sync runs once
+//! [`WalConfig::sync_every`] *records* sit unsynced, or on any forced
+//! [`Wal::flush`]); [`Wal::append`] is its one-record case. The bytes
+//! are the same however the records were grouped, so recovery never
+//! sees a batch. The caller may only acknowledge a client once
 //! [`Wal::durable_ci`] covers the operation's commit index — records
 //! stuck behind an injected short write or fsync failure are retried on
 //! the next flush, and a successful checkpoint also makes them durable
@@ -163,14 +166,24 @@ impl RecoveryReport {
     }
 }
 
+/// The records of one [`Wal::append_batch`], back to back in one buffer:
+/// what one `StorageMedium::append` receives, whole or not at all.
+struct Run {
+    /// Commit index of the last record in `bytes`.
+    last_ci: u64,
+    /// How many records `bytes` holds.
+    records: u64,
+    bytes: Vec<u8>,
+}
+
 /// A write-ahead log over three media: the record log and two
 /// checkpoint slots.
 pub struct Wal {
     log: Box<dyn StorageMedium>,
     slots: [Box<dyn StorageMedium>; 2],
     cfg: WalConfig,
-    /// Records encoded but not yet written into the log medium.
-    backlog: VecDeque<(u64, Vec<u8>)>,
+    /// Record runs encoded but not yet written into the log medium.
+    backlog: VecDeque<Run>,
     /// Highest ci written into the log medium (possibly unsynced).
     written_ci: u64,
     /// Highest ci known durable (synced log record or checkpoint).
@@ -289,23 +302,50 @@ impl Wal {
     }
 
     /// Encodes and buffers the record for `(ci, op)`, then tries to
-    /// flush. Returns the durable frontier after the attempt; the
-    /// record's encoded length is returned for byte accounting.
+    /// flush: the one-record case of [`Wal::append_batch`]. Returns the
+    /// durable frontier after the attempt; the record's encoded length
+    /// is returned for byte accounting.
     pub fn append(&mut self, ci: u64, op: &KvOp) -> (u64, usize) {
-        let payload_len = 8 + encoded_op_len(op);
-        let mut rec = Vec::with_capacity(REC_HDR + payload_len);
-        rec.extend_from_slice(&(payload_len as u32).to_le_bytes());
-        rec.extend_from_slice(&[0; 4]); // crc, patched below
-        rec.extend_from_slice(&ci.to_le_bytes());
-        encode_op(&mut rec, op);
-        debug_assert_eq!(rec.len(), REC_HDR + payload_len);
-        let crc = crc32(&rec[REC_HDR..]);
-        rec[4..REC_HDR].copy_from_slice(&crc.to_le_bytes());
-        let len = rec.len();
-        self.backlog.push_back((ci, rec));
-        self.appended_since_ckpt += 1;
-        self.bytes_since_ckpt += len as u64;
-        self.flush_inner(false);
+        self.append_batch([(ci, op)])
+    }
+
+    /// Encodes one record per `(ci, op)` into one buffer — the bytes
+    /// [`Wal::append`] would have written one by one — and tries to
+    /// flush it with one `StorageMedium::append`. Group commit keeps
+    /// counting records: the sync runs once `sync_every` of them sit
+    /// unsynced, wherever batch boundaries fall. Returns the durable
+    /// frontier after the attempt and the buffer's length.
+    pub fn append_batch<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, &'a KvOp)>,
+    ) -> (u64, usize) {
+        let mut run = Run {
+            last_ci: 0,
+            records: 0,
+            bytes: Vec::new(),
+        };
+        for (ci, op) in records {
+            let payload_len = 8 + encoded_op_len(op);
+            let start = run.bytes.len();
+            run.bytes.reserve(REC_HDR + payload_len);
+            run.bytes
+                .extend_from_slice(&(payload_len as u32).to_le_bytes());
+            run.bytes.extend_from_slice(&[0; 4]); // crc, patched below
+            run.bytes.extend_from_slice(&ci.to_le_bytes());
+            encode_op(&mut run.bytes, op);
+            debug_assert_eq!(run.bytes.len(), start + REC_HDR + payload_len);
+            let crc = crc32(&run.bytes[start + REC_HDR..]);
+            run.bytes[start + 4..start + REC_HDR].copy_from_slice(&crc.to_le_bytes());
+            run.last_ci = ci;
+            run.records += 1;
+        }
+        let len = run.bytes.len();
+        if run.records > 0 {
+            self.appended_since_ckpt += run.records;
+            self.bytes_since_ckpt += len as u64;
+            self.backlog.push_back(run);
+            self.flush_inner(false);
+        }
         (self.durable_ci, len)
     }
 
@@ -323,15 +363,16 @@ impl Wal {
         if self.log_torn {
             return false;
         }
-        while let Some((ci, rec)) = self.backlog.front() {
-            if self.log.append(rec).is_err() {
-                // Short write: the medium discarded the partial record;
-                // keep it in the backlog and retry on the next flush.
+        while let Some(run) = self.backlog.front() {
+            if self.log.append(&run.bytes).is_err() {
+                // Short write: the medium discarded the partial run;
+                // keep all of it in the backlog and retry on the next
+                // flush.
                 self.io_errors += 1;
                 return false;
             }
-            self.written_ci = *ci;
-            self.unsynced += 1;
+            self.written_ci = run.last_ci;
+            self.unsynced += run.records;
             self.backlog.pop_front();
         }
         if self.unsynced > 0 && (force || self.unsynced >= self.cfg.sync_every.max(1)) {
@@ -391,7 +432,9 @@ impl Wal {
         self.bytes_since_ckpt = 0;
         self.last_snapshot_len = u64::from(snapshot_len);
         self.retry_at = 0;
-        self.backlog.retain(|(rci, _)| *rci > ci);
+        // (A run that straddles `ci` stays whole: replay skips the
+        // records the checkpoint covers.)
+        self.backlog.retain(|run| run.last_ci > ci);
         if self.durable_ci < ci {
             self.durable_ci = ci;
         }
@@ -687,6 +730,146 @@ mod tests {
         assert_eq!(disk.open("ckpt-a").read_all().unwrap(), GOLDEN_SLOT_A);
         assert_eq!(disk.open("ckpt-b").read_all().unwrap(), GOLDEN_SLOT_B);
         assert_eq!(disk.open("log").read_all().unwrap(), GOLDEN_LOG);
+    }
+
+    /// `n` distinct Sets of uneven sizes, as `(ci, op)` from `first_ci`.
+    fn numbered_sets(first_ci: u64, n: u64) -> Vec<(u64, KvOp)> {
+        (first_ci..first_ci + n)
+            .map(|ci| (ci, set(&ci.to_le_bytes(), &vec![ci as u8; ci as usize % 7])))
+            .collect()
+    }
+
+    fn by_ref(records: &[(u64, KvOp)]) -> impl Iterator<Item = (u64, &KvOp)> {
+        records.iter().map(|(ci, op)| (*ci, op))
+    }
+
+    #[test]
+    fn a_batch_writes_the_bytes_of_its_records_appended_one_by_one() {
+        // The golden log again, its three records as one batch.
+        let disk = MemDisk::new(19, StorageFaults::clean());
+        let mut wal = mem_wal(&disk, WalConfig::default());
+        wal.recover().unwrap();
+        let ops = golden_ops();
+        let (durable, len) = wal.append_batch((5..).zip(&ops[4..]));
+        assert_eq!((durable, len), (7, GOLDEN_LOG.len()));
+        assert_eq!(disk.open("log").read_all().unwrap(), GOLDEN_LOG);
+
+        // Any grouping, with group commit on: same bytes, and the same
+        // frontier wherever both have synced everything.
+        let cfg = WalConfig {
+            sync_every: 4,
+            ..WalConfig::default()
+        };
+        let (singly, batched) = (
+            MemDisk::new(20, StorageFaults::clean()),
+            MemDisk::new(21, StorageFaults::clean()),
+        );
+        let (mut one, mut many) = (mem_wal(&singly, cfg), mem_wal(&batched, cfg));
+        one.recover().unwrap();
+        many.recover().unwrap();
+        let mut next = 1;
+        for size in [1, 3, 4, 5, 2, 9, 1] {
+            let records = numbered_sets(next, size);
+            next += size;
+            let mut bytes = 0;
+            for (ci, op) in &records {
+                bytes += one.append(*ci, op).1;
+            }
+            let (durable, len) = many.append_batch(by_ref(&records));
+            assert_eq!(len, bytes);
+            // `sync_every` counts records: the batch syncs at the latest
+            // where the single appends did.
+            assert!(durable >= one.durable_ci(), "batch of {size}");
+            assert!(next - 1 - durable < 4, "a full group left unsynced");
+        }
+        assert!(one.flush() && many.flush());
+        assert_eq!(one.durable_ci(), many.durable_ci());
+        assert_eq!(
+            singly.open("log").read_all().unwrap(),
+            batched.open("log").read_all().unwrap()
+        );
+        assert_eq!(many.append_batch(by_ref(&[])), (next - 1, 0), "empty batch");
+    }
+
+    #[test]
+    fn a_short_write_keeps_the_whole_batch_and_the_retry_writes_it_once() {
+        let faults = StorageFaults {
+            short_write_p: 0.5,
+            ..StorageFaults::clean()
+        };
+        let disk = MemDisk::new(22, faults);
+        let mut wal = mem_wal(&disk, WalConfig::default());
+        wal.recover().unwrap();
+        let mut model = KvStore::new();
+        let mut absorbed = 0;
+        for batch in 0..40 {
+            let records = numbered_sets(batch * 5 + 1, 5);
+            for (_, op) in &records {
+                model.apply(op);
+            }
+            let (durable, _) = wal.append_batch(by_ref(&records));
+            // All of a batch or none of it: the frontier only ever rests
+            // on a batch boundary.
+            assert_eq!(durable % 5, 0, "frontier inside batch {batch}");
+            absorbed += wal.take_io_errors();
+        }
+        while !wal.flush() {
+            absorbed += wal.take_io_errors();
+        }
+        assert!(absorbed > 0, "the fault plan never fired");
+        assert_eq!(wal.durable_ci(), 200);
+        // Every ci once, in order: replay counts a duplicate as skipped
+        // and stops at a gap.
+        let rep = mem_wal(&disk, WalConfig::default()).recover().unwrap();
+        assert_eq!(
+            (rep.replayed, rep.skipped, rep.torn_tail_records),
+            (200, 0, 0)
+        );
+        assert_eq!(rep.store, model);
+    }
+
+    #[test]
+    fn a_crash_inside_a_batch_keeps_a_prefix_and_every_durable_record() {
+        let faults = StorageFaults {
+            torn_tail_p: 1.0,
+            bit_flip_p: 0.3,
+            fsync_fail_p: 0.2,
+            ..StorageFaults::clean()
+        };
+        let cfg = WalConfig {
+            sync_every: 8,
+            ..WalConfig::default()
+        };
+        let mut torn_inside = 0;
+        for seed in 0..48u64 {
+            let disk = MemDisk::new(seed, faults);
+            let mut wal = mem_wal(&disk, cfg);
+            wal.recover().unwrap();
+            let mut prefixes = vec![KvStore::new()];
+            let mut durable = 0;
+            for batch in 0..6 {
+                let records = numbered_sets(batch * 5 + 1, 5);
+                for (_, op) in &records {
+                    let mut next = prefixes.last().unwrap().clone();
+                    next.apply(op);
+                    prefixes.push(next);
+                }
+                durable = wal.append_batch(by_ref(&records)).0;
+            }
+            disk.crash();
+            let rep = mem_wal(&disk, cfg).recover().unwrap();
+            let ci = rep.recovered_ci();
+            assert!(
+                ci >= durable,
+                "seed {seed}: recovered {ci} < durable {durable}"
+            );
+            assert_eq!(
+                rep.store, prefixes[ci as usize],
+                "seed {seed}: not a prefix"
+            );
+            torn_inside += u64::from(!ci.is_multiple_of(5));
+        }
+        assert!(torn_inside > 0, "no crash landed inside a batch's run");
     }
 
     #[test]

@@ -27,12 +27,14 @@
 //! operations at the same commit indices and the offline
 //! linearizability replay (including the recovery invariants) clean.
 
+use ensemble_kv::proto::{encode_request, put_frame};
 use ensemble_kv::{
-    KvConfig, KvLinearizabilityChecker, KvOp, KvReplica, KvResult, MemDisk, RecoveryReport,
-    StorageFaults, Wal,
+    KvClient, KvConfig, KvLinearizabilityChecker, KvListener, KvOp, KvReplica, KvResult, MemDisk,
+    RecoveryReport, StorageFaults, Wal,
 };
 use ensemble_runtime::{FaultPlan, LoopbackHub};
 use ensemble_util::Endpoint;
+use std::io::Write;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
@@ -68,13 +70,14 @@ fn form_group(
     data: &LoopbackHub,
     disks: &[MemDisk],
     victim_slots: Option<&MemDisk>,
+    cfg: &KvConfig,
 ) -> Vec<KvReplica> {
     let seed_ep = Endpoint::new(0);
     let mut formers = Vec::new();
     for i in 0..REPLICAS {
         let ep = Endpoint::new(i as u32);
         let (c, d) = (control.attach(ep), data.attach(ep));
-        let cfg = KvConfig::new(REPLICAS);
+        let cfg = cfg.clone();
         let wal = open_wal(disks, victim_slots.filter(|_| i == VICTIM), i, &cfg);
         formers.push(std::thread::spawn(move || {
             KvReplica::form_durable(ep, seed_ep, cfg, Box::new(c), Box::new(d), wal).map(|(r, _)| r)
@@ -167,7 +170,19 @@ fn replay_clean(
     reborn: &KvReplica,
     recovered_ci: u64,
 ) {
-    let mut checker = KvLinearizabilityChecker::new();
+    let checker = KvLinearizabilityChecker::new();
+    replay_clean_with(checker, survivors, pre_crash, reborn, recovered_ci);
+}
+
+/// [`replay_clean`] on a checker that already holds what the victim's
+/// clients were told before the crash.
+fn replay_clean_with(
+    mut checker: KvLinearizabilityChecker,
+    survivors: &[&KvReplica],
+    pre_crash: Vec<(u64, KvOp)>,
+    reborn: &KvReplica,
+    recovered_ci: u64,
+) {
     for r in survivors {
         let id = r.endpoint().id();
         for (ci, op) in r.commit_log() {
@@ -197,7 +212,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     let disks: Vec<MemDisk> = (0..REPLICAS as u64)
         .map(|i| MemDisk::new(11 ^ i, StorageFaults::clean()))
         .collect();
-    let mut replicas = form_group(&control, &data, &disks, None);
+    let mut replicas = form_group(&control, &data, &disks, None, &KvConfig::new(REPLICAS));
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -262,7 +277,7 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
             MemDisk::new(23 ^ i as u64, faults)
         })
         .collect();
-    let mut replicas = form_group(&control, &data, &disks, None);
+    let mut replicas = form_group(&control, &data, &disks, None, &KvConfig::new(REPLICAS));
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -329,7 +344,13 @@ fn big_store_crash(seed: u64, torn: bool) {
         })
         .collect();
     let slot_disk = torn.then(|| MemDisk::new(seed ^ 0x510, StorageFaults::clean()));
-    let mut replicas = form_group(&control, &data, &disks, slot_disk.as_ref());
+    let mut replicas = form_group(
+        &control,
+        &data,
+        &disks,
+        slot_disk.as_ref(),
+        &KvConfig::new(REPLICAS),
+    );
     let all: Vec<&KvReplica> = replicas.iter().collect();
     let metrics = all[VICTIM].metrics();
     push_sets(&all, LOAD, 0, LOAD, 1024);
@@ -399,4 +420,112 @@ fn quiet_crash_under_the_byte_rule_replays_a_long_tail_and_skips_the_snapshot() 
 #[test]
 fn torn_crash_under_the_byte_rule_falls_back_to_the_slot_and_catches_up() {
     big_store_crash(37, true);
+}
+
+/// Pipelined batches through the victim's own listener, so that its WAL
+/// receives each cast's records as one run and its clients' acks are
+/// what recovery is held to. The victim's log never syncs (the whole of
+/// it is a volatile tail); its slots, on a disk of their own, do, and a
+/// checkpoint every 64 records is what releases the acks.
+#[test]
+fn torn_crash_inside_a_batch_run_loses_no_acknowledged_op() {
+    const BATCH: u64 = 64;
+    const ACKED_BATCHES: u64 = 3;
+    const TAIL: u64 = 32;
+    let seed = 41;
+    let control = LoopbackHub::with_faults(seed, FaultPlan::default());
+    let data = LoopbackHub::with_faults(seed ^ 0x5EED, FaultPlan::default());
+    let disks: Vec<MemDisk> = (0..REPLICAS)
+        .map(|i| {
+            let faults = if i == VICTIM {
+                StorageFaults {
+                    fsync_fail_p: 1.0,
+                    torn_tail_p: 1.0,
+                    ..StorageFaults::clean()
+                }
+            } else {
+                StorageFaults::clean()
+            };
+            MemDisk::new(seed ^ i as u64, faults)
+        })
+        .collect();
+    let slot_disk = MemDisk::new(seed ^ 0x510, StorageFaults::clean());
+    let mut cfg = KvConfig::new(REPLICAS);
+    cfg.wal.checkpoint_every = BATCH;
+    let mut replicas = form_group(&control, &data, &disks, Some(&slot_disk), &cfg);
+    let listener = match KvListener::start(replicas[VICTIM].front(), "127.0.0.1:0", (&cfg).into()) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("skipping batch recovery test: bind denied ({e})");
+            return;
+        }
+    };
+    let set = |i: u64| {
+        KvOp::Set(
+            format!("key-{}", i % 16).into_bytes(),
+            format!("v{i}").into_bytes(),
+        )
+    };
+
+    // Each call is one write of 64 frames: one cast, one run of 64
+    // records, and the checkpoint it makes due acknowledges all of it.
+    let victim_id = replicas[VICTIM].endpoint().id();
+    let metrics = replicas[VICTIM].metrics();
+    let mut checker = KvLinearizabilityChecker::new();
+    let mut kv = KvClient::new(vec![listener.addr()], Duration::from_secs(10));
+    for batch in 0..ACKED_BATCHES {
+        let ops: Vec<KvOp> = (batch * BATCH..(batch + 1) * BATCH).map(set).collect();
+        let results = kv.pipeline(&ops).expect("batch is acknowledged");
+        for (op, result) in ops.into_iter().zip(results) {
+            assert!(!matches!(result, KvResult::Err(_)), "{result:?}");
+            checker.on_response_at(victim_id, op, result);
+        }
+    }
+    let acked = ACKED_BATCHES * BATCH;
+    assert!(
+        metrics.casts.load(Relaxed) < acked / 4,
+        "the batches travelled op by op"
+    );
+    // One more batch that nothing acknowledges: a run of records past
+    // the last checkpoint, all of it volatile.
+    let mut raw = std::net::TcpStream::connect(listener.addr()).expect("connect");
+    let mut frames = Vec::new();
+    for i in acked..acked + TAIL {
+        put_frame(&mut frames, &encode_request(i, &set(i)));
+    }
+    raw.write_all(&frames).expect("tail written");
+    let all: Vec<&KvReplica> = replicas.iter().collect();
+    wait_for(
+        "the tail commits everywhere",
+        Duration::from_secs(20),
+        || {
+            all.iter()
+                .all(|r| r.commit_log().len() as u64 == acked + TAIL)
+        },
+    );
+    drop(all);
+    assert!(disks[VICTIM].pending_len() > 0, "the tail must be volatile");
+    drop(raw);
+    listener.shutdown();
+
+    let victim = replicas.remove(VICTIM);
+    let pre_crash = victim.commit_log();
+    let survivors: Vec<&KvReplica> = replicas.iter().collect();
+    let (reborn, report) = crash_and_restart(
+        &control,
+        &data,
+        &disks,
+        Some(&slot_disk),
+        victim,
+        &survivors,
+    );
+    // The slot holds every acknowledged op; of the torn run a prefix.
+    let recovered_ci = report.recovered_ci();
+    assert_eq!(report.checkpoint_ci, acked);
+    assert_eq!(recovered_ci, acked + report.replayed);
+    assert!(recovered_ci <= acked + TAIL);
+
+    let group: Vec<&KvReplica> = replicas.iter().chain(std::iter::once(&reborn)).collect();
+    push_ops(&group, 10, acked + TAIL);
+    replay_clean_with(checker, &survivors, pre_crash, &reborn, recovered_ci);
 }

@@ -7,12 +7,15 @@
 //! downgrades each test to a logged skip rather than a failure.
 
 use ensemble_kv::proto::{decode_response, encode_request, put_frame, read_frame};
-use ensemble_kv::{KvClient, KvConfig, KvError, KvListener, KvOp, KvReplica, KvResult};
+use ensemble_kv::{
+    KvClient, KvConfig, KvError, KvListener, KvOp, KvReplica, KvResult, ListenerConfig,
+};
 use ensemble_runtime::{FaultPlan, LoopbackHub};
 use ensemble_util::Endpoint;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::time::{Duration, Instant};
 
 /// Forms an n-replica group over fresh loopback hubs and starts one TCP
@@ -173,6 +176,161 @@ fn await_that(limit: Duration, what: &str, cond: impl Fn() -> bool) {
     while !cond() {
         assert!(Instant::now() < deadline, "{what}");
         std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Reads `n` response frames off `stream`, as `(req_id, result)`.
+fn read_responses(stream: &mut TcpStream, n: usize) -> Vec<(u64, KvResult)> {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    (0..n)
+        .map(|i| {
+            let frame = read_frame(stream)
+                .unwrap_or_else(|e| panic!("response {i} of {n}: {e}"))
+                .unwrap_or_else(|| panic!("closed after {i} of {n} responses"));
+            decode_response(&frame).expect("response decodes")
+        })
+        .collect()
+}
+
+#[test]
+fn frames_written_together_travel_as_one_cast_and_commit_contiguously() {
+    let Some((replicas, listeners, _c, _d)) = group(3, 41) else {
+        return;
+    };
+    let metrics = replicas[1].metrics();
+    let mut stream = TcpStream::connect(listeners[1].addr()).expect("connect");
+    // A depth-1 call first: its reader is parked in `read` when the
+    // batch arrives, and one request is one cast.
+    send_sets(&mut stream, 0..1);
+    let warm = read_responses(&mut stream, 1);
+    assert!(matches!(warm[0], (0, KvResult::Applied { ci: 1 })));
+    assert_eq!(metrics.casts.load(Relaxed), 1);
+    // 32 frames, one `write`: one segment on loopback, one `read`.
+    send_sets(&mut stream, 1..33);
+    let mut got = read_responses(&mut stream, 32);
+    assert_eq!(metrics.casts.load(Relaxed), 2, "the batch was split");
+    assert_eq!(metrics.requests.load(Relaxed), 33);
+    got.sort_by_key(|(req_id, _)| *req_id);
+    // Request order is commit order, without a gap.
+    let want: Vec<(u64, KvResult)> = (1..33)
+        .map(|id| (id, KvResult::Applied { ci: id + 1 }))
+        .collect();
+    assert_eq!(got, want);
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn a_batch_over_the_depth_bound_is_submitted_in_bound_sized_casts() {
+    let Some((replicas, listeners, _c, _d)) = group(3, 43) else {
+        return;
+    };
+    let depth = 4;
+    let cfg = ListenerConfig {
+        pipeline_depth: depth,
+        ..(&KvConfig::new(3)).into()
+    };
+    let narrow = KvListener::start(replicas[1].front(), "127.0.0.1:0", cfg).expect("bind");
+    let metrics = replicas[1].metrics();
+    // Submitted and not yet completed is at most submitted and not yet
+    // written, which is what the bound limits.
+    let (stop, worst) = (AtomicBool::new(false), AtomicU64::new(0));
+    let got = std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Relaxed) {
+                // Read in this order, what happens in between can only
+                // make the difference smaller: never a false alarm.
+                let requests = metrics.requests.load(Relaxed);
+                let open = requests.saturating_sub(metrics.responses.load(Relaxed));
+                worst.fetch_max(open, Relaxed);
+            }
+        });
+        let mut stream = TcpStream::connect(narrow.addr()).expect("connect");
+        send_sets(&mut stream, 0..32);
+        // A reader that parked with part of the read still unsubmitted
+        // would wait for room that only those requests can make.
+        let got = read_responses(&mut stream, 32);
+        stop.store(true, Relaxed);
+        got
+    });
+    let mut ids: Vec<u64> = got.iter().map(|(req_id, _)| *req_id).collect();
+    ids.sort_unstable();
+    assert_eq!(ids, (0..32).collect::<Vec<u64>>(), "each answered once");
+    assert!(got
+        .iter()
+        .all(|(_, r)| matches!(r, KvResult::Applied { .. })));
+    let casts = metrics.casts.load(Relaxed);
+    assert!(casts >= 32 / depth as u64, "{casts} casts carried 32 ops");
+    assert!(worst.load(Relaxed) <= depth as u64, "{worst:?} in flight");
+    narrow.shutdown();
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn a_batch_sent_to_a_stalled_replica_is_refused_op_by_op() {
+    let Some((replicas, listeners, control, data)) = group(3, 47) else {
+        return;
+    };
+    let front = replicas[2].front();
+    isolate_replica_2(&control, &data);
+    await_that(Duration::from_secs(20), "minority never stalled", || {
+        !front.is_serving()
+    });
+    let mut stream = TcpStream::connect(listeners[2].addr()).expect("connect");
+    send_sets(&mut stream, 0..32);
+    let mut got = read_responses(&mut stream, 32);
+    got.sort_by_key(|(req_id, _)| *req_id);
+    let want: Vec<(u64, KvResult)> = (0..32)
+        .map(|id| (id, KvResult::Err(KvError::NotServing)))
+        .collect();
+    assert_eq!(got, want);
+    let metrics = replicas[2].metrics();
+    assert_eq!(metrics.rejected_not_serving.load(Relaxed), 32);
+    assert_eq!(metrics.casts.load(Relaxed), 0, "nothing was proposed");
+    assert_eq!(front.pending_len(), 0);
+    control.heal();
+    data.heal();
+    for l in listeners {
+        l.shutdown();
+    }
+}
+
+#[test]
+fn a_connection_dropped_with_a_batch_in_flight_empties_the_pending_table() {
+    let Some((replicas, listeners, _control, data)) = group(3, 53) else {
+        return;
+    };
+    let front = replicas[2].front();
+    let metrics = replicas[2].metrics();
+    let mut stream = TcpStream::connect(listeners[2].addr()).expect("connect");
+    // The data plane only: replica 2 keeps serving and accepts the
+    // batch, whose cast reaches nobody until the heal.
+    data.split(vec![vec![0, 1], vec![2]]);
+    send_sets(&mut stream, 0..32);
+    await_that(Duration::from_secs(5), "batch was not accepted", || {
+        front.pending_len() == 32
+    });
+    assert_eq!(metrics.casts.load(Relaxed), 1);
+    drop(stream);
+    await_that(
+        Duration::from_secs(5),
+        "entries outlived the client",
+        || front.pending_len() == 0,
+    );
+    // The cast still commits, everywhere, and finds nobody waiting.
+    data.heal();
+    await_that(Duration::from_secs(20), "the batch never committed", || {
+        replicas.iter().all(|r| r.commit_log().len() == 32)
+    });
+    assert_eq!(metrics.responses.load(Relaxed), 0);
+    assert_eq!(metrics.timeouts.load(Relaxed), 0);
+    for l in listeners {
+        l.shutdown();
     }
 }
 

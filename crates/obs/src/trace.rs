@@ -88,6 +88,9 @@ pub enum EventKind {
     /// A replica recovered its state from checkpoint + log replay at
     /// startup (`aux` = recovered commit index).
     Recovery = 30,
+    /// A replica received an ordered KV cast it could not decode and
+    /// applied none of it (`aux` = the cast's length in bytes).
+    KvUndecodable = 31,
 }
 
 impl EventKind {
@@ -124,6 +127,7 @@ impl EventKind {
             28 => WalAppend,
             29 => Checkpoint,
             30 => Recovery,
+            31 => KvUndecodable,
             _ => Other,
         }
     }
@@ -163,6 +167,7 @@ impl EventKind {
             WalAppend => "wal_append",
             Checkpoint => "checkpoint",
             Recovery => "recovery",
+            KvUndecodable => "kv_undecodable",
         }
     }
 }

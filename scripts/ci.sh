@@ -80,6 +80,8 @@ cargo run --release -p ensemble-bench --bin kv_check -- BENCH_kv_e2e.json
 echo "==> kv: metrics exposition carries the required series"
 for series in \
   'ensemble_kv_requests_total' \
+  'ensemble_kv_casts_total' \
+  'ensemble_kv_undecodable_casts_total 0' \
   'ensemble_kv_commits_total' \
   'ensemble_kv_responses_total' \
   'ensemble_kv_listener_wakeups_total'; do
@@ -168,6 +170,18 @@ echo "==> benchmark: the repo benchmark builds against the workspace"
 # method set or wal::crc32 path must fail here, not in the pipeline that
 # measures the PR.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> benchmark: a short kv-pipe-durable run is correct end to end"
+# Three seconds of pipelined batches on a durable group: the cheapest
+# check that the batched request path, the WAL and the linearizability
+# checker still agree (identical commit logs, 0 violations, no failed op).
+BENCH_OUT=$(benchmark/run.sh kv-pipe-durable --seconds 3 | tail -n 1)
+for want in '"correct": true' '"failed": 0'; do
+  grep -qF "$want" <<<"$BENCH_OUT" || {
+    echo "benchmark result line lacks $want: $BENCH_OUT" >&2
+    exit 1
+  }
+done
 
 echo "==> non-test Rust lines per crate (informational; quote the total in CHANGES.md)"
 scripts/loc.sh
