@@ -11,7 +11,6 @@
 //!
 //! ```
 //! use ensemble::sim::{EngineKind, Simulation};
-//! use ensemble::PerfectModel;
 //!
 //! // Three processes running the 10-layer totally-ordered stack over a
 //! // simulated Ethernet.
@@ -20,7 +19,7 @@
 //!     ensemble::STACK_10,
 //!     EngineKind::Imp,
 //!     ensemble::LayerConfig::fast(),
-//!     PerfectModel::ethernet(),
+//!     ensemble::ETHERNET_LATENCY,
 //!     42,
 //! )
 //! .unwrap();
@@ -40,12 +39,12 @@
 //! | the micro-protocol layer library | [`ensemble_layers`] |
 //! | IMP/FUNC engines, stack selection, interface checks | [`ensemble_stack`] |
 //! | wire formats (generic + compressed) | [`ensemble_transport`] |
-//! | deterministic network simulation | [`ensemble_net`] |
+//! | deterministic virtual-time simulation | [`sim`] |
 //! | IOA specifications + refinement checking | [`ensemble_ioa`] |
 //! | the term language and layer models | [`ensemble_ir`] |
 //! | the synthesis pipeline (MACH) | [`ensemble_synth`] |
 //! | the hand-optimized fast path (HAND) | [`ensemble_hand`] |
-//! | real-socket, thread-pooled execution | [`ensemble_runtime`] |
+//! | real-socket, thread-pooled execution; the network fault model | [`ensemble_runtime`] |
 
 #![forbid(unsafe_code)]
 
@@ -55,10 +54,12 @@ pub use ensemble_event::{DnEvent, Effects, Frame, Msg, Payload, UpEvent, ViewSta
 pub use ensemble_hand::{HandBypass, HandOutput};
 pub use ensemble_ioa::{check_refinement, RefineError, RefineOptions};
 pub use ensemble_layers::{make_layer, make_stack, LayerConfig, STACK_10, STACK_4, STACK_VSYNC};
-pub use ensemble_net::{LossyModel, PartitionModel, PerfectModel};
 pub use ensemble_stack::{check_stack, select_stack, Engine, FuncEngine, ImpEngine, Property};
 pub use ensemble_synth::{synthesize, StackBypass};
 pub use ensemble_util::{Duration, Endpoint, Rank, Seqno, Time};
+pub use sim::{
+    FaultCounts, FaultPlan, PartitionOp, PartitionScript, ETHERNET_LATENCY, VIA_LATENCY,
+};
 
 /// Re-exported component crates for direct access.
 pub use ensemble_event as event;
@@ -66,7 +67,6 @@ pub use ensemble_hand as hand;
 pub use ensemble_ioa as ioa;
 pub use ensemble_ir as ir;
 pub use ensemble_layers as layers;
-pub use ensemble_net as net;
 pub use ensemble_runtime as runtime;
 pub use ensemble_stack as stack;
 pub use ensemble_synth as synth;

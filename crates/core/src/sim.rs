@@ -4,25 +4,72 @@
 //! `(now, input) → Vec<Action>` machine the wall-clock runtime drives.
 //! There is one state machine and two shells around it:
 //! `ensemble_runtime`'s shard worker (wall clock and `Transport`) and this
-//! module (virtual clock and [`LinkModel`]). Each simulated process is one
-//! `GroupCore`; the shell owns only what virtual time needs: the simulated
-//! network ([`ensemble_net`]), one event queue interleaving packet
-//! arrivals and timers, the crash flag, the delivery logs, and
-//! virtual-time observability. Everything a process *does* — marshaling,
-//! the bypass, parking application traffic during a flush window,
-//! rebuilding the stack per view, switching stacks at a view boundary —
-//! is `GroupCore`'s. Runs are reproducible bit-for-bit from the seed.
+//! module (virtual clock and one link latency). Each simulated process is
+//! one `GroupCore`; the shell owns only what virtual time needs: one event
+//! queue interleaving packet arrivals and timers, the crash flag, the
+//! delivery logs, and virtual-time observability. Everything a process
+//! *does* — marshaling, the bypass, parking application traffic during a
+//! flush window, rebuilding the stack per view, switching stacks at a view
+//! boundary — is `GroupCore`'s.
+//!
+//! What the network does to a packet is not the shell's either: every copy
+//! is put to the same [`FaultPlane`] the wall-clock `LoopbackHub` asks.
+//! Here a copy takes one link latency to arrive, a *late* copy takes two
+//! (so a later send overtakes it), and a copy still in flight when a split
+//! lands is dropped on arrival. Runs are reproducible bit-for-bit from the
+//! seed.
 
 use ensemble_event::ViewState;
 use ensemble_layers::{LayerConfig, StackError};
-use ensemble_net::{Arrival, EventQueue, LinkModel, NetStats, Network};
 use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Histogram, Recorder, Summary, Tag};
-use ensemble_runtime::{Action, CoreEvent, Delivery, GroupCore, LayerTags};
+use ensemble_runtime::{Action, CoreEvent, Delivery, Fate, FaultPlane, GroupCore, LayerTags};
+use ensemble_transport::{Dest, Packet};
 use ensemble_util::{Duration, Endpoint, Rank, Time};
+use std::collections::BTreeMap;
 
 pub use ensemble_obs::TraceEvent;
-pub use ensemble_runtime::BypassError;
+pub use ensemble_runtime::{BypassError, FaultCounts, FaultPlan, PartitionOp, PartitionScript};
 pub use ensemble_stack::EngineKind;
+
+/// One-way latency of the paper's testbed link, 100 Mbit Ethernet: ≈ 80 µs.
+pub const ETHERNET_LATENCY: Duration = Duration::from_micros(80);
+
+/// One-way latency of VIA / Giganet: ≈ 10 µs (§4, ref. \[27\] of the paper).
+pub const VIA_LATENCY: Duration = Duration::from_micros(10);
+
+/// The virtual-time event queue, keyed by `(time, scheduling order)`:
+/// events scheduled for the same instant pop in scheduling order.
+/// Determinism here is what makes whole-system runs replayable from a
+/// seed.
+struct EventQueue<T> {
+    events: BTreeMap<(Time, u64), T>,
+    next_seq: u64,
+}
+
+impl<T> EventQueue<T> {
+    fn new() -> Self {
+        EventQueue {
+            events: BTreeMap::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Schedules `item` at virtual time `at`.
+    fn push(&mut self, at: Time, item: T) {
+        self.events.insert((at, self.next_seq), item);
+        self.next_seq += 1;
+    }
+
+    /// Removes and returns the earliest event.
+    fn pop(&mut self) -> Option<(Time, T)> {
+        self.events.pop_first().map(|((at, _), item)| (at, item))
+    }
+
+    /// The time of the earliest pending event.
+    fn peek_time(&self) -> Option<Time> {
+        self.events.first_key_value().map(|((at, _), _)| *at)
+    }
+}
 
 /// Virtual-time observability for a simulation run.
 ///
@@ -82,6 +129,9 @@ struct Proc {
     sends: Vec<(u32, Vec<u8>)>,
     /// Views installed (in order), including the initial one.
     views: Vec<ViewState>,
+    /// `casts.len()` when each of `views` was installed: where in the
+    /// delivery log each view begins.
+    view_starts: Vec<usize>,
     /// Block notifications observed.
     blocks: u64,
     /// The latest stability vector reported to the application.
@@ -96,7 +146,13 @@ impl Proc {
 }
 
 enum SimEvent {
-    Arrival(Arrival),
+    /// One copy of `packet`, sent by endpoint id `src`, reaches process
+    /// `idx`.
+    Arrival {
+        idx: usize,
+        src: u32,
+        packet: Packet,
+    },
     Timer {
         idx: usize,
         layer: usize,
@@ -105,9 +161,11 @@ enum SimEvent {
 }
 
 /// The multi-process simulation harness.
-pub struct Simulation<M> {
+pub struct Simulation {
     procs: Vec<Proc>,
-    net: Network<M>,
+    plane: FaultPlane,
+    /// One-way link latency of every copy (a late copy takes two).
+    latency: Duration,
     queue: EventQueue<SimEvent>,
     now: Time,
     /// Total events processed (observability).
@@ -115,20 +173,24 @@ pub struct Simulation<M> {
     obs: Option<SimObs>,
 }
 
-impl<M: LinkModel> Simulation<M> {
-    /// Builds `n` processes running `stack` over `model`.
+impl Simulation {
+    /// Builds `n` processes running `stack` over links of one-way
+    /// `latency` ([`ETHERNET_LATENCY`], [`VIA_LATENCY`] or any other). The
+    /// network starts clean and healed; `seed` drives the dice of whatever
+    /// [`FaultPlan`] is set later.
     pub fn new(
         n: usize,
         stack: &[&'static str],
         kind: EngineKind,
         cfg: LayerConfig,
-        model: M,
+        latency: Duration,
         seed: u64,
     ) -> Result<Self, StackError> {
         let base = ViewState::initial(n);
         let mut sim = Simulation {
             procs: Vec::new(),
-            net: Network::new(base.members.clone(), model, seed),
+            plane: FaultPlane::new(seed, FaultPlan::clean()),
+            latency,
             queue: EventQueue::new(),
             now: Time::ZERO,
             steps: 0,
@@ -143,6 +205,7 @@ impl<M: LinkModel> Simulation<M> {
                 casts: Vec::new(),
                 sends: Vec::new(),
                 views: vec![vs],
+                view_starts: vec![0],
                 blocks: 0,
                 stability: Vec::new(),
             });
@@ -195,14 +258,43 @@ impl<M: LinkModel> Simulation<M> {
             .map_or_else(|| Histogram::new().summary(), |o| o.cast_latency.summary())
     }
 
-    /// Network statistics so far.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
+    /// Replaces the fault plan (clean until first set).
+    pub fn set_plan(&mut self, plan: FaultPlan) {
+        self.plane.set_plan(plan);
     }
 
-    /// Mutable access to the link model (partitions, loss changes …).
-    pub fn model_mut(&mut self) -> &mut M {
-        self.net.model_mut()
+    /// Faults injected so far.
+    pub fn fault_counts(&self) -> FaultCounts {
+        self.plane.counts()
+    }
+
+    /// Immediately partitions the listed endpoint ids into disjoint
+    /// components (see [`PartitionOp::Split`]).
+    pub fn split(&mut self, groups: Vec<Vec<u32>>) {
+        self.plane.apply(&PartitionOp::Split(groups));
+    }
+
+    /// Immediately removes the component map.
+    pub fn heal(&mut self) {
+        self.plane.apply(&PartitionOp::Heal);
+    }
+
+    /// Immediately installs a one-way drop from `from` to `to`.
+    pub fn drop_link(&mut self, from: u32, to: u32) {
+        self.plane.apply(&PartitionOp::DropLink { from, to });
+    }
+
+    /// Immediately removes a one-way drop.
+    pub fn restore_link(&mut self, from: u32, to: u32) {
+        self.plane.apply(&PartitionOp::RestoreLink { from, to });
+    }
+
+    /// Arms `script` relative to the current virtual time, replacing any
+    /// previously armed schedule. Each step takes effect at exactly its
+    /// offset.
+    pub fn run_script(&mut self, script: PartitionScript) {
+        self.plane.arm(self.now.nanos(), script);
+        self.plane.advance(self.now.nanos());
     }
 
     /// Injects an application cast at the process with endpoint id `id`.
@@ -232,6 +324,24 @@ impl<M: LinkModel> Simulation<M> {
             .filter_map(|s| vs.rank_of(Endpoint::new(*s)))
             .collect();
         self.drive(id as usize, |core, now| core.suspect(now, ranks));
+    }
+
+    /// Asks process `id`'s stack to admit `members` (partition healing):
+    /// `gmp` flushes the current view and announces the grown view.
+    pub fn merge(&mut self, id: u32, members: &[Endpoint]) {
+        self.drive(id as usize, |core, now| core.merge(now, members.to_vec()));
+    }
+
+    /// Stalls or unstalls process `id` (the quorum stall a minority
+    /// partition enters; see `GroupCore::set_stalled`).
+    pub fn set_stalled(&mut self, id: u32, on: bool) {
+        self.drive(id as usize, |core, now| core.set_stalled(now, on));
+    }
+
+    /// Hands process `id` a view from outside its stack (a merge grant);
+    /// only a strictly newer view is accepted.
+    pub fn install_external_view(&mut self, id: u32, vs: ViewState) {
+        self.drive(id as usize, |core, now| core.install_external_view(now, vs));
     }
 
     /// Crashes the process with endpoint id `id` (it stops processing).
@@ -291,9 +401,7 @@ impl<M: LinkModel> Simulation<M> {
                     if let Some(o) = &self.obs {
                         o.wire(self.now, EventKind::PacketOut, pkt.src, pkt.size());
                     }
-                    for a in self.net.transmit(self.now, pkt) {
-                        self.queue.push(a.at, SimEvent::Arrival(a));
-                    }
+                    self.transmit(pkt);
                 }
                 Action::Timer {
                     layer,
@@ -308,6 +416,34 @@ impl<M: LinkModel> Simulation<M> {
                     },
                 ),
                 Action::Deliver(d) => self.record(idx, d),
+            }
+        }
+    }
+
+    /// Puts one copy per addressed process to the fault plane (processes
+    /// in id order, so the dice fall the same way on every run) and
+    /// schedules the survivors' arrivals.
+    fn transmit(&mut self, packet: Packet) {
+        let src = packet.src.id();
+        for idx in 0..self.procs.len() {
+            let ep = self.procs[idx].core.endpoint();
+            let addressed = match packet.dst {
+                Dest::Cast => ep != packet.src,
+                Dest::Point(dst) => ep == dst,
+            };
+            if !addressed {
+                continue;
+            }
+            let (copies, delay) = match self.plane.fate(src, ep.id()) {
+                Fate::Drop => continue,
+                Fate::Once => (1, self.latency),
+                Fate::Twice => (2, self.latency),
+                Fate::Late => (1, self.latency.scaled(2)),
+            };
+            for _ in 0..copies {
+                let packet = packet.clone();
+                let arrival = SimEvent::Arrival { idx, src, packet };
+                self.queue.push(self.now + delay, arrival);
             }
         }
     }
@@ -329,7 +465,10 @@ impl<M: LinkModel> Simulation<M> {
                 p.casts.push((origin, bytes));
             }
             Delivery::Send { origin, bytes } => p.sends.push((origin, bytes)),
-            Delivery::View(vs) => p.views.push(vs),
+            Delivery::View(vs) => {
+                p.view_starts.push(p.casts.len());
+                p.views.push(vs);
+            }
             Delivery::Block => p.blocks += 1,
             Delivery::Stable(v) => p.stability = v,
             Delivery::Exit => {}
@@ -359,23 +498,31 @@ impl<M: LinkModel> Simulation<M> {
         live.unwrap_or(&self.procs[0]).core.layer_names()
     }
 
+    /// Moves the virtual clock (never backwards) and lets the armed
+    /// partition script catch up with it.
+    fn advance_to(&mut self, t: Time) {
+        self.now = self.now.max(t);
+        self.plane.advance(self.now.nanos());
+    }
+
     /// Processes a single queued event; returns `false` when idle.
     pub fn step(&mut self) -> bool {
         let Some((at, ev)) = self.queue.pop() else {
             return false;
         };
-        self.now = self.now.max(at);
+        self.advance_to(at);
         self.steps += 1;
         match ev {
-            SimEvent::Arrival(a) => {
-                let at_dst = |p: &Proc| p.core.endpoint() == a.dst;
-                let Some(idx) = self.procs.iter().position(at_dst) else {
+            SimEvent::Arrival { idx, src, packet } => {
+                let dst = self.procs[idx].core.endpoint();
+                // A split that landed while the copy was in flight.
+                if self.plane.link_blocked(src, dst.id()) {
                     return true;
-                };
-                if let (Some(o), true) = (&self.obs, self.procs[idx].live()) {
-                    o.wire(self.now, EventKind::PacketIn, a.dst, a.packet.size());
                 }
-                self.drive(idx, |core, now| core.deliver_packet(now, a.packet));
+                if let (Some(o), true) = (&self.obs, self.procs[idx].live()) {
+                    o.wire(self.now, EventKind::PacketIn, dst, packet.size());
+                }
+                self.drive(idx, |core, now| core.deliver_packet(now, packet));
             }
             SimEvent::Timer {
                 idx,
@@ -409,7 +556,7 @@ impl<M: LinkModel> Simulation<M> {
             guard += 1;
             assert!(guard < 10_000_000, "simulation runaway");
         }
-        self.now = self.now.max(deadline);
+        self.advance_to(deadline);
     }
 
     /// Runs for `d` of virtual time from now.
@@ -421,6 +568,15 @@ impl<M: LinkModel> Simulation<M> {
     /// Cast deliveries at process `id`, as `(origin endpoint id, bytes)`.
     pub fn cast_deliveries(&self, id: u32) -> Vec<(u32, Vec<u8>)> {
         self.procs[id as usize].casts.clone()
+    }
+
+    /// The cast deliveries at process `id` made while `views(id)[k]` was
+    /// its current view — what virtual synchrony requires the survivors
+    /// of a view to agree on.
+    pub fn casts_in_view(&self, id: u32, k: usize) -> &[(u32, Vec<u8>)] {
+        let p = &self.procs[id as usize];
+        let end = p.view_starts.get(k + 1).copied().unwrap_or(p.casts.len());
+        &p.casts[p.view_starts[k]..end]
     }
 
     /// Point-to-point deliveries at process `id`.
@@ -458,10 +614,143 @@ impl<M: LinkModel> Simulation<M> {
 mod tests {
     use super::*;
     use ensemble_layers::{STACK_10, STACK_4};
-    use ensemble_net::PerfectModel;
 
-    fn sim(n: usize, stack: &[&'static str], kind: EngineKind) -> Simulation<PerfectModel> {
-        Simulation::new(n, stack, kind, LayerConfig::fast(), PerfectModel::via(), 7).unwrap()
+    fn sim(n: usize, stack: &[&'static str], kind: EngineKind) -> Simulation {
+        Simulation::new(n, stack, kind, LayerConfig::fast(), VIA_LATENCY, 7).unwrap()
+    }
+
+    #[test]
+    fn queue_orders_by_time() {
+        let mut q = EventQueue::new();
+        q.push(Time(10), 1);
+        q.push(Time(2), 2);
+        q.push(Time(7), 3);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn queue_is_fifo_at_the_same_instant() {
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(Time(1), i);
+        }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn queue_peek_time_is_the_earliest_pending() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        q.push(Time(4), ());
+        q.push(Time(3), ());
+        assert_eq!(q.peek_time(), Some(Time(3)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(Time(4)));
+    }
+
+    #[test]
+    fn queue_interleaved_push_pop_stays_ordered() {
+        let mut q = EventQueue::new();
+        q.push(Time(5), 'a');
+        q.push(Time(1), 'b');
+        assert_eq!(q.pop(), Some((Time(1), 'b')));
+        q.push(Time(3), 'c');
+        q.push(Time(5), 'd');
+        assert_eq!(q.pop(), Some((Time(3), 'c')));
+        assert_eq!(q.pop(), Some((Time(5), 'a')));
+        assert_eq!(q.pop(), Some((Time(5), 'd')));
+    }
+
+    /// Pops everything queued and returns the packet arrivals as
+    /// `(time, process index, first byte)`, in pop order.
+    fn drain_arrivals(s: &mut Simulation) -> Vec<(Time, usize, u8)> {
+        let mut out = Vec::new();
+        while let Some((at, ev)) = s.queue.pop() {
+            if let SimEvent::Arrival { idx, packet, .. } = ev {
+                out.push((at, idx, packet.bytes[0]));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn cast_fans_out_to_everyone_else_and_point_to_its_target_only() {
+        let mut s = sim(4, STACK_4, EngineKind::Imp);
+        s.transmit(Packet::cast(Endpoint::new(1), vec![9]));
+        s.transmit(Packet::point(Endpoint::new(0), Endpoint::new(2), vec![8]));
+        let at = Time::ZERO + VIA_LATENCY;
+        assert_eq!(
+            drain_arrivals(&mut s),
+            vec![(at, 0, 9), (at, 2, 9), (at, 3, 9), (at, 2, 8)]
+        );
+    }
+
+    #[test]
+    fn clean_link_is_fifo_and_a_late_copy_is_overtaken_by_the_next_send() {
+        let mut s = sim(2, STACK_4, EngineKind::Imp);
+        let point = |b: u8| Packet::point(Endpoint::new(0), Endpoint::new(1), vec![b]);
+        // Clean plan, constant latency: arrival order is send order.
+        s.transmit(point(1));
+        s.advance_to(Time(5));
+        s.transmit(point(2));
+        // A late copy takes two latencies; a send less than one latency
+        // after it gets there first.
+        s.set_plan(FaultPlan::lossy(0.0, 0.0, 1.0));
+        s.transmit(point(3));
+        s.set_plan(FaultPlan::clean());
+        s.advance_to(Time(3_000));
+        s.transmit(point(4));
+        assert_eq!(
+            drain_arrivals(&mut s),
+            vec![
+                (Time(10_000), 1, 1),
+                (Time(10_005), 1, 2),
+                (Time(13_000), 1, 4),
+                (Time(20_005), 1, 3)
+            ]
+        );
+        assert_eq!(s.fault_counts().reordered, 1);
+    }
+
+    #[test]
+    fn a_copy_in_flight_when_a_split_lands_is_dropped_on_arrival() {
+        // The virtual-time twin of the hub's
+        // `holdback_does_not_leak_across_a_later_split`.
+        let mut s = sim(2, STACK_4, EngineKind::Imp);
+        s.send(0, 1, b"in flight");
+        s.split(vec![vec![0], vec![1]]);
+        s.run_for(VIA_LATENCY);
+        assert!(
+            s.send_deliveries(1).is_empty(),
+            "arrival re-checks the matrix"
+        );
+        assert_eq!(s.fault_counts().partition_drops, 1);
+        // It was the network, not the stack: once healed, `pt2pt`'s
+        // retransmission gets the message through.
+        s.heal();
+        s.run_for(Duration::from_millis(100));
+        assert_eq!(s.send_deliveries(1), vec![(0, b"in flight".to_vec())]);
+    }
+
+    #[test]
+    fn script_steps_take_effect_at_their_virtual_offsets() {
+        let mut s = sim(2, STACK_4, EngineKind::Imp);
+        s.run_for(Duration::from_millis(1));
+        s.run_script(
+            PartitionScript::new()
+                .at(0, PartitionOp::DropLink { from: 0, to: 1 })
+                .at(2_000_000, PartitionOp::RestoreLink { from: 0, to: 1 }),
+        );
+        s.transmit(Packet::point(Endpoint::new(0), Endpoint::new(1), vec![1]));
+        assert_eq!(s.fault_counts().link_drops, 1, "offset 0 applies at once");
+        s.run_for(Duration::from_micros(1_999));
+        s.transmit(Packet::point(Endpoint::new(0), Endpoint::new(1), vec![2]));
+        assert_eq!(s.fault_counts().link_drops, 2, "still dead just before");
+        s.run_for(Duration::from_micros(1));
+        s.transmit(Packet::point(Endpoint::new(0), Endpoint::new(1), vec![3]));
+        assert_eq!(s.fault_counts().link_drops, 2, "restored on the dot");
     }
 
     #[test]
@@ -545,8 +834,8 @@ mod tests {
         // bit-for-bit replay from the seed, faults included.
         let run = |seed: u64| {
             let (kind, cfg) = (EngineKind::Imp, LayerConfig::fast());
-            let model = ensemble_net::LossyModel::default_hostile();
-            let mut s = Simulation::new(3, STACK_10, kind, cfg, model, seed).unwrap();
+            let mut s = Simulation::new(3, STACK_10, kind, cfg, ETHERNET_LATENCY, seed).unwrap();
+            s.set_plan(FaultPlan::lossy(0.05, 0.02, 0.1));
             s.enable_obs(1 << 16);
             for i in 0..20u8 {
                 s.cast(u32::from(i % 3), &[i]);

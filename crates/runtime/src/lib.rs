@@ -6,7 +6,9 @@
 //! two shells that drive it. This crate holds the machine and the
 //! wall-clock shell (shard workers + [`Transport`]); the deterministic
 //! simulator (`ensemble::sim`) is the virtual-clock shell (event queue +
-//! `LinkModel`) around the very same `GroupCore`. The wall-clock shell:
+//! link latency) around the very same `GroupCore`. What the network does
+//! to a datagram is one model too: [`FaultPlane`] decides every copy's
+//! fate under both shells. The wall-clock shell:
 //!
 //! * [`Transport`] is the seam: datagrams in, datagrams out, loss allowed.
 //!   [`LoopbackHub`] provides an in-process hub with deterministic,
@@ -51,6 +53,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fault;
 pub mod group;
 pub mod metrics;
 pub mod node;
@@ -59,13 +62,13 @@ pub mod timer;
 pub mod transport;
 pub mod udp;
 
+pub use fault::{
+    Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
+};
 pub use group::{Action, BypassError, CoreEvent, CoreLayer, Delivery, GroupCore, LayerTags};
 pub use metrics::{RuntimeStats, ShardMetrics, ShardSnapshot, TransportHealth};
 pub use node::{GroupHandle, GroupSender, Node, RuntimeConfig, RuntimeError};
 pub use obs::NodeObs;
 pub use timer::TimerWheel;
-pub use transport::{
-    FaultCounts, FaultPlan, LoopbackHub, LoopbackTransport, PartitionOp, PartitionScript,
-    PartitionStatus, Transport, TransportIoErrors, Waker,
-};
+pub use transport::{LoopbackHub, LoopbackTransport, Transport, TransportIoErrors, Waker};
 pub use udp::UdpTransport;

@@ -8,7 +8,7 @@
 //! program's instruction count, generic-path events add one dispatch per
 //! layer crossed.
 
-use crate::transport::{FaultCounts, PartitionStatus};
+use crate::fault::{FaultCounts, PartitionStatus};
 use ensemble_util::Counters;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

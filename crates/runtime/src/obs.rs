@@ -246,8 +246,8 @@ mod tests {
 
     #[test]
     fn exposition_renders_transport_health_when_present() {
+        use crate::fault::{FaultCounts, PartitionStatus};
         use crate::metrics::TransportHealth;
-        use crate::transport::{FaultCounts, PartitionStatus};
         let obs = NodeObs::new(true, 1, 64);
         let stats = RuntimeStats {
             shards: vec![],

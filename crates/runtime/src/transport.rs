@@ -1,25 +1,29 @@
 //! The runtime's transport seam.
 //!
-//! A [`Transport`] moves [`Packet`]-shaped datagrams between endpoints.
-//! It is deliberately the same seam the simulator's `Network` models —
-//! unreliable, unordered, datagram-oriented — so a stack that survives the
-//! simulator's fault models runs unchanged over a real socket. Two drivers
-//! are provided:
+//! A [`Transport`] moves [`Packet`]-shaped datagrams between endpoints:
+//! unreliable, unordered, datagram-oriented. It is the same seam the
+//! simulator models, literally — the hub and `ensemble::sim::Simulation`
+//! put every datagram to the same [`FaultPlane`] — so a stack that
+//! survives the simulator's faults meets the same faults on the hub and
+//! runs unchanged over a real socket. Two drivers are provided:
 //!
 //! * [`LoopbackHub`] — an in-process hub over bounded channels, with a
-//!   deterministic, seedable [`FaultPlan`] (drop / duplicate / reorder) for
-//!   integration tests;
+//!   deterministic, seedable [`FaultPlan`] (drop / duplicate / reorder)
+//!   and scripted partitions for integration tests;
 //! * [`crate::UdpTransport`] — real UDP sockets on 127.0.0.1.
 //!
 //! Both are polled (`try_recv`) rather than callback-driven: the shard
 //! worker owns the poll loop, so a transport never needs its own thread.
 
+use crate::fault::{
+    Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
+};
 use ensemble_transport::{decode_datagram, encode_datagram, Packet};
-use ensemble_util::{DetRng, Endpoint};
-use std::collections::HashMap;
+use ensemble_util::Endpoint;
+use std::collections::BTreeMap;
 use std::io;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Wakes an idle shard worker when work arrives (a command, a join, or a
 /// datagram), replacing a fixed-interval polling sleep.
@@ -156,297 +160,74 @@ pub trait Transport: Send {
     }
 }
 
-/// Fault probabilities applied per (packet, recipient) on the loopback hub.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultPlan {
-    /// Probability a datagram is silently dropped.
-    pub drop_p: f64,
-    /// Probability a datagram is delivered twice.
-    pub dup_p: f64,
-    /// Probability a datagram is held back and swapped behind the next
-    /// datagram to the same recipient (adjacent reordering).
-    pub reorder_p: f64,
-}
-
-impl FaultPlan {
-    /// No faults: every datagram delivered exactly once, in order.
-    pub fn clean() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// A lossy, reordering link for stress tests.
-    pub fn lossy(drop_p: f64, dup_p: f64, reorder_p: f64) -> FaultPlan {
-        FaultPlan {
-            drop_p,
-            dup_p,
-            reorder_p,
-        }
-    }
-}
-
-/// Counts of faults the hub actually injected (plus backpressure drops).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// Datagrams dropped by the plan.
-    pub dropped: u64,
-    /// Datagrams duplicated by the plan.
-    pub duplicated: u64,
-    /// Datagrams held back for reordering.
-    pub reordered: u64,
-    /// Datagrams dropped because a recipient's ingress queue was full.
-    pub backpressure_drops: u64,
-    /// Datagrams dropped because sender and recipient sat in different
-    /// partition components.
-    pub partition_drops: u64,
-    /// Datagrams dropped by an asymmetric one-way link kill.
-    pub link_drops: u64,
-}
-
-/// One step of a scripted link-matrix schedule.
-///
-/// Components and links are keyed by the 32-bit endpoint *id* (not the
-/// full wire key), so a member that rejoins with a fresh incarnation
-/// stays inside the component its id belongs to — exactly what a real
-/// partition does to a restarted process on the same host.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PartitionOp {
-    /// Partition the listed endpoint ids into disjoint components:
-    /// traffic between two listed ids flows only within a component.
-    /// Ids absent from every group are unrestricted.
-    Split(Vec<Vec<u32>>),
-    /// Remove the component map. One-way drops installed by
-    /// [`PartitionOp::DropLink`] stay in force until restored.
-    Heal,
-    /// Install an asymmetric one-way drop: datagrams from `from` to
-    /// `to` are discarded (the reverse direction is unaffected).
-    DropLink {
-        /// Sender id whose datagrams are discarded.
-        from: u32,
-        /// Recipient id that stops hearing `from`.
-        to: u32,
-    },
-    /// Remove a one-way drop installed by [`PartitionOp::DropLink`].
-    RestoreLink {
-        /// Sender id of the drop to remove.
-        from: u32,
-        /// Recipient id of the drop to remove.
-        to: u32,
-    },
-}
-
-/// A virtual-time partition schedule: `(offset_ns, op)` steps applied in
-/// order as the hub's clock (the obs clock carried on every datagram)
-/// passes `arm time + offset`. Armed with [`LoopbackHub::run_script`];
-/// fully determined by its steps — no randomness is involved, so a chaos
-/// run replays the same schedule every time.
-#[derive(Clone, Debug, Default)]
-pub struct PartitionScript {
-    steps: Vec<(u64, PartitionOp)>,
-}
-
-impl PartitionScript {
-    /// An empty schedule.
-    pub fn new() -> PartitionScript {
-        PartitionScript::default()
-    }
-
-    /// Appends a step at `offset_ns` after the script is armed. Steps
-    /// are sorted by offset when armed, so call order does not matter.
-    pub fn at(mut self, offset_ns: u64, op: PartitionOp) -> PartitionScript {
-        self.steps.push((offset_ns, op));
-        self
-    }
-
-    /// Number of steps in the schedule.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when the schedule has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
-
-/// Snapshot of a hub's active link restrictions, for test asserts and
-/// the metrics exposition.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartitionStatus {
-    /// Disjoint components currently enforced (endpoint ids, sorted);
-    /// empty when the hub is healed.
-    pub components: Vec<Vec<u32>>,
-    /// Active one-way drops, sorted.
-    pub dead_links: Vec<(u32, u32)>,
-    /// Script steps armed but not yet applied.
-    pub pending_steps: usize,
-}
-
-impl PartitionStatus {
-    /// True when any component split or one-way drop is in force.
-    pub fn is_partitioned(&self) -> bool {
-        !self.components.is_empty() || !self.dead_links.is_empty()
-    }
-}
-
 struct HubPeer {
+    /// The peer's 32-bit endpoint id (what the plane keys on).
+    id: u32,
     /// Frames carry the sender's origin stamp (obs-clock ns) in-band so
     /// receivers can measure cast→deliver latency.
     tx: SyncSender<(u64, Vec<u8>)>,
     /// Nudged after each enqueue so a parked recipient shard wakes.
     waker: Option<Arc<Waker>>,
+    /// The hub's meaning of [`Fate::Late`]: datagrams (src id, stamp,
+    /// frame) held back until the next datagram to this recipient (or an
+    /// idle poll by it). The src id is kept so the flush re-checks the
+    /// link matrix — a datagram held back before a split must not leak
+    /// across it afterwards.
+    held: Vec<(u32, u64, Vec<u8>)>,
 }
 
-struct HubInner {
-    peers: HashMap<u64, HubPeer>,
-    rng: DetRng,
-    plan: FaultPlan,
-    /// Held-back datagrams per recipient (src id, stamp, frame),
-    /// delivered after the next datagram to the same recipient (or
-    /// flushed by an idle receiver). The src id is kept so a flush
-    /// re-checks the link matrix — a datagram held back before a split
-    /// must not leak across it afterwards.
-    holdback: HashMap<u64, Vec<(u32, u64, Vec<u8>)>>,
-    counts: FaultCounts,
-    /// Endpoint id → partition component; unmapped ids are unrestricted.
-    component: HashMap<u32, usize>,
-    /// Asymmetric one-way drops `(from, to)` by endpoint id.
-    dead_links: std::collections::HashSet<(u32, u32)>,
-    /// Armed schedule: absolute deadlines (obs-clock ns) with the next
-    /// unapplied step at `script_cursor`.
-    script: Vec<(u64, PartitionOp)>,
-    script_cursor: usize,
-}
-
-impl HubInner {
-    fn push(&mut self, dst: u64, stamp: u64, frame: Vec<u8>) {
-        let Some(peer) = self.peers.get(&dst) else {
-            return;
-        };
-        if peer.tx.try_send((stamp, frame)).is_err() {
-            self.counts.backpressure_drops += 1;
-        } else if let Some(w) = &peer.waker {
+impl HubPeer {
+    fn push(&self, plane: &mut FaultPlane, stamp: u64, frame: Vec<u8>) {
+        if self.tx.try_send((stamp, frame)).is_err() {
+            plane.count_backpressure_drop();
+        } else if let Some(w) = &self.waker {
             w.wake();
         }
     }
 
-    /// Applies script steps whose deadline has passed.
-    fn advance_script(&mut self, now: u64) {
-        while let Some((deadline, op)) = self.script.get(self.script_cursor) {
-            if *deadline > now {
-                break;
+    /// Carries out the plane's verdict on one datagram from endpoint id
+    /// `src` to this peer.
+    fn deliver(&mut self, plane: &mut FaultPlane, src: u32, stamp: u64, frame: &[u8]) {
+        let copies = match plane.fate(src, self.id) {
+            Fate::Drop => return,
+            Fate::Late => {
+                self.held.push((src, stamp, frame.to_vec()));
+                return;
             }
-            let op = op.clone();
-            self.script_cursor += 1;
-            self.apply_op(&op);
-        }
-    }
-
-    fn apply_op(&mut self, op: &PartitionOp) {
-        match op {
-            PartitionOp::Split(groups) => {
-                self.component.clear();
-                for (idx, group) in groups.iter().enumerate() {
-                    for id in group {
-                        self.component.insert(*id, idx);
-                    }
-                }
-            }
-            PartitionOp::Heal => self.component.clear(),
-            PartitionOp::DropLink { from, to } => {
-                self.dead_links.insert((*from, *to));
-            }
-            PartitionOp::RestoreLink { from, to } => {
-                self.dead_links.remove(&(*from, *to));
-            }
-        }
-    }
-
-    /// Whether the link matrix blocks `src → dst`, counting the drop.
-    fn link_blocked(&mut self, src: u32, dst: u32) -> bool {
-        if self.dead_links.contains(&(src, dst)) {
-            self.counts.link_drops += 1;
-            return true;
-        }
-        if let (Some(a), Some(b)) = (self.component.get(&src), self.component.get(&dst)) {
-            if a != b {
-                self.counts.partition_drops += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Applies the link matrix and fault plan to one datagram from
-    /// endpoint id `src` bound for wire key `dst`.
-    fn deliver(&mut self, src: u32, dst: u64, stamp: u64, frame: &[u8]) {
-        if !self.peers.contains_key(&dst) {
-            return;
-        }
-        if self.link_blocked(src, (dst >> 32) as u32) {
-            return;
-        }
-        if self.rng.chance(self.plan.drop_p) {
-            self.counts.dropped += 1;
-            return;
-        }
-        if self.rng.chance(self.plan.reorder_p) {
-            self.counts.reordered += 1;
-            self.holdback
-                .entry(dst)
-                .or_default()
-                .push((src, stamp, frame.to_vec()));
-            return;
-        }
-        let copies = if self.rng.chance(self.plan.dup_p) {
-            self.counts.duplicated += 1;
-            2
-        } else {
-            1
+            Fate::Once => 1,
+            Fate::Twice => 2,
         };
         for _ in 0..copies {
-            self.push(dst, stamp, frame.to_vec());
+            self.push(plane, stamp, frame.to_vec());
         }
-        self.flush_holdback(dst);
+        self.flush_held(plane);
     }
 
-    fn flush_holdback(&mut self, dst: u64) {
-        let Some(held) = self.holdback.remove(&dst) else {
-            return;
-        };
-        let dst_id = (dst >> 32) as u32;
-        for (src, stamp, frame) in held {
-            if self.link_blocked(src, dst_id) {
-                continue;
+    fn flush_held(&mut self, plane: &mut FaultPlane) {
+        for (src, stamp, frame) in std::mem::take(&mut self.held) {
+            if !plane.link_blocked(src, self.id) {
+                self.push(plane, stamp, frame);
             }
-            self.push(dst, stamp, frame);
         }
     }
+}
 
-    fn partition_status(&self) -> PartitionStatus {
-        let mut by_component: HashMap<usize, Vec<u32>> = HashMap::new();
-        for (id, comp) in &self.component {
-            by_component.entry(*comp).or_default().push(*id);
-        }
-        let mut components: Vec<Vec<u32>> = by_component.into_values().collect();
-        for group in &mut components {
-            group.sort_unstable();
-        }
-        components.sort();
-        let mut dead_links: Vec<(u32, u32)> = self.dead_links.iter().copied().collect();
-        dead_links.sort_unstable();
-        PartitionStatus {
-            components,
-            dead_links,
-            pending_steps: self.script.len() - self.script_cursor,
-        }
-    }
+/// The hub is the wall-clock shell around one [`FaultPlane`]: it owns the
+/// peers' channels, wakers and hold-back lists, and asks the plane what
+/// happens to every copy.
+struct HubInner {
+    /// Keyed by wire key and ordered, so a cast meets its recipients —
+    /// and the plane's dice — in the same order on every run.
+    peers: BTreeMap<u64, HubPeer>,
+    plane: FaultPlane,
 }
 
 /// An in-process datagram hub connecting [`LoopbackTransport`] endpoints.
 ///
 /// Cloning the hub handle is cheap; all clones share one registry. The
-/// fault plan is driven by a seeded [`DetRng`], so a failing integration
-/// test replays bit-for-bit.
+/// fault plan is driven by a seeded [`FaultPlane`] and casts fan out in
+/// ascending wire-key order, so a failing integration test replays
+/// bit-for-bit.
 #[derive(Clone)]
 pub struct LoopbackHub {
     inner: Arc<Mutex<HubInner>>,
@@ -463,15 +244,8 @@ impl LoopbackHub {
     pub fn with_faults(seed: u64, plan: FaultPlan) -> LoopbackHub {
         LoopbackHub {
             inner: Arc::new(Mutex::new(HubInner {
-                peers: HashMap::new(),
-                rng: DetRng::new(seed),
-                plan,
-                holdback: HashMap::new(),
-                counts: FaultCounts::default(),
-                component: HashMap::new(),
-                dead_links: std::collections::HashSet::new(),
-                script: Vec::new(),
-                script_cursor: 0,
+                peers: BTreeMap::new(),
+                plane: FaultPlane::new(seed, plan),
             })),
             capacity: 4096,
         }
@@ -491,41 +265,35 @@ impl LoopbackHub {
     /// endpoint is a wiring bug, not a runtime condition.
     pub fn attach(&self, ep: Endpoint) -> LoopbackTransport {
         let (tx, rx) = sync_channel(self.capacity);
-        let mut inner = self
-            .inner
-            .lock()
-            .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation");
-        let prev = inner
-            .peers
-            .insert(ep.to_wire(), HubPeer { tx, waker: None });
+        let peer = HubPeer {
+            id: ep.id(),
+            tx,
+            waker: None,
+            held: Vec::new(),
+        };
+        let prev = self.locked().peers.insert(ep.to_wire(), peer);
         assert!(prev.is_none(), "endpoint attached twice: {ep:?}");
         LoopbackTransport {
             ep,
-            hub: Arc::clone(&self.inner),
+            hub: self.clone(),
             rx,
         }
     }
 
-    /// Replaces the fault plan (e.g. to stop faults for a drain phase).
-    pub fn set_plan(&self, plan: FaultPlan) {
+    fn locked(&self) -> MutexGuard<'_, HubInner> {
         self.inner
             .lock()
             .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation")
-            .plan = plan;
+    }
+
+    /// Replaces the fault plan (e.g. to stop faults for a drain phase).
+    pub fn set_plan(&self, plan: FaultPlan) {
+        self.locked().plane.set_plan(plan);
     }
 
     /// Faults injected so far.
     pub fn fault_counts(&self) -> FaultCounts {
-        self.inner
-            .lock()
-            .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation")
-            .counts
-    }
-
-    fn locked(&self) -> std::sync::MutexGuard<'_, HubInner> {
-        self.inner
-            .lock()
-            .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation")
+        self.locked().plane.counts()
     }
 
     /// Arms `script` relative to the current obs clock, replacing any
@@ -533,41 +301,37 @@ impl LoopbackHub {
     /// idle receiver poll) moves the hub clock past each deadline.
     pub fn run_script(&self, script: PartitionScript) {
         let t0 = ensemble_obs::now_ns();
-        let mut steps = script.steps;
-        steps.sort_by_key(|(offset, _)| *offset);
-        let mut inner = self.locked();
-        inner.script = steps
-            .into_iter()
-            .map(|(offset, op)| (t0.saturating_add(offset), op))
-            .collect();
-        inner.script_cursor = 0;
+        self.locked().plane.arm(t0, script);
     }
 
     /// Immediately partitions the listed endpoint ids into disjoint
     /// components (see [`PartitionOp::Split`]).
     pub fn split(&self, groups: Vec<Vec<u32>>) {
-        self.locked().apply_op(&PartitionOp::Split(groups));
+        self.locked().plane.apply(&PartitionOp::Split(groups));
     }
 
     /// Immediately removes the component map.
     pub fn heal(&self) {
-        self.locked().apply_op(&PartitionOp::Heal);
+        self.locked().plane.apply(&PartitionOp::Heal);
     }
 
     /// Immediately installs a one-way drop from `from` to `to`.
     pub fn drop_link(&self, from: u32, to: u32) {
-        self.locked().apply_op(&PartitionOp::DropLink { from, to });
+        self.locked()
+            .plane
+            .apply(&PartitionOp::DropLink { from, to });
     }
 
     /// Immediately removes a one-way drop.
     pub fn restore_link(&self, from: u32, to: u32) {
         self.locked()
-            .apply_op(&PartitionOp::RestoreLink { from, to });
+            .plane
+            .apply(&PartitionOp::RestoreLink { from, to });
     }
 
     /// The active link restrictions and remaining script steps.
     pub fn partition_status(&self) -> PartitionStatus {
-        self.locked().partition_status()
+        self.locked().plane.status()
     }
 
     /// Fault totals and partition layout in one snapshot, the shape
@@ -578,8 +342,8 @@ impl LoopbackHub {
     pub fn health(&self) -> crate::metrics::TransportHealth {
         let inner = self.locked();
         crate::metrics::TransportHealth {
-            faults: inner.counts,
-            partition: inner.partition_status(),
+            faults: inner.plane.counts(),
+            partition: inner.plane.status(),
         }
     }
 }
@@ -587,7 +351,7 @@ impl LoopbackHub {
 /// One endpoint's view of a [`LoopbackHub`].
 pub struct LoopbackTransport {
     ep: Endpoint,
-    hub: Arc<Mutex<HubInner>>,
+    hub: LoopbackHub,
     rx: Receiver<(u64, Vec<u8>)>,
 }
 
@@ -603,23 +367,22 @@ impl Transport for LoopbackTransport {
     fn send_at(&mut self, pkt: &Packet, origin_ns: u64) -> io::Result<()> {
         let frame = encode_datagram(pkt);
         let src = self.ep.id();
-        let mut inner = self
-            .hub
-            .lock()
-            .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation");
-        inner.advance_script(origin_ns);
+        let mut inner = self.hub.locked();
+        let HubInner { peers, plane } = &mut *inner;
+        plane.advance(origin_ns);
         match pkt.dst {
             ensemble_transport::Dest::Cast => {
-                let peers: Vec<u64> = inner.peers.keys().copied().collect();
                 let me = self.ep.to_wire();
-                for dst in peers {
+                for (&dst, peer) in peers.iter_mut() {
                     if dst != me {
-                        inner.deliver(src, dst, origin_ns, &frame);
+                        peer.deliver(plane, src, origin_ns, &frame);
                     }
                 }
             }
             ensemble_transport::Dest::Point(dst) => {
-                inner.deliver(src, dst.to_wire(), origin_ns, &frame);
+                if let Some(peer) = peers.get_mut(&dst.to_wire()) {
+                    peer.deliver(plane, src, origin_ns, &frame);
+                }
             }
         }
         Ok(())
@@ -630,11 +393,7 @@ impl Transport for LoopbackTransport {
     }
 
     fn set_waker(&mut self, waker: Arc<Waker>) {
-        let mut inner = self
-            .hub
-            .lock()
-            .expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation");
-        if let Some(peer) = inner.peers.get_mut(&self.ep.to_wire()) {
+        if let Some(peer) = self.hub.locked().peers.get_mut(&self.ep.to_wire()) {
             peer.waker = Some(waker);
         }
     }
@@ -650,11 +409,13 @@ impl Transport for LoopbackTransport {
                     // Idle: release anything held back for us so a
                     // reordered datagram cannot be starved forever, and
                     // keep the script moving on a quiet hub.
-                    let me = self.ep.to_wire();
                     {
-                        let mut inner = self.hub.lock().expect("loopback hub mutex poisoned: a peer worker thread panicked mid-operation");
-                        inner.advance_script(ensemble_obs::now_ns());
-                        inner.flush_holdback(me);
+                        let mut inner = self.hub.locked();
+                        let HubInner { peers, plane } = &mut *inner;
+                        plane.advance(ensemble_obs::now_ns());
+                        if let Some(peer) = peers.get_mut(&self.ep.to_wire()) {
+                            peer.flush_held(plane);
+                        }
                     }
                     return match self.rx.try_recv() {
                         Ok((stamp, frame)) => {
@@ -873,6 +634,104 @@ mod tests {
             "flush re-checks the matrix"
         );
         assert_eq!(hub.fault_counts().partition_drops, 1);
+    }
+
+    #[test]
+    fn same_seed_assigns_the_same_dice_to_the_same_recipients() {
+        // A cast meets its recipients in wire-key order, so the plan's
+        // draws land on the same (datagram, recipient) pairs in every hub
+        // built from one seed — a per-instance hash order did not.
+        let run = || {
+            let hub = LoopbackHub::with_faults(0xD1CE, FaultPlan::lossy(0.2, 0.2, 0.2));
+            let mut peers: Vec<_> = (0..3).map(|i| hub.attach(Endpoint::new(i))).collect();
+            for i in 0..200u8 {
+                let from = u32::from(i % 3);
+                peers[from as usize].send(&cast(from, &[i])).unwrap();
+            }
+            let got: Vec<Vec<u8>> = peers
+                .iter_mut()
+                .map(|p| {
+                    std::iter::from_fn(|| p.try_recv().unwrap().map(|pkt| pkt.bytes[0])).collect()
+                })
+                .collect();
+            (got, hub.fault_counts())
+        };
+        let first = run();
+        assert!(first.1.dropped > 0 && first.1.duplicated > 0 && first.1.reordered > 0);
+        for hub in 1..16 {
+            assert_eq!(run(), first, "hub #{hub} replays hub #0");
+        }
+    }
+
+    #[test]
+    fn hub_and_bare_plane_agree_on_every_fate() {
+        // One model: the hub adds to the plane only what "late" means on
+        // its clock (behind the next datagram to that recipient, matrix
+        // re-checked at the flush). Same seed, plan, script and link
+        // sequence → same fates, same counts.
+        const T0: u64 = 1_000;
+        let (seed, plan) = (0xFA7E, FaultPlan::lossy(0.2, 0.15, 0.25));
+        let script = || {
+            PartitionScript::new()
+                .at(100, PartitionOp::Split(vec![vec![0, 1], vec![2]]))
+                .at(200, PartitionOp::DropLink { from: 1, to: 0 })
+                .at(300, PartitionOp::Heal)
+                .at(400, PartitionOp::RestoreLink { from: 1, to: 0 })
+        };
+        let hub = LoopbackHub::with_faults(seed, plan);
+        let mut peers: Vec<_> = (0..3).map(|i| hub.attach(Endpoint::new(i))).collect();
+        hub.locked().plane.arm(T0, script());
+        let mut plane = FaultPlane::new(seed, plan);
+        plane.arm(T0, script());
+        let mut held: [Vec<u32>; 3] = Default::default();
+
+        let mut links = ensemble_util::DetRng::new(99);
+        let mut seen = Vec::new();
+        for k in 0..500u64 {
+            let src = links.below(3) as u32;
+            let dst = (src + 1 + links.below(2) as u32) % 3;
+            let now = T0 + k;
+
+            let body = k.to_le_bytes().to_vec();
+            let pkt = Packet::point(Endpoint::new(src), Endpoint::new(dst), body.clone());
+            peers[src as usize].send_at(&pkt, now).unwrap();
+            // Read the channel directly: an idle `try_recv` would flush
+            // the hold-back list and consult the wall clock.
+            let rx = &peers[dst as usize].rx;
+            let copies = std::iter::from_fn(|| rx.try_recv().ok())
+                .filter(|(_, frame)| decode_datagram(frame).unwrap().bytes == body)
+                .count();
+            let key = Endpoint::new(dst).to_wire();
+            let is_held = hub.locked().peers[&key].held.iter().any(|h| h.1 == now);
+            let hub_fate = match (is_held, copies) {
+                (true, 0) => Fate::Late,
+                (false, 0) => Fate::Drop,
+                (false, 1) => Fate::Once,
+                (false, 2) => Fate::Twice,
+                other => panic!("datagram {k}: held and copies = {other:?}"),
+            };
+
+            plane.advance(now);
+            let fate = plane.fate(src, dst);
+            match fate {
+                Fate::Drop => {}
+                Fate::Late => held[dst as usize].push(src),
+                Fate::Once | Fate::Twice => {
+                    for late_src in held[dst as usize].drain(..) {
+                        plane.link_blocked(late_src, dst);
+                    }
+                }
+            }
+            assert_eq!(hub_fate, fate, "datagram {k}: {src}→{dst}");
+            if !seen.contains(&fate) {
+                seen.push(fate);
+            }
+        }
+        assert_eq!(seen.len(), 4, "every fate occurred: {seen:?}");
+        let counts = plane.counts();
+        assert!(counts.partition_drops > 0 && counts.link_drops > 0);
+        assert_eq!(hub.fault_counts(), counts);
+        assert_eq!(hub.partition_status(), plane.status());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Wire packets exchanged between processes.
 //!
 //! This is the transport-seam vocabulary shared by the deterministic
-//! simulator (`ensemble-net`) and the real-socket runtime
+//! simulator (`ensemble::sim`) and the real-socket runtime
 //! (`ensemble-runtime`): a packet is a source endpoint, a destination
 //! (multicast or point-to-point), and the already-marshaled bytes. It
 //! lives here — not in the simulator crate — so transports and the

@@ -7,7 +7,7 @@
 //! ```
 
 use ensemble::sim::{EngineKind, Simulation, TraceEvent};
-use ensemble::{LayerConfig, PartitionModel, PerfectModel, STACK_VSYNC};
+use ensemble::{LayerConfig, ETHERNET_LATENCY, STACK_VSYNC};
 use ensemble_util::{Duration, Endpoint};
 
 /// Prints one span line per layer seen in `events`: when the layer was
@@ -55,7 +55,7 @@ fn main() {
         STACK_VSYNC,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PartitionModel::new(PerfectModel::ethernet()),
+        ETHERNET_LATENCY,
         11,
     )
     .expect("stack builds");
@@ -78,7 +78,7 @@ fn main() {
 
     // The network partitions ep3 away.
     println!("\n*** partitioning ep3 away ***");
-    sim.model_mut().isolate(&[Endpoint::new(3)]);
+    sim.split(vec![vec![0, 1, 2], vec![3]]);
     sim.run_for(Duration::from_millis(400));
 
     let recovery = sim.drain_trace();

@@ -23,6 +23,15 @@ cargo test --release -p ensemble-runtime --test loopback_stack
 cargo test --release -p ensemble-runtime --test udp_smoke
 cargo test --release -p ensemble-runtime --test obs_trace
 
+echo "==> sim: the virtual-time examples and the membership seed sweep (release)"
+# Both examples assert what they print (total order under loss; a
+# partitioned member excluded and the survivors agreeing) and exit
+# nonzero otherwise. tests/membership.rs holds the 800-point
+# heal-mid-flush sweep; tier-1 ran it unoptimized, this runs it optimized.
+cargo run --release -p ensemble --example quickstart
+cargo run --release -p ensemble --example partition_recovery
+cargo test --release -p ensemble --test membership
+
 echo "==> cluster: cross-node view-change convergence (release)"
 cargo test --release -p ensemble-cluster --test convergence
 

@@ -252,7 +252,7 @@ fn all_theorems_hold_on_randomized_inputs() {
 // ---------------------------------------------------------------------
 
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{PerfectModel, STACK_VSYNC};
+use ensemble::{STACK_VSYNC, VIA_LATENCY};
 use ensemble_util::Duration;
 
 /// What an observer of one virtual-time run can see.
@@ -278,14 +278,14 @@ fn virtual_run(
     view_change: bool,
 ) -> Observed {
     let (kind, cfg) = (EngineKind::Imp, LayerConfig::fast());
-    let mut sim = Simulation::new(3, stack, kind, cfg, PerfectModel::via(), seed).unwrap();
+    let mut sim = Simulation::new(3, stack, kind, cfg, VIA_LATENCY, seed).unwrap();
     if mach {
         for id in 0..3 {
             sim.install_bypass(id).unwrap();
         }
     }
     let mut rng = DetRng::new(seed);
-    let mut burst = |sim: &mut Simulation<PerfectModel>, senders: u64| {
+    let mut burst = |sim: &mut Simulation, senders: u64| {
         for _ in 0..12 {
             let mut body = vec![0u8; 1 + rng.below(32) as usize];
             rng.fill_bytes(&mut body);
@@ -379,7 +379,7 @@ fn mach_equals_imp_across_a_view_change() {
 #[test]
 fn direction2_blocker_bypass_never_recovers_after_the_16th_cast() {
     let (kind, cfg) = (EngineKind::Imp, LayerConfig::default());
-    let mut sim = Simulation::new(3, STACK_10, kind, cfg, PerfectModel::via(), 1).unwrap();
+    let mut sim = Simulation::new(3, STACK_10, kind, cfg, VIA_LATENCY, 1).unwrap();
     for id in 0..3 {
         sim.install_bypass(id).unwrap();
     }

@@ -4,29 +4,21 @@
 //! specification permits: loss, duplication, reordering.
 
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{LayerConfig, LossyModel, PerfectModel, STACK_10, STACK_4};
+use ensemble::{FaultPlan, LayerConfig, STACK_10, STACK_4, VIA_LATENCY};
 use ensemble_util::Duration;
 
-fn lossy(drop_p: f64) -> LossyModel {
-    LossyModel {
-        latency: Duration::from_micros(40),
-        jitter: Duration::from_micros(60),
-        drop_p,
-        dup_p: 0.05,
-    }
+/// `n` members over a 40 µs link that drops `drop_p`, duplicates 5 % and
+/// reorders 20 % of the copies.
+fn lossy(n: usize, stack: &[&'static str], kind: EngineKind, drop_p: f64, seed: u64) -> Simulation {
+    let latency = Duration::from_micros(40);
+    let mut sim = Simulation::new(n, stack, kind, LayerConfig::fast(), latency, seed).unwrap();
+    sim.set_plan(FaultPlan::lossy(drop_p, 0.05, 0.2));
+    sim
 }
 
 #[test]
 fn casts_survive_loss_duplication_and_reordering() {
-    let mut sim = Simulation::new(
-        3,
-        STACK_10,
-        EngineKind::Imp,
-        LayerConfig::fast(),
-        lossy(0.15),
-        0xE2E,
-    )
-    .unwrap();
+    let mut sim = lossy(3, STACK_10, EngineKind::Imp, 0.15, 0xE2E);
     for i in 0..30u8 {
         sim.cast(1, &[i]);
         sim.run_for(Duration::from_micros(200));
@@ -42,15 +34,7 @@ fn casts_survive_loss_duplication_and_reordering() {
 
 #[test]
 fn sends_survive_loss() {
-    let mut sim = Simulation::new(
-        2,
-        STACK_4,
-        EngineKind::Imp,
-        LayerConfig::fast(),
-        lossy(0.25),
-        0x5E17D,
-    )
-    .unwrap();
+    let mut sim = lossy(2, STACK_4, EngineKind::Imp, 0.25, 0x5E17D);
     for i in 0..20u8 {
         sim.send(0, 1, &[i]);
         sim.run_for(Duration::from_micros(150));
@@ -63,15 +47,7 @@ fn sends_survive_loss() {
 
 #[test]
 fn bidirectional_send_traffic() {
-    let mut sim = Simulation::new(
-        3,
-        STACK_10,
-        EngineKind::Func,
-        LayerConfig::fast(),
-        lossy(0.1),
-        99,
-    )
-    .unwrap();
+    let mut sim = lossy(3, STACK_10, EngineKind::Func, 0.1, 99);
     for i in 0..10u8 {
         sim.send(0, 1, &[i]);
         sim.send(1, 0, &[100 + i]);
@@ -89,7 +65,7 @@ fn stability_vector_advances_with_traffic() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PerfectModel::via(),
+        VIA_LATENCY,
         4,
     )
     .unwrap();
@@ -110,7 +86,7 @@ fn flow_control_does_not_deadlock_under_burst() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PerfectModel::via(),
+        VIA_LATENCY,
         5,
     )
     .unwrap();
@@ -147,15 +123,7 @@ fn secure_stack_roundtrips() {
         "bottom",
     ];
     ensemble::check_stack(SECURE).unwrap();
-    let mut sim = Simulation::new(
-        2,
-        SECURE,
-        EngineKind::Imp,
-        LayerConfig::fast(),
-        lossy(0.1),
-        77,
-    )
-    .unwrap();
+    let mut sim = lossy(2, SECURE, EngineKind::Imp, 0.1, 77);
     for i in 0..10u8 {
         sim.cast(0, &[i, i, i]);
         sim.run_for(Duration::from_micros(300));
@@ -188,15 +156,7 @@ fn timer_driven_stability_variant_works() {
         "bottom",
     ];
     ensemble::check_stack(STABLE_STACK).unwrap();
-    let mut sim = Simulation::new(
-        3,
-        STABLE_STACK,
-        EngineKind::Imp,
-        LayerConfig::fast(),
-        lossy(0.08),
-        21,
-    )
-    .unwrap();
+    let mut sim = lossy(3, STABLE_STACK, EngineKind::Imp, 0.08, 21);
     for i in 0..20u8 {
         sim.cast(1, &[i]);
         sim.run_for(Duration::from_micros(250));
@@ -217,8 +177,7 @@ fn timer_driven_stability_variant_works() {
 #[test]
 fn engines_agree_under_identical_fault_schedules() {
     let run = |kind: EngineKind| {
-        let mut sim =
-            Simulation::new(3, STACK_10, kind, LayerConfig::fast(), lossy(0.12), 0xA9).unwrap();
+        let mut sim = lossy(3, STACK_10, kind, 0.12, 0xA9);
         for i in 0..15u8 {
             sim.cast(2, &[i]);
             sim.run_for(Duration::from_micros(250));

@@ -1,7 +1,7 @@
 //! Arbitrary-size messages through fragmentation, over faults.
 
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{LayerConfig, LossyModel, PerfectModel, STACK_10};
+use ensemble::{FaultPlan, LayerConfig, ETHERNET_LATENCY, STACK_10, VIA_LATENCY};
 use ensemble_util::{DetRng, Duration};
 
 #[test]
@@ -11,7 +11,7 @@ fn large_cast_reassembles() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PerfectModel::ethernet(),
+        ETHERNET_LATENCY,
         2,
     )
     .unwrap();
@@ -32,15 +32,11 @@ fn large_send_reassembles_under_loss() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        LossyModel {
-            latency: Duration::from_micros(20),
-            jitter: Duration::from_micros(30),
-            drop_p: 0.1,
-            dup_p: 0.02,
-        },
+        Duration::from_micros(20),
         0xF4A6,
     )
     .unwrap();
+    sim.set_plan(FaultPlan::lossy(0.1, 0.02, 0.2));
     let mut rng = DetRng::new(1);
     let mut body = vec![0u8; 6_000];
     rng.fill_bytes(&mut body);
@@ -58,7 +54,7 @@ fn mixed_sizes_keep_order() {
         STACK_10,
         EngineKind::Func,
         LayerConfig::fast(),
-        PerfectModel::via(),
+        VIA_LATENCY,
         5,
     )
     .unwrap();
@@ -91,7 +87,7 @@ fn random_sizes_roundtrip_det() {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            PerfectModel::via(),
+            VIA_LATENCY,
             seed,
         )
         .unwrap();
@@ -131,7 +127,7 @@ mod props {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            PerfectModel::via(),
+            VIA_LATENCY,
             seed,
         )
         .unwrap();

@@ -7,7 +7,7 @@
 //! of the actual protocol stacks over faulty networks.
 
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{check_stack, select_stack, LayerConfig, LossyModel, Property, STACK_10};
+use ensemble::{check_stack, select_stack, FaultPlan, LayerConfig, Property, STACK_10};
 use ensemble_ioa::props::{is_prefix, total_order_agreement};
 use ensemble_ioa::protocol::{FifoProtocol, TotalProtocol};
 use ensemble_ioa::specs::{FifoNetwork, TotalOrderSpec};
@@ -96,15 +96,11 @@ fn real_stack_executions_satisfy_fifo_property() {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            LossyModel {
-                latency: Duration::from_micros(25),
-                jitter: Duration::from_micros(50),
-                drop_p: 0.15,
-                dup_p: 0.05,
-            },
+            Duration::from_micros(25),
             seed,
         )
         .unwrap();
+        sim.set_plan(FaultPlan::lossy(0.15, 0.05, 0.2));
         let mut sent: Vec<Vec<u8>> = Vec::new();
         for i in 0..20u8 {
             sim.cast(1, &[i]);
@@ -131,15 +127,11 @@ fn real_stack_executions_satisfy_agreement_property() {
         STACK_10,
         EngineKind::Func,
         LayerConfig::fast(),
-        LossyModel {
-            latency: Duration::from_micros(25),
-            jitter: Duration::from_micros(70),
-            drop_p: 0.1,
-            dup_p: 0.03,
-        },
+        Duration::from_micros(25),
         0xA6EE,
     )
     .unwrap();
+    sim.set_plan(FaultPlan::lossy(0.1, 0.03, 0.2));
     for i in 0..10u8 {
         sim.cast(0, &[i]);
         sim.cast(2, &[200 + i]);

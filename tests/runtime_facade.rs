@@ -5,7 +5,7 @@
 
 use ensemble::runtime::{Delivery, FaultPlan, LoopbackHub, Node, RuntimeConfig};
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{LayerConfig, PerfectModel, ViewState, STACK_4};
+use ensemble::{LayerConfig, ViewState, STACK_4, VIA_LATENCY};
 use ensemble_util::Rank;
 use std::time::{Duration, Instant};
 
@@ -71,7 +71,7 @@ fn facade_runtime_agrees_with_simulator() {
         STACK_4,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PerfectModel::via(),
+        VIA_LATENCY,
         42,
     )
     .unwrap();

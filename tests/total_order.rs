@@ -2,11 +2,11 @@
 //! and with property-based workloads.
 
 use ensemble::sim::{EngineKind, Simulation};
-use ensemble::{LayerConfig, LossyModel, PerfectModel, STACK_10};
+use ensemble::{FaultPlan, LayerConfig, ETHERNET_LATENCY, STACK_10, VIA_LATENCY};
 use ensemble_ioa::props::total_order_agreement;
 use ensemble_util::Duration;
 
-fn agreement_holds(sim: &Simulation<impl ensemble::net::LinkModel>, n: u32) {
+fn agreement_holds(sim: &Simulation, n: u32) {
     let per: Vec<Vec<(u32, Vec<u8>)>> = (0..n).map(|r| sim.cast_deliveries(r)).collect();
     assert!(
         total_order_agreement(&per),
@@ -21,7 +21,7 @@ fn concurrent_senders_agree() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        PerfectModel::ethernet(),
+        ETHERNET_LATENCY,
         1,
     )
     .unwrap();
@@ -47,15 +47,11 @@ fn agreement_survives_loss() {
         STACK_10,
         EngineKind::Imp,
         LayerConfig::fast(),
-        LossyModel {
-            latency: Duration::from_micros(30),
-            jitter: Duration::from_micros(80),
-            drop_p: 0.2,
-            dup_p: 0.05,
-        },
+        Duration::from_micros(30),
         0xBADBEEF,
     )
     .unwrap();
+    sim.set_plan(FaultPlan::lossy(0.2, 0.05, 0.2));
     for i in 0..12u8 {
         sim.cast(1, &[i]);
         sim.cast(2, &[100 + i]);
@@ -73,7 +69,7 @@ fn nonsequencer_casts_are_ordered_by_the_sequencer() {
         STACK_10,
         EngineKind::Func,
         LayerConfig::fast(),
-        PerfectModel::via(),
+        VIA_LATENCY,
         3,
     )
     .unwrap();
@@ -106,7 +102,7 @@ fn random_workloads_agree_det() {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            PerfectModel::via(),
+            VIA_LATENCY,
             seed,
         )
         .unwrap();
@@ -142,15 +138,11 @@ fn lossy_random_workloads_agree_det() {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            LossyModel {
-                latency: Duration::from_micros(20),
-                jitter: Duration::from_micros(40),
-                drop_p: drop,
-                dup_p: 0.02,
-            },
+            Duration::from_micros(20),
             seed,
         )
         .unwrap();
+        sim.set_plan(FaultPlan::lossy(drop, 0.02, 0.2));
         for i in 0..nmsgs {
             sim.cast((i % 3) as u32, &[i as u8]);
             sim.run_for(Duration::from_micros(200));
@@ -184,7 +176,7 @@ mod props {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            PerfectModel::via(),
+            VIA_LATENCY,
             seed,
         )
         .unwrap();
@@ -217,15 +209,11 @@ mod props {
             STACK_10,
             EngineKind::Imp,
             LayerConfig::fast(),
-            LossyModel {
-                latency: Duration::from_micros(20),
-                jitter: Duration::from_micros(40),
-                drop_p: drop as f64 / 100.0,
-                dup_p: 0.02,
-            },
+            Duration::from_micros(20),
             seed,
         )
         .unwrap();
+        sim.set_plan(FaultPlan::lossy(drop as f64 / 100.0, 0.02, 0.2));
         for i in 0..nmsgs {
             sim.cast((i % 3) as u32, &[i as u8]);
             sim.run_for(Duration::from_micros(200));
