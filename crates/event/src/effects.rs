@@ -42,6 +42,24 @@ impl Effects {
         self.up.is_empty() && self.dn.is_empty() && self.timers.is_empty()
     }
 
+    /// Drains the up-going events in place. Unlike `take_*`, which hand
+    /// the vectors themselves to callers that keep them, the `drain_*`
+    /// leave the collector its buffers: an engine that routes through one
+    /// `Effects` for its whole life stops allocating once they have grown.
+    pub fn drain_up(&mut self) -> std::vec::Drain<'_, UpEvent> {
+        self.up.drain(..)
+    }
+
+    /// Drains the down-going events in place.
+    pub fn drain_dn(&mut self) -> std::vec::Drain<'_, DnEvent> {
+        self.dn.drain(..)
+    }
+
+    /// Drains the timer requests in place.
+    pub fn drain_timers(&mut self) -> std::vec::Drain<'_, Time> {
+        self.timers.drain(..)
+    }
+
     /// Drains the up-going events.
     pub fn take_up(&mut self) -> Vec<UpEvent> {
         std::mem::take(&mut self.up)
@@ -67,7 +85,7 @@ impl Effects {
         &self.dn
     }
 
-    /// Clears everything (buffer reuse in the IMP engine).
+    /// Clears everything, keeping the buffers.
     pub fn clear(&mut self) {
         self.up.clear();
         self.dn.clear();
@@ -93,6 +111,24 @@ mod tests {
         assert_eq!(fx.take_dn().len(), 1);
         assert_eq!(fx.take_timers(), vec![Time(100)]);
         assert!(fx.is_empty());
+    }
+
+    #[test]
+    fn drain_empties_in_place_and_keeps_the_buffers() {
+        let mut fx = Effects::new();
+        fx.up(UpEvent::Block);
+        fx.dn(DnEvent::BlockOk);
+        fx.dn(DnEvent::Leave);
+        fx.timer(Time(100));
+        let (up_cap, dn_cap) = (fx.up.capacity(), fx.dn.capacity());
+        assert_eq!(fx.drain_timers().collect::<Vec<_>>(), vec![Time(100)]);
+        assert_eq!(fx.drain_up().count(), 1);
+        assert_eq!(
+            fx.drain_dn().collect::<Vec<_>>(),
+            vec![DnEvent::BlockOk, DnEvent::Leave]
+        );
+        assert!(fx.is_empty());
+        assert_eq!((fx.up.capacity(), fx.dn.capacity()), (up_cap, dn_cap));
     }
 
     #[test]

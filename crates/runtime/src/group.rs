@@ -58,10 +58,12 @@ use ensemble_layers::{make_stack, LayerConfig, StackError};
 use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Recorder, Tag};
 use ensemble_stack::{check_stack, Boundary, CompatError, Engine, EngineKind};
 use ensemble_synth::{synthesize, BypassOutput, DeferCertificate, StackBypass};
-use ensemble_transport::{marshal, unmarshal, Dest, Packet};
+use ensemble_transport::{marshal, unmarshal_owned, Dest, Packet};
 use ensemble_util::{Counters, Endpoint, Rank, Time};
+use std::collections::VecDeque;
 
 /// Most out-of-order compressed packets parked awaiting their gap fill.
+/// Beyond this the oldest is dropped (and traced as `StashOverflow`).
 const STASH_LIMIT: usize = 128;
 
 /// Most deferred work items accumulated before a licensed batch drains
@@ -78,8 +80,8 @@ const PARK_LIMIT: usize = 4096;
 /// new view reranks survivors, so the rank is remapped at replay.
 #[derive(Clone, Debug)]
 enum Parked {
-    Cast(Vec<u8>),
-    Send(Endpoint, Vec<u8>),
+    Cast(Payload),
+    Send(Endpoint, Payload),
 }
 
 /// Where in the group a trace event originated. The core knows layers by
@@ -267,7 +269,7 @@ pub struct GroupCore {
     alive: bool,
     bypass: Option<StackBypass>,
     /// Out-of-order compressed packets: `(origin rank, bytes, is_cast)`.
-    stash: Vec<(u16, Vec<u8>, bool)>,
+    stash: VecDeque<(u16, Vec<u8>, bool)>,
     /// The stack asked the application to stop sending (flush window).
     /// While set, application casts/sends are parked, not injected: a
     /// message entering the stack after its `FlushOk` row was reported
@@ -286,7 +288,7 @@ pub struct GroupCore {
     stall_drops: u64,
     /// Messages parked during the flush window, replayed through the
     /// fresh stack right after the new view installs.
-    parked: Vec<Parked>,
+    parked: VecDeque<Parked>,
     bypass_hits: u64,
     bypass_misses: u64,
     /// The installed bypass's Defer-commutativity certificate held
@@ -328,11 +330,11 @@ impl GroupCore {
             generation: 0,
             alive: true,
             bypass: None,
-            stash: Vec::new(),
+            stash: VecDeque::new(),
             blocked: false,
             stalled: false,
             stall_drops: 0,
-            parked: Vec::new(),
+            parked: VecDeque::new(),
             bypass_hits: 0,
             bypass_misses: 0,
             defer_licensed: false,
@@ -456,9 +458,9 @@ impl GroupCore {
     /// Parks one application message for replay after the view change.
     fn park(&mut self, now: Time, p: Parked) {
         if self.parked.len() >= PARK_LIMIT {
-            self.parked.remove(0);
+            self.parked.pop_front();
         }
-        self.parked.push(p);
+        self.parked.push_back(p);
         self.trace(
             now,
             CoreLayer::App,
@@ -586,8 +588,14 @@ impl GroupCore {
         self.stash.clear();
     }
 
-    /// An application multicast.
+    /// An application multicast of `payload`, copied once on the way in.
     pub fn cast(&mut self, now: Time, payload: &[u8]) -> Vec<Action> {
+        self.cast_payload(now, Payload::from_slice(payload))
+    }
+
+    /// An application multicast of a payload the caller already holds (the
+    /// shard wraps the buffer its handle copied): no copy here.
+    pub fn cast_payload(&mut self, now: Time, payload: Payload) -> Vec<Action> {
         let mut out = Vec::new();
         if !self.alive {
             return out;
@@ -601,12 +609,11 @@ impl GroupCore {
             payload.len() as u64,
         );
         if self.blocked || self.stalled {
-            self.park(now, Parked::Cast(payload.to_vec()));
+            self.park(now, Parked::Cast(payload));
             return out;
         }
         if let Some(bypass) = self.bypass.as_mut() {
-            let p = Payload::from_slice(payload);
-            let result = bypass.dn_cast(&p);
+            let result = bypass.dn_cast(&payload);
             if self.apply_bypass(now, Case::DnCast, result, &mut out) {
                 self.settle_deferred(now);
                 return out;
@@ -627,14 +634,20 @@ impl GroupCore {
                 0,
             );
         }
-        let ev = DnEvent::Cast(Msg::data(Payload::from_slice(payload)));
+        let ev = DnEvent::Cast(Msg::data(payload));
         let b = self.inject_dn(now, ev);
         self.route(now, b, &mut out);
         out
     }
 
-    /// An application point-to-point send to `dst` (rank).
+    /// An application point-to-point send to `dst` (rank), copied once on
+    /// the way in.
     pub fn send(&mut self, now: Time, dst: Rank, payload: &[u8]) -> Vec<Action> {
+        self.send_payload(now, dst, Payload::from_slice(payload))
+    }
+
+    /// [`GroupCore::send`] for a payload the caller already built.
+    pub fn send_payload(&mut self, now: Time, dst: Rank, payload: Payload) -> Vec<Action> {
         let mut out = Vec::new();
         if !self.alive || dst.index() >= self.vs.nmembers() {
             return out;
@@ -649,12 +662,11 @@ impl GroupCore {
         );
         if self.blocked || self.stalled {
             let dst_ep = self.vs.endpoint_of(dst);
-            self.park(now, Parked::Send(dst_ep, payload.to_vec()));
+            self.park(now, Parked::Send(dst_ep, payload));
             return out;
         }
         if let Some(bypass) = self.bypass.as_mut() {
-            let p = Payload::from_slice(payload);
-            let result = bypass.dn_send(dst.0, &p);
+            let result = bypass.dn_send(dst.0, &payload);
             if self.apply_bypass(now, Case::DnSend, result, &mut out) {
                 self.settle_deferred(now);
                 return out;
@@ -671,7 +683,7 @@ impl GroupCore {
         }
         let ev = DnEvent::Send {
             dst,
-            msg: Msg::data(Payload::from_slice(payload)),
+            msg: Msg::data(payload),
         };
         let b = self.inject_dn(now, ev);
         self.route(now, b, &mut out);
@@ -755,7 +767,7 @@ impl GroupCore {
                         // fast-path packet. Park it for the gap fill.
                         self.bypass_misses += 1;
                         if self.stash.len() >= STASH_LIMIT {
-                            self.stash.remove(0);
+                            self.stash.pop_front();
                             self.trace(
                                 now,
                                 CoreLayer::Bypass,
@@ -765,7 +777,7 @@ impl GroupCore {
                                 STASH_LIMIT as u64,
                             );
                         }
-                        self.stash.push((origin.0, pkt.bytes, is_cast));
+                        self.stash.push_back((origin.0, pkt.bytes, is_cast));
                         self.trace(
                             now,
                             CoreLayer::Bypass,
@@ -788,7 +800,7 @@ impl GroupCore {
                 }
             }
         }
-        let Ok(msg) = unmarshal(&pkt.bytes) else {
+        let Ok(msg) = unmarshal_owned(pkt.bytes) else {
             return out; // Corrupt or foreign: drop.
         };
         self.cost.allocations += 1;
@@ -1037,8 +1049,7 @@ impl GroupCore {
                 _ => {}
             }
         }
-        let app: Vec<UpEvent> = b.app.drain(..).collect();
-        for ev in app {
+        for ev in b.app {
             match ev {
                 UpEvent::Cast { origin, msg } => {
                     let oid = self.vs.endpoint_of(origin).id();
@@ -1155,15 +1166,15 @@ impl GroupCore {
                 self.parked.len() as u64,
             );
             match p {
-                Parked::Cast(bytes) => {
-                    let mut acts = self.cast(now, &bytes);
+                Parked::Cast(payload) => {
+                    let mut acts = self.cast_payload(now, payload);
                     out.append(&mut acts);
                 }
-                Parked::Send(dst_ep, bytes) => {
+                Parked::Send(dst_ep, payload) => {
                     let Some(dst) = self.vs.rank_of(dst_ep) else {
                         continue; // Destination excluded from the new view.
                     };
-                    let mut acts = self.send(now, dst, &bytes);
+                    let mut acts = self.send_payload(now, dst, payload);
                     out.append(&mut acts);
                 }
             }
@@ -1260,6 +1271,61 @@ mod tests {
             vec![(0, b"first".to_vec()), (0, b"second".to_vec())],
             "stash replays in order after the gap fills"
         );
+    }
+
+    #[test]
+    fn a_full_stash_evicts_its_oldest_packet_first() {
+        let (mut a, _) = core(0, 2);
+        let (mut b, _) = core(1, 2);
+        a.install_bypass().unwrap();
+        b.install_bypass().unwrap();
+        b.set_tracing(true);
+        let over = 3;
+        let wire: Vec<Packet> = (0..=(STASH_LIMIT + over) as u16)
+            .map(|i| transmits(&a.cast(Time::ZERO, &i.to_le_bytes()))[0].clone())
+            .collect();
+        // Everything but the first arrives: one gap, all of it stashed.
+        for pkt in &wire[1..] {
+            assert!(casts(&b.deliver_packet(Time::ZERO, pkt.clone())).is_empty());
+        }
+        let stashed: Vec<&Vec<u8>> = b.stash.iter().map(|(_, bytes, _)| bytes).collect();
+        let newest: Vec<&Vec<u8>> = wire[1 + over..].iter().map(|p| &p.bytes).collect();
+        assert_eq!(stashed, newest, "the {over} oldest went, in arrival order");
+        let mut events = Vec::new();
+        b.take_events(&mut events);
+        let overflows = events
+            .iter()
+            .filter(|e| e.kind == EventKind::StashPark && e.ccp == CcpFailure::StashOverflow)
+            .count();
+        assert_eq!(overflows, over, "one StashOverflow event per eviction");
+        // The gap fills, but the packet after it was evicted: the rest wait.
+        let got = b.deliver_packet(Time::ZERO, wire[0].clone());
+        assert_eq!(casts(&got), vec![(0, 0u16.to_le_bytes().to_vec())]);
+        assert_eq!(b.stash.len(), STASH_LIMIT);
+    }
+
+    #[test]
+    fn a_full_park_list_drops_its_oldest_cast_first() {
+        let (mut c, _) = vsync_core(0, 3);
+        c.suspect(Time::ZERO, vec![Rank(2)]);
+        assert!(c.is_blocked());
+        let over = 3;
+        for i in 0..(PARK_LIMIT + over) as u32 {
+            assert!(c.cast(Time::ZERO, &i.to_le_bytes()).is_empty());
+        }
+        assert_eq!(c.parked_depth(), PARK_LIMIT);
+        let kept: Vec<Vec<u8>> = c
+            .parked
+            .iter()
+            .map(|p| match p {
+                Parked::Cast(payload) => payload.gather(),
+                Parked::Send(..) => panic!("only casts were parked"),
+            })
+            .collect();
+        let newest: Vec<Vec<u8>> = (over as u32..(PARK_LIMIT + over) as u32)
+            .map(|i| i.to_le_bytes().to_vec())
+            .collect();
+        assert_eq!(kept, newest, "the {over} oldest went, issue order kept");
     }
 
     fn vsync_core(rank: u16, n: usize) -> (GroupCore, Vec<Action>) {

@@ -20,6 +20,7 @@ use crate::metrics::{RuntimeStats, ShardMetrics, TransportHealth};
 use crate::obs::NodeObs;
 use crate::timer::TimerWheel;
 use crate::transport::{Transport, Waker};
+use ensemble_event::Payload;
 use ensemble_layers::LayerConfig;
 use ensemble_obs::{now_ns, Event, EventKind, Histogram, Tag};
 use ensemble_stack::EngineKind;
@@ -86,6 +87,8 @@ impl std::fmt::Display for RuntimeError {
 }
 
 enum Command {
+    /// The caller's thread makes the one copy a cast costs on its way in;
+    /// the shard wraps that buffer ([`Payload::from_vec`]) without copying.
     Cast(Vec<u8>),
     Send(Rank, Vec<u8>),
     Suspect(Vec<Rank>),
@@ -599,8 +602,14 @@ fn worker_loop(
                 let now = Time(now_ns());
                 actions.clear();
                 match cmd {
-                    Command::Cast(p) => actions = groups[gidx].core.cast(now, &p),
-                    Command::Send(dst, p) => actions = groups[gidx].core.send(now, dst, &p),
+                    Command::Cast(p) => {
+                        actions = groups[gidx].core.cast_payload(now, Payload::from_vec(p))
+                    }
+                    Command::Send(dst, p) => {
+                        actions = groups[gidx]
+                            .core
+                            .send_payload(now, dst, Payload::from_vec(p))
+                    }
                     Command::Suspect(ranks) => actions = groups[gidx].core.suspect(now, ranks),
                     Command::Merge(members) => actions = groups[gidx].core.merge(now, members),
                     Command::InstallView(vs) => {

@@ -18,8 +18,9 @@
 use crate::fault::{
     Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
 };
-use ensemble_transport::{decode_datagram, encode_datagram, Packet};
+use ensemble_transport::{decode_datagram_owned, encode_datagram, Dest, Packet};
 use ensemble_util::Endpoint;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
@@ -186,20 +187,19 @@ impl HubPeer {
     }
 
     /// Carries out the plane's verdict on one datagram from endpoint id
-    /// `src` to this peer.
-    fn deliver(&mut self, plane: &mut FaultPlane, src: u32, stamp: u64, frame: &[u8]) {
-        let copies = match plane.fate(src, self.id) {
+    /// `src` to this peer. An owned `frame` is moved into the peer's
+    /// queue; a borrowed one is copied only if the verdict keeps it.
+    fn deliver(&mut self, plane: &mut FaultPlane, src: u32, stamp: u64, frame: Cow<'_, [u8]>) {
+        match plane.fate(src, self.id) {
             Fate::Drop => return,
             Fate::Late => {
-                self.held.push((src, stamp, frame.to_vec()));
+                self.held.push((src, stamp, frame.into_owned()));
                 return;
             }
-            Fate::Once => 1,
-            Fate::Twice => 2,
-        };
-        for _ in 0..copies {
-            self.push(plane, stamp, frame.to_vec());
+            Fate::Once => {}
+            Fate::Twice => self.push(plane, stamp, frame.as_ref().to_owned()),
         }
+        self.push(plane, stamp, frame.into_owned());
         self.flush_held(plane);
     }
 
@@ -210,6 +210,26 @@ impl HubPeer {
             }
         }
     }
+}
+
+/// Puts one encoded datagram to each of `recipients` in turn — the plane's
+/// dice are drawn in that order — lending it to all but the last, which
+/// gets the buffer itself.
+fn fan_out<'a>(
+    mut recipients: impl Iterator<Item = &'a mut HubPeer>,
+    plane: &mut FaultPlane,
+    src: u32,
+    stamp: u64,
+    frame: Vec<u8>,
+) {
+    let Some(mut peer) = recipients.next() else {
+        return;
+    };
+    for next in recipients {
+        peer.deliver(plane, src, stamp, Cow::Borrowed(&frame));
+        peer = next;
+    }
+    peer.deliver(plane, src, stamp, Cow::Owned(frame));
 }
 
 /// The hub is the wall-clock shell around one [`FaultPlane`]: it owns the
@@ -371,18 +391,14 @@ impl Transport for LoopbackTransport {
         let HubInner { peers, plane } = &mut *inner;
         plane.advance(origin_ns);
         match pkt.dst {
-            ensemble_transport::Dest::Cast => {
+            Dest::Cast => {
                 let me = self.ep.to_wire();
-                for (&dst, peer) in peers.iter_mut() {
-                    if dst != me {
-                        peer.deliver(plane, src, origin_ns, &frame);
-                    }
-                }
+                let others = peers.iter_mut().filter(|(&dst, _)| dst != me);
+                fan_out(others.map(|(_, peer)| peer), plane, src, origin_ns, frame);
             }
-            ensemble_transport::Dest::Point(dst) => {
-                if let Some(peer) = peers.get_mut(&dst.to_wire()) {
-                    peer.deliver(plane, src, origin_ns, &frame);
-                }
+            Dest::Point(dst) => {
+                let peer = peers.get_mut(&dst.to_wire());
+                fan_out(peer.into_iter(), plane, src, origin_ns, frame);
             }
         }
         Ok(())
@@ -401,7 +417,7 @@ impl Transport for LoopbackTransport {
     fn try_recv_stamped(&mut self) -> io::Result<Option<(Packet, Option<u64>)>> {
         loop {
             match self.rx.try_recv() {
-                Ok((stamp, frame)) => match decode_datagram(&frame) {
+                Ok((stamp, frame)) => match decode_datagram_owned(frame) {
                     Ok(pkt) => return Ok(Some((pkt, Some(stamp)))),
                     Err(_) => continue, // foreign datagram: drop, keep polling
                 },
@@ -419,7 +435,7 @@ impl Transport for LoopbackTransport {
                     }
                     return match self.rx.try_recv() {
                         Ok((stamp, frame)) => {
-                            Ok(decode_datagram(&frame).ok().map(|p| (p, Some(stamp))))
+                            Ok(decode_datagram_owned(frame).ok().map(|p| (p, Some(stamp))))
                         }
                         Err(_) => Ok(None),
                     };
@@ -433,6 +449,7 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ensemble_transport::decode_datagram;
 
     fn cast(src: u32, body: &[u8]) -> Packet {
         Packet::cast(Endpoint::new(src), body.to_vec())

@@ -3,9 +3,12 @@
 //! §4.2: "Ensemble has a central event scheduler. It instantiates each
 //! protocol layer individually, and hands events to the layers as they
 //! come out of the scheduler." Events live in one reusable deque; layer
-//! outputs are enqueued with their destination layer index. No allocation
-//! happens per boundary crossing beyond the deque's amortized growth —
-//! this is what makes IMP measurably faster than FUNC in Table 1.
+//! outputs are collected in one reusable [`Effects`], drained in place
+//! and enqueued with their destination layer index. Once both have grown,
+//! a boundary crossing allocates nothing of the engine's own — this is
+//! what makes IMP measurably faster than FUNC in Table 1. (What a layer
+//! allocates inside its handler, and the [`Boundary`] each `inject_*`
+//! returns, are not the engine's.)
 
 use crate::engine::{Boundary, Engine};
 use ensemble_event::{DnEvent, Effects, UpEvent};
@@ -43,18 +46,17 @@ impl ImpEngine {
         self.layers.iter().map(|l| l.name()).collect()
     }
 
+    /// Routes what layer `idx`'s handler left in `fx`, leaving it empty.
     fn route_effects(&mut self, idx: usize, out: &mut Boundary) {
-        for t in self.fx.take_timers() {
-            out.timers.push((idx, t));
-        }
-        for ev in self.fx.take_up() {
+        out.timers.extend(self.fx.drain_timers().map(|t| (idx, t)));
+        for ev in self.fx.drain_up() {
             if idx == 0 {
                 out.app.push(ev);
             } else {
                 self.queue.push_back(Item::Up(idx - 1, ev));
             }
         }
-        for ev in self.fx.take_dn() {
+        for ev in self.fx.drain_dn() {
             if idx + 1 == self.layers.len() {
                 out.wire.push(ev);
             } else {
@@ -66,18 +68,13 @@ impl ImpEngine {
     fn run(&mut self, now: Time) -> Boundary {
         let mut out = Boundary::default();
         while let Some(item) = self.queue.pop_front() {
-            self.fx.clear();
             match item {
                 Item::Up(idx, ev) => {
-                    let mut fx = std::mem::take(&mut self.fx);
-                    self.layers[idx].up(now, ev, &mut fx);
-                    self.fx = fx;
+                    self.layers[idx].up(now, ev, &mut self.fx);
                     self.route_effects(idx, &mut out);
                 }
                 Item::Dn(idx, ev) => {
-                    let mut fx = std::mem::take(&mut self.fx);
-                    self.layers[idx].dn(now, ev, &mut fx);
-                    self.fx = fx;
+                    self.layers[idx].dn(now, ev, &mut self.fx);
                     self.route_effects(idx, &mut out);
                 }
             }
@@ -103,24 +100,17 @@ impl Engine for ImpEngine {
 
     fn fire_timer(&mut self, now: Time, layer: usize) -> Boundary {
         let mut out = Boundary::default();
-        self.fx.clear();
-        let mut fx = std::mem::take(&mut self.fx);
-        self.layers[layer].timer(now, &mut fx);
-        self.fx = fx;
+        self.layers[layer].timer(now, &mut self.fx);
         self.route_effects(layer, &mut out);
         let rest = self.run(now);
-        let mut merged = out;
-        merged.merge(rest);
-        merged
+        out.merge(rest);
+        out
     }
 
     fn init(&mut self, now: Time) -> Boundary {
         let mut out = Boundary::default();
         for idx in 0..self.layers.len() {
-            self.fx.clear();
-            let mut fx = std::mem::take(&mut self.fx);
-            self.layers[idx].init(now, &mut fx);
-            self.fx = fx;
+            self.layers[idx].init(now, &mut self.fx);
             self.route_effects(idx, &mut out);
         }
         let rest = self.run(now);

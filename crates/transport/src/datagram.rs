@@ -40,11 +40,34 @@ pub fn encode_datagram(pkt: &Packet) -> Vec<u8> {
     w.finish()
 }
 
-/// Decodes one datagram back into a packet.
+/// Decodes one datagram back into a packet, copying the body out.
 ///
 /// Foreign traffic (wrong magic or version) and truncated envelopes
 /// return an error; the caller should drop such datagrams.
 pub fn decode_datagram(buf: &[u8]) -> Result<Packet, WireError> {
+    let (src, dst, body) = parse_envelope(buf)?;
+    Ok(Packet {
+        src,
+        dst,
+        bytes: body.to_vec(),
+    })
+}
+
+/// Decodes a datagram the caller owns: the envelope is stripped in place
+/// and `buf`, now holding only the body, becomes the packet's bytes.
+pub fn decode_datagram_owned(mut buf: Vec<u8>) -> Result<Packet, WireError> {
+    let (src, dst, body) = parse_envelope(&buf)?;
+    // `parse_envelope` accepts nothing after the body: it is the tail.
+    buf.drain(..buf.len() - body.len());
+    Ok(Packet {
+        src,
+        dst,
+        bytes: buf,
+    })
+}
+
+/// Checks the envelope and returns source, destination and body.
+fn parse_envelope(buf: &[u8]) -> Result<(Endpoint, Dest, &[u8]), WireError> {
     let mut r = WireReader::new(buf);
     let magic = r.u16()?;
     if magic != MAGIC {
@@ -60,36 +83,39 @@ pub fn decode_datagram(buf: &[u8]) -> Result<Packet, WireError> {
         other => return Err(WireError::BadTag(other)),
     };
     let src = Endpoint::from_wire(r.u64()?);
-    let bytes = r.bytes()?.to_vec();
+    let body = r.bytes()?;
     r.expect_end()?;
-    Ok(Packet { src, dst, bytes })
+    Ok((src, dst, body))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn cast_roundtrips() {
-        let p = Packet::cast(Endpoint::new(3), vec![1, 2, 3, 4]);
+    /// Encodes `p` and checks that both decoders give it back.
+    fn roundtrip(p: Packet) {
         let d = encode_datagram(&p);
         assert_eq!(decode_datagram(&d).unwrap(), p);
+        assert_eq!(decode_datagram_owned(d).unwrap(), p);
+    }
+
+    #[test]
+    fn cast_roundtrips() {
+        roundtrip(Packet::cast(Endpoint::new(3), vec![1, 2, 3, 4]));
     }
 
     #[test]
     fn point_roundtrips() {
-        let p = Packet::point(
+        roundtrip(Packet::point(
             Endpoint::with_incarnation(7, 2),
             Endpoint::new(1),
             b"payload".to_vec(),
-        );
-        assert_eq!(decode_datagram(&encode_datagram(&p)).unwrap(), p);
+        ));
     }
 
     #[test]
     fn empty_body_roundtrips() {
-        let p = Packet::cast(Endpoint::new(0), Vec::new());
-        assert_eq!(decode_datagram(&encode_datagram(&p)).unwrap(), p);
+        roundtrip(Packet::cast(Endpoint::new(0), Vec::new()));
     }
 
     #[test]
@@ -114,6 +140,7 @@ mod tests {
         let d = encode_datagram(&p);
         for cut in 1..d.len() {
             assert!(decode_datagram(&d[..cut]).is_err(), "cut at {cut}");
+            assert!(decode_datagram_owned(d[..cut].to_vec()).is_err());
         }
     }
 

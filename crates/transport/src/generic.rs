@@ -1,11 +1,15 @@
 //! The generic header marshaler.
 //!
 //! Models the OCaml value marshaler Ensemble originally used: a recursive
-//! traversal of the header structure that dispatches per constructor,
-//! writes self-describing tags, and copies everything into a byte string
-//! ("all this generality leads to substantial overhead", §4). This is the
-//! path exercised by the IMP and FUNC configurations; the synthesized
-//! bypass replaces it with the compressed format in [`crate::compressed`].
+//! traversal of the header structure that dispatches per constructor and
+//! writes self-describing tags and length prefixes ("all this generality
+//! leads to substantial overhead", §4). This is the path exercised by the
+//! IMP and FUNC configurations — and, since the cluster runs IMP, the
+//! service's data path — so what Table 1's "Transport" rows measure here
+//! is that traversal and one copy of the payload into the datagram, not
+//! intermediate buffers: [`marshal`] writes into one buffer sized up
+//! front, [`unmarshal`] parses in place. The synthesized bypass replaces
+//! the format with the compressed one in [`crate::compressed`].
 
 use crate::wire::{WireError, WireReader, WireWriter};
 use ensemble_event::{
@@ -13,6 +17,11 @@ use ensemble_event::{
     SuspectHdr, SyncHdr, TotalHdr,
 };
 use ensemble_util::{Endpoint, Rank, Seqno};
+
+/// Room reserved per frame: prefix, tag and the widest fixed-size header
+/// (19 bytes). A frame carrying a vector may outgrow it; the buffer then
+/// grows like any `Vec`.
+const FRAME_RESERVE: usize = 32;
 
 /// Marshals a message (headers + payload) into wire bytes.
 ///
@@ -27,40 +36,56 @@ use ensemble_util::{Endpoint, Rank, Seqno};
 /// assert_eq!(unmarshal(&bytes).unwrap(), m);
 /// ```
 pub fn marshal(msg: &Msg) -> Vec<u8> {
-    // Deliberately mirrors a generic value marshaler: each frame is
-    // serialized into its own intermediate buffer which is then copied into
-    // the output. The extra traversal and copies are the overhead the
-    // paper's Table 1 "Transport" rows measure.
-    let mut w = WireWriter::new();
-    w.u8(msg.frames().len() as u8);
-    for f in msg.frames() {
-        let frame_bytes = marshal_frame(f);
-        w.bytes(&frame_bytes);
+    let (frames, payload) = (msg.frames(), msg.payload());
+    let mut w = WireWriter::with_capacity(1 + frames.len() * FRAME_RESERVE + 4 + payload.len());
+    w.u8(frames.len() as u8);
+    for f in frames {
+        let mark = w.begin_len();
+        marshal_frame(&mut w, f);
+        w.end_len(mark);
     }
-    let gathered = msg.payload().gather();
-    w.bytes(&gathered);
+    w.u32(payload.len() as u32);
+    for seg in payload.segments() {
+        w.raw(seg);
+    }
     w.finish()
 }
 
-/// Unmarshals wire bytes back into a message.
+/// Unmarshals wire bytes back into a message, copying the payload out.
 pub fn unmarshal(bytes: &[u8]) -> Result<Msg, WireError> {
+    let (frames, body) = parse(bytes)?;
+    Ok(Msg::from_parts(frames, Payload::from_slice(body)))
+}
+
+/// Unmarshals a buffer the caller owns (a received datagram's body): the
+/// message's payload is a view of `bytes`, which lives as long as the
+/// payload does, so nothing is copied.
+pub fn unmarshal_owned(bytes: Vec<u8>) -> Result<Msg, WireError> {
+    let (frames, body) = parse(&bytes)?;
+    // `parse` accepts nothing after the payload: it is the buffer's tail.
+    let body = bytes.len() - body.len()..bytes.len();
+    Ok(Msg::from_parts(
+        frames,
+        Payload::from_vec(bytes).slice(body),
+    ))
+}
+
+/// Parses the frames and locates the payload within `bytes`.
+fn parse(bytes: &[u8]) -> Result<(Vec<Frame>, &[u8]), WireError> {
     let mut r = WireReader::new(bytes);
     let nframes = r.u8()? as usize;
     let mut frames = Vec::with_capacity(nframes);
     for _ in 0..nframes {
-        let fb = r.bytes()?.to_vec();
-        let mut fr = WireReader::new(&fb);
-        let frame = unmarshal_frame(&mut fr)?;
+        let mut fr = WireReader::new(r.bytes()?);
+        frames.push(unmarshal_frame(&mut fr)?);
         fr.expect_end()?;
-        frames.push(frame);
     }
-    let payload = Payload::from_slice(r.bytes()?);
+    let body = r.bytes()?;
     r.expect_end()?;
-    Ok(Msg::from_parts(frames, payload))
+    Ok((frames, body))
 }
 
-fn marshal_frame(f: &Frame) -> Vec<u8> {
-    let mut w = WireWriter::new();
+fn marshal_frame(w: &mut WireWriter, f: &Frame) {
     w.u8(f.tag());
     match f {
         Frame::NoHdr => {}
@@ -126,7 +151,6 @@ fn marshal_frame(f: &Frame) -> Vec<u8> {
         Frame::Sign { mac } => w.u64(*mac),
         Frame::Encrypt { keyid } => w.u32(*keyid),
     }
-    w.finish()
 }
 
 fn unmarshal_frame(r: &mut WireReader<'_>) -> Result<Frame, WireError> {
@@ -212,6 +236,14 @@ mod tests {
         m.push_frame(f);
         let bytes = marshal(&m);
         assert_eq!(unmarshal(&bytes).unwrap(), m);
+        assert_eq!(unmarshal_owned(bytes).unwrap(), m);
+    }
+
+    /// Both unmarshalers must refuse `bytes`, and for the same reason.
+    fn rejected(bytes: Vec<u8>) -> WireError {
+        let e = unmarshal(&bytes).unwrap_err();
+        assert_eq!(unmarshal_owned(bytes).unwrap_err(), e);
+        e
     }
 
     #[test]
@@ -295,12 +327,24 @@ mod tests {
     }
 
     #[test]
+    fn owned_unmarshal_views_the_buffer_it_was_given() {
+        let mut m = Msg::data(Payload::from_slice(&[7u8; 100]));
+        m.push_frame(Frame::Mnak(MnakHdr::Data { seqno: Seqno(3) }));
+        let bytes = marshal(&m);
+        let buf = bytes.as_ptr_range();
+        let back = unmarshal_owned(bytes).unwrap();
+        assert_eq!(back, m);
+        let seg = back.payload().segments().next().unwrap().as_ptr_range();
+        assert!(buf.start < seg.start && seg.end == buf.end);
+    }
+
+    #[test]
     fn bad_tag_rejected() {
         let mut w = WireWriter::new();
         w.u8(1); // One frame.
         w.bytes(&[99]); // Unknown tag 99.
         w.bytes(b"");
-        assert_eq!(unmarshal(&w.finish()), Err(WireError::BadTag(99)));
+        assert_eq!(rejected(w.finish()), WireError::BadTag(99));
     }
 
     #[test]
@@ -309,7 +353,7 @@ mod tests {
         m.push_frame(Frame::NoHdr);
         let mut bytes = marshal(&m);
         bytes.truncate(bytes.len() - 2);
-        assert!(unmarshal(&bytes).is_err());
+        assert_eq!(rejected(bytes), WireError::BadLength(3));
     }
 
     #[test]
@@ -317,6 +361,6 @@ mod tests {
         let m = Msg::control();
         let mut bytes = marshal(&m);
         bytes.push(0);
-        assert_eq!(unmarshal(&bytes), Err(WireError::TrailingBytes(1)));
+        assert_eq!(rejected(bytes), WireError::TrailingBytes(1));
     }
 }

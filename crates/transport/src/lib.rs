@@ -25,7 +25,7 @@ pub mod packet;
 pub mod wire;
 
 pub use compressed::{stack_id, CompressedHdr, COMPRESSED_BASE_LEN};
-pub use datagram::{decode_datagram, encode_datagram, DATAGRAM_OVERHEAD};
-pub use generic::{marshal, unmarshal};
+pub use datagram::{decode_datagram, decode_datagram_owned, encode_datagram, DATAGRAM_OVERHEAD};
+pub use generic::{marshal, unmarshal, unmarshal_owned};
 pub use packet::{Dest, Packet};
 pub use wire::{WireError, WireReader, WireWriter};

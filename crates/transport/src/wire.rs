@@ -73,6 +73,21 @@ impl WireWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Opens a u32-length-prefixed section: writes a placeholder prefix
+    /// and returns the mark [`WireWriter::end_len`] patches once the
+    /// section's bytes are written — the bytes [`WireWriter::bytes`]
+    /// would emit, without building the section in a buffer of its own.
+    pub fn begin_len(&mut self) -> usize {
+        self.u32(0);
+        self.buf.len()
+    }
+
+    /// Closes the section opened at `mark`, patching its prefix.
+    pub fn end_len(&mut self, mark: usize) {
+        let n = (self.buf.len() - mark) as u32;
+        self.buf[mark - 4..mark].copy_from_slice(&n.to_le_bytes());
+    }
+
     /// Writes raw bytes with no prefix.
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
@@ -204,6 +219,23 @@ mod tests {
         let mut r = WireReader::new(&buf);
         assert_eq!(r.bytes().unwrap(), b"payload");
         assert_eq!(r.u64_vec().unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn patched_prefix_equals_bytes() {
+        let mut a = WireWriter::new();
+        a.u8(1);
+        a.bytes(&[7, 8, 9]);
+        a.bytes(b"");
+        let mut b = WireWriter::new();
+        b.u8(1);
+        let mark = b.begin_len();
+        b.raw(&[7, 8]);
+        b.u8(9);
+        b.end_len(mark);
+        let mark = b.begin_len();
+        b.end_len(mark);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

@@ -22,6 +22,10 @@ echo "==> runtime integration tests (release)"
 cargo test --release -p ensemble-runtime --test loopback_stack
 cargo test --release -p ensemble-runtime --test udp_smoke
 cargo test --release -p ensemble-runtime --test obs_trace
+# alloc_budget counts what one 4 KiB cast asks of the allocator (its own
+# process, one thread, a counting global allocator); the count is the
+# same optimized or not, this runs it as the benchmark's build would.
+cargo test --release -p ensemble-runtime --test alloc_budget
 
 echo "==> sim: the virtual-time examples and the membership seed sweep (release)"
 # Both examples assert what they print (total order under loss; a
@@ -180,16 +184,20 @@ echo "==> benchmark: the repo benchmark builds against the workspace"
 # measures the PR.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark: a short kv-pipe-durable run is correct end to end"
+echo "==> benchmark: short kv-pipe-durable and cast-large runs are correct end to end"
 # Three seconds of pipelined batches on a durable group: the cheapest
 # check that the batched request path, the WAL and the linearizability
 # checker still agree (identical commit logs, 0 violations, no failed op).
-BENCH_OUT=$(benchmark/run.sh kv-pipe-durable --seconds 3 | tail -n 1)
-for want in '"correct": true' '"failed": 0'; do
-  grep -qF "$want" <<<"$BENCH_OUT" || {
-    echo "benchmark result line lacks $want: $BENCH_OUT" >&2
-    exit 1
-  }
+# Three seconds of 4 KiB casts: every fragment cut, marshaled, moved
+# through the hub, reassembled and delivered intact and in order.
+for workload in kv-pipe-durable cast-large; do
+  BENCH_OUT=$(benchmark/run.sh "$workload" --seconds 3 | tail -n 1)
+  for want in '"correct": true' '"failed": 0'; do
+    grep -qF "$want" <<<"$BENCH_OUT" || {
+      echo "$workload result line lacks $want: $BENCH_OUT" >&2
+      exit 1
+    }
+  done
 done
 
 echo "==> non-test Rust lines per crate (informational; quote the total in CHANGES.md)"
