@@ -82,7 +82,7 @@ pub mod wire;
 pub use config::{ClusterConfig, ClusterError, QuorumPolicy};
 pub use detector::Detector;
 pub use invariant::VsyncChecker;
-pub use member::{ClusterEvent, ClusterNode, StateProvider};
+pub use member::{ClusterEvent, ClusterNode, EventSink, StateProvider};
 pub use metrics::ClusterMetrics;
 pub use rendezvous::{Joined, JoinerRendezvous, SeedRendezvous};
 pub use wire::{decode, encode, Envelope, Frame, WireError};

@@ -10,8 +10,10 @@
 //!   the actual view change — the driver never invents views);
 //! * fences stale-epoch frames, so an expelled member cannot disturb the
 //!   survivors and learns it has been passed by;
-//! * drains stack deliveries into an unbounded [`ClusterEvent`] channel
-//!   (the application reads at its own pace without stalling a shard).
+//! * hands stack deliveries to an [`EventSink`] the caller supplies —
+//!   an unbounded channel behind [`ClusterNode::recv_timeout`] for
+//!   [`ClusterNode::form`] — so the application reads at its own pace
+//!   without stalling a shard.
 
 use crate::config::{ClusterConfig, ClusterError, QuorumPolicy};
 use crate::detector::Detector;
@@ -24,7 +26,7 @@ use ensemble_runtime::{Delivery, GroupHandle, GroupSender, Node, NodeObs, Transp
 use ensemble_transport::Packet;
 use ensemble_util::{Endpoint, GroupId, Rank, Time, ViewId};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -50,6 +52,11 @@ impl<F: FnMut() -> Vec<u8> + Send> StateProvider for F {
         self()
     }
 }
+
+/// Where a member puts its [`ClusterEvent`]s: called with `Snapshot` and
+/// `Formed` on the thread running `form`, then from the driver thread,
+/// in order. It must only hand the event on (push it into a queue).
+pub type EventSink = Box<dyn FnMut(ClusterEvent) + Send>;
 
 /// What a cluster member reports to its application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -97,7 +104,9 @@ pub struct ClusterNode {
     ep: Endpoint,
     node: Node,
     sender: GroupSender,
-    events: Receiver<ClusterEvent>,
+    /// The channel behind [`ClusterNode::form`]'s sink; `None` for
+    /// [`ClusterNode::form_with_sink`].
+    events: Option<Receiver<ClusterEvent>>,
     metrics: Arc<ClusterMetrics>,
     view: Arc<Mutex<ViewState>>,
     stop: Arc<AtomicBool>,
@@ -113,14 +122,38 @@ impl ClusterNode {
     /// frames; `data` carries the group stack's traffic — two transport
     /// instances for the same endpoint identity. When `ep == seed`,
     /// this node *is* the seed and `state` (if any) supplies the
-    /// snapshot shipped to every joiner.
+    /// snapshot shipped to every joiner. Events are read with
+    /// [`ClusterNode::recv_timeout`] and [`ClusterNode::try_recv`].
     pub fn form(
+        ep: Endpoint,
+        seed: Endpoint,
+        cfg: ClusterConfig,
+        control: Box<dyn Transport>,
+        data: Box<dyn Transport>,
+        state: Option<Box<dyn StateProvider>>,
+    ) -> Result<ClusterNode, ClusterError> {
+        let (tx, rx) = channel();
+        let sink: EventSink = Box::new(move |ev| {
+            let _ = tx.send(ev);
+        });
+        let mut node = Self::form_with_sink(ep, seed, cfg, control, data, state, sink)?;
+        node.events = Some(rx);
+        Ok(node)
+    }
+
+    /// Like [`ClusterNode::form`], but every event goes to `sink`
+    /// (`recv_timeout` and `try_recv` then see none). An application
+    /// whose thread also serves `state` requests can merge both into
+    /// one queue: the driver asks `state` and emits deliveries in its
+    /// own program order.
+    pub fn form_with_sink(
         ep: Endpoint,
         seed: Endpoint,
         cfg: ClusterConfig,
         mut control: Box<dyn Transport>,
         data: Box<dyn Transport>,
         state: Option<Box<dyn StateProvider>>,
+        mut sink: EventSink,
     ) -> Result<ClusterNode, ClusterError> {
         cfg.validate()?;
         let metrics = Arc::new(ClusterMetrics::default());
@@ -219,7 +252,6 @@ impl ClusterNode {
         let obs = node.obs_arc();
         let obs_shard = node.aux_obs_shard();
         let tag = obs.recorder.register("cluster");
-        let (events_tx, events_rx) = channel();
         if !am_seed && !snapshot_in.is_empty() {
             metrics.state_transfers.fetch_add(1, Ordering::Relaxed);
             record(
@@ -231,7 +263,7 @@ impl ClusterNode {
                 Direction::Up,
                 snapshot_in.len() as u64,
             );
-            let _ = events_tx.send(ClusterEvent::Snapshot(snapshot_in));
+            sink(ClusterEvent::Snapshot(snapshot_in));
         } else if am_seed && !snapshot_out.is_empty() {
             record(
                 &obs,
@@ -243,7 +275,7 @@ impl ClusterNode {
                 snapshot_out.len() as u64,
             );
         }
-        let _ = events_tx.send(ClusterEvent::Formed(vs.clone()));
+        sink(ClusterEvent::Formed(vs.clone()));
 
         let view = Arc::new(Mutex::new(vs.clone()));
         let stop = Arc::new(AtomicBool::new(false));
@@ -258,7 +290,7 @@ impl ClusterNode {
             detector: Detector::new(cfg.heartbeat_period.as_nanos() as u64, cfg.miss_limit),
             view: Arc::clone(&view),
             metrics: Arc::clone(&metrics),
-            events: events_tx,
+            events: sink,
             stop: Arc::clone(&stop),
             obs,
             obs_shard,
@@ -287,7 +319,7 @@ impl ClusterNode {
             ep,
             node,
             sender,
-            events: events_rx,
+            events: None,
             metrics,
             view,
             stop,
@@ -347,15 +379,12 @@ impl ClusterNode {
 
     /// Blocks up to `timeout` for the next cluster event.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ClusterEvent> {
-        match self.events.recv_timeout(timeout) {
-            Ok(e) => Some(e),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        self.events.as_ref()?.recv_timeout(timeout).ok()
     }
 
     /// Non-blocking poll for the next cluster event.
     pub fn try_recv(&self) -> Option<ClusterEvent> {
-        self.events.try_recv().ok()
+        self.events.as_ref()?.try_recv().ok()
     }
 
     /// This member's cluster counters.
@@ -398,11 +427,8 @@ impl ClusterNode {
         let _ = self.sender.leave();
         // Give the stack a moment to emit Exit before tearing down.
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
-        while std::time::Instant::now() < deadline {
-            match self
-                .events
-                .recv_timeout(std::time::Duration::from_millis(50))
-            {
+        while let (Some(events), true) = (&self.events, std::time::Instant::now() < deadline) {
+            match events.recv_timeout(std::time::Duration::from_millis(50)) {
                 Ok(ClusterEvent::Delivery(Delivery::Exit)) => break,
                 Ok(_) | Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
@@ -481,7 +507,7 @@ struct Driver {
     detector: Detector,
     view: Arc<Mutex<ViewState>>,
     metrics: Arc<ClusterMetrics>,
-    events: Sender<ClusterEvent>,
+    events: EventSink,
     stop: Arc<AtomicBool>,
     obs: Arc<NodeObs>,
     obs_shard: usize,
@@ -742,9 +768,7 @@ impl Driver {
             Direction::Dn,
             live as u64,
         );
-        let _ = self
-            .events
-            .send(ClusterEvent::MinorityPartition { live, needed });
+        (self.events)(ClusterEvent::MinorityPartition { live, needed });
     }
 
     /// Periodic merge beacon: the acting coordinator advertises its
@@ -994,7 +1018,7 @@ impl Driver {
                 Direction::Up,
                 snapshot.len() as u64,
             );
-            let _ = self.events.send(ClusterEvent::Snapshot(snapshot));
+            (self.events)(ClusterEvent::Snapshot(snapshot));
         }
         let _ = self.handle.install_view(vs);
     }
@@ -1021,9 +1045,9 @@ impl Driver {
                         // A stale non-member: tell it the group moved on.
                         // The event goes out before the counter ticks so an
                         // observer that polls `fences_sent` is guaranteed to
-                        // find the FencedPeer event already in the channel.
+                        // find the FencedPeer event already handed to the sink.
                         self.send_control(env.src, Frame::Fence);
-                        let _ = self.events.send(ClusterEvent::FencedPeer {
+                        (self.events)(ClusterEvent::FencedPeer {
                             peer: env.src,
                             epoch: env.epoch,
                         });
@@ -1062,7 +1086,7 @@ impl Driver {
                     self.fenced = true;
                     self.publish_serving();
                     self.metrics.fences_received.fetch_add(1, Ordering::Relaxed);
-                    let _ = self.events.send(ClusterEvent::FencedBy {
+                    (self.events)(ClusterEvent::FencedBy {
                         peer: env.src,
                         epoch: env.epoch,
                     });
@@ -1167,24 +1191,30 @@ impl Driver {
                 .filter(|ep| vs.members.contains(ep))
                 .collect();
             if !granted.is_empty() {
-                let version = self.state.as_mut().map(|s| s.version()).unwrap_or(0);
-                let snap = self
-                    .state
-                    .as_mut()
-                    .map(|s| s.snapshot())
-                    .unwrap_or_default();
+                // State-transfer fast path: a rejoiner that already
+                // recovered at least our state version from its own log
+                // gets the view without the snapshot. Ask the provider
+                // only for what ships: the version if some grantee sent
+                // a hint, the snapshot if some grantee is not covered.
+                let hints: Vec<u64> = granted
+                    .iter()
+                    .map(|g| {
+                        let hint = self.admit_hints.iter().find(|(id, _)| *id == g.id());
+                        hint.map_or(0, |(_, h)| *h)
+                    })
+                    .collect();
+                let version = match &mut self.state {
+                    Some(s) if hints.iter().any(|&h| h > 0) => s.version(),
+                    _ => 0,
+                };
+                let covered = |have: u64| have > 0 && version > 0 && have >= version;
+                let snap = match &mut self.state {
+                    Some(s) if !hints.iter().all(|&h| covered(h)) => s.snapshot(),
+                    _ => Vec::new(),
+                };
                 let mut shipped = 0u64;
-                for g in &granted {
-                    // State-transfer fast path: a rejoiner that already
-                    // recovered at least our state version from its own
-                    // log gets the view without the snapshot.
-                    let have = self
-                        .admit_hints
-                        .iter()
-                        .find(|(id, _)| *id == g.id())
-                        .map(|(_, h)| *h)
-                        .unwrap_or(0);
-                    let skip = have > 0 && version > 0 && have >= version;
+                for (g, &have) in granted.iter().zip(&hints) {
+                    let skip = covered(have);
                     let snapshot = if skip { Vec::new() } else { snap.clone() };
                     if skip {
                         self.metrics
@@ -1228,6 +1258,6 @@ impl Driver {
                 self.try_merge(vs);
             }
         }
-        let _ = self.events.send(ClusterEvent::Delivery(d));
+        (self.events)(ClusterEvent::Delivery(d));
     }
 }

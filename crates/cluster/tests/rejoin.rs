@@ -13,8 +13,38 @@
 use ensemble_cluster::{ClusterConfig, ClusterEvent, ClusterNode, StateProvider};
 use ensemble_runtime::{Delivery, LoopbackHub};
 use ensemble_util::Endpoint;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A provider at a fixed state version that counts what it is asked.
+struct Counting {
+    version: u64,
+    snapshots: Arc<AtomicU64>,
+    versions: Arc<AtomicU64>,
+}
+
+impl StateProvider for Counting {
+    fn snapshot(&mut self) -> Vec<u8> {
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        b"replicated-kv".to_vec()
+    }
+
+    fn version(&mut self) -> u64 {
+        self.versions.fetch_add(1, Ordering::Relaxed);
+        self.version
+    }
+}
+
+fn counting(version: u64) -> (Counting, Arc<AtomicU64>, Arc<AtomicU64>) {
+    let (snapshots, versions) = (Arc::default(), Arc::default());
+    let provider = Counting {
+        version,
+        snapshots: Arc::clone(&snapshots),
+        versions: Arc::clone(&versions),
+    };
+    (provider, snapshots, versions)
+}
 
 fn wait(what: &str, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -140,4 +170,81 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
     assert!(nodes[0]
         .metrics_text()
         .contains("ensemble_cluster_rejoins_total"));
+}
+
+#[test]
+fn a_rejoiner_whose_hint_covers_the_state_costs_the_coordinator_no_snapshot() {
+    let control = LoopbackHub::new(43);
+    let data = LoopbackHub::new(44);
+    let cfg = ClusterConfig::new(3);
+    let seed = Endpoint::new(0);
+    let (provider, snapshots, versions) = counting(7);
+    let mut provider = Some(provider);
+
+    let mut formers = Vec::new();
+    for i in 0..3u32 {
+        let ep = Endpoint::new(i);
+        let (c, d) = (control.attach(ep), data.attach(ep));
+        let cfg = cfg.clone();
+        let state = (ep == seed)
+            .then(|| Box::new(provider.take().expect("one seed")) as Box<dyn StateProvider>);
+        formers.push(std::thread::spawn(move || {
+            ClusterNode::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
+        }));
+    }
+    let mut nodes: Vec<ClusterNode> = formers
+        .into_iter()
+        .map(|f| f.join().unwrap().expect("rendezvous completes"))
+        .collect();
+    // The seed's rendezvous ships the one snapshot this test allows.
+    assert_eq!(snapshots.load(Ordering::Relaxed), 1);
+
+    let victim = nodes.pop().unwrap();
+    let reborn_ep = victim.endpoint().reincarnate();
+    victim.kill();
+    wait("survivors install the 2-member view", || {
+        nodes.iter().all(|n| n.view().nmembers() == 2)
+    });
+
+    // The rejoiner recovered version 7 on its own: its Hello says so.
+    let (own, _, own_versions) = counting(7);
+    let (c, d) = (control.attach(reborn_ep), data.attach(reborn_ep));
+    let reborn = ClusterNode::form(
+        reborn_ep,
+        seed,
+        cfg,
+        Box::new(c),
+        Box::new(d),
+        Some(Box::new(own)),
+    )
+    .expect("rejoin completes");
+    assert_eq!(own_versions.load(Ordering::Relaxed), 1, "the resume hint");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        assert!(Instant::now() < deadline, "rejoiner never saw Formed");
+        match reborn.recv_timeout(Duration::from_millis(10)) {
+            Some(ClusterEvent::Snapshot(_)) => panic!("a covered rejoiner got a snapshot"),
+            Some(ClusterEvent::Formed(vs)) => {
+                assert!(vs.members.contains(&reborn_ep));
+                break;
+            }
+            _ => continue,
+        }
+    }
+    wait("survivors absorb the reborn member", || {
+        nodes.iter().all(|n| n.view().members.contains(&reborn_ep))
+    });
+
+    let m0 = nodes[0].metrics();
+    assert!(m0.merge_grants_sent.load(Ordering::Relaxed) >= 1);
+    assert!(m0.snapshots_skipped.load(Ordering::Relaxed) >= 1);
+    assert!(
+        versions.load(Ordering::Relaxed) >= 1,
+        "the grant compared versions"
+    );
+    assert_eq!(
+        snapshots.load(Ordering::Relaxed),
+        1,
+        "the grant encoded a snapshot nobody received"
+    );
 }

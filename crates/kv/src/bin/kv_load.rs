@@ -374,11 +374,10 @@ fn run_crash(
             Duration::from_secs(30),
             || {
                 let table = replicas.lock().expect("replica table poisoned");
-                table.iter().flatten().all(|r| {
-                    r.view()
-                        .map(|v| !v.members.contains(&old_ep))
-                        .unwrap_or(false)
-                })
+                table
+                    .iter()
+                    .flatten()
+                    .all(|r| !r.view().members.contains(&old_ep))
             },
         );
         std::thread::sleep(Duration::from_millis(200));

@@ -42,9 +42,9 @@ impl KvConfig {
             pipeline_depth: 64,
             wal: WalConfig {
                 // Group commit: amortize fsync across a batch. Acks are
-                // held to the durable frontier either way, and the idle
-                // tick force-flushes, so batching costs at most one
-                // tick of ack latency under a lull.
+                // held to the durable frontier either way, and the apply
+                // thread force-flushes whenever its inbox drains, so a
+                // partial batch never waits for company past a lull.
                 sync_every: 32,
                 ..WalConfig::default()
             },

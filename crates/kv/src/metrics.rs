@@ -35,6 +35,9 @@ pub struct KvMetrics {
     /// Returns from a blocking wait in the listener (acceptor, pool
     /// worker, connection reader or writer). Flat while the plane idles.
     pub listener_wakeups: AtomicU64,
+    /// Returns from the apply thread's blocking wait on its inbox. Flat
+    /// while nothing arrives.
+    pub apply_wakeups: AtomicU64,
     /// Operations appended to the WAL (durable once their group-commit
     /// batch syncs, or a checkpoint supersedes them).
     pub wal_appends: AtomicU64,
@@ -96,6 +99,11 @@ impl KvMetrics {
             &[],
             ld(&self.listener_wakeups),
         );
+        reg.set_int(
+            "ensemble_kv_apply_wakeups_total",
+            &[],
+            ld(&self.apply_wakeups),
+        );
         reg.set_int("ensemble_kv_wal_appends_total", &[], ld(&self.wal_appends));
         reg.set_int("ensemble_kv_wal_bytes_total", &[], ld(&self.wal_bytes));
         reg.set_int(
@@ -141,6 +149,7 @@ mod tests {
             "ensemble_kv_snapshots_skipped_total",
             "ensemble_kv_connections_total",
             "ensemble_kv_listener_wakeups_total",
+            "ensemble_kv_apply_wakeups_total",
             "ensemble_kv_wal_appends_total",
             "ensemble_kv_wal_bytes_total",
             "ensemble_kv_wal_append_failures_total",

@@ -7,43 +7,56 @@
 //! and completes the waiting client with the `(commit index, result)`
 //! the state machine computed.
 //!
-//! Threading: the apply loop owns the `ClusterNode` on a dedicated
-//! thread. Everything other threads need — proposing casts, the serving
-//! flag, the pending-completion table — travels through the cheaply
-//! cloneable [`ReplicaFront`], so TCP connection workers and simulated
-//! clients never touch the node itself.
+//! Threading: the apply thread owns the store, the commit log and the
+//! WAL, and reads one FIFO inbox that every producer writes to — the
+//! cluster driver's events and state requests, commit-log reads, stop.
+//! It runs when something arrives and sleeps otherwise. Everything
+//! client threads need — proposing casts, the serving flag, the
+//! pending-completion table — travels through the cheaply cloneable
+//! [`ReplicaFront`]; [`KvReplica`] keeps the `ClusterNode` itself.
 
 use crate::config::KvConfig;
 use crate::metrics::KvMetrics;
 use crate::proto::{decode_cast_batch, encode_cast_batch, KvError, KvOp, KvResult};
 use crate::store::KvStore;
 use crate::wal::{RecoveryReport, Wal};
-use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, StateProvider};
+use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, EventSink, StateProvider};
 use ensemble_event::ViewState;
 use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, Tag};
 use ensemble_runtime::{Delivery, GroupSender, NodeObs, Transport};
 use ensemble_util::Endpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Requests the owner thread sends into the apply loop (which is the
-/// only thread that may touch the `ClusterNode`).
-enum Ctl {
-    MetricsText(Sender<String>),
-    View(Sender<ViewState>),
-    /// Reply with `(commit index, snapshot)` only once the apply queue
-    /// is drained. Sent by [`StoreProvider`] when the cluster driver
-    /// builds a merge grant: the driver may have delivered casts the
-    /// apply thread has not applied yet, and a snapshot taken mid-drain
-    /// would be stale — the rejoiner would re-apply the gap and shift
-    /// every later commit index. During a merge the group is wedged
-    /// (flushed, no new casts), so "drained once" is "drained for good"
-    /// and the reply is exact.
-    Stable(Sender<(u64, Vec<u8>)>),
+/// What the apply thread reads, from one FIFO queue: a message is
+/// handled after everything sent before it.
+enum Inbox {
+    /// A cluster event, from `form` or the cluster driver.
+    Event(ClusterEvent),
+    /// Reply with the commit index. The cluster driver sends this and
+    /// `Snapshot` through [`StoreProvider`] in program order with the
+    /// deliveries it hands over, so the reply reflects exactly the casts
+    /// delivered before the request — the merge grant's state is exact.
+    Version(Sender<u64>),
+    /// Reply with the store's snapshot (it carries the commit index).
+    Snapshot(Sender<Vec<u8>>),
+    /// Reply with a copy of the commit log.
+    Log(Sender<Vec<(u64, KvOp)>>),
+    /// The node's flight recorder and the shard for threads outside its
+    /// worker pool, sent once `form` returns. Trace events before it are
+    /// not recorded.
+    Obs(Arc<NodeObs>, usize),
+    /// Leave the loop; a `crash` skips the final WAL flush.
+    Stop { crash: bool },
 }
+
+/// How long the apply loop waits for input while a flush retry is due
+/// (records an injected short write or fsync failure left unsynced).
+const FLUSH_RETRY: Duration = Duration::from_millis(2);
 
 /// What the apply loop runs, once, with a request's result. It is called
 /// with the pending table locked, so it must only hand the result on —
@@ -195,53 +208,36 @@ impl ReplicaFront {
 pub struct KvReplica {
     ep: Endpoint,
     front: ReplicaFront,
-    log: Arc<Mutex<Vec<(u64, KvOp)>>>,
-    ctl_tx: Sender<Ctl>,
-    stop: Arc<AtomicBool>,
-    crashed: Arc<AtomicBool>,
-    apply: Option<std::thread::JoinHandle<()>>,
+    /// `None` once [`KvReplica::halt`] has stopped it.
+    node: Option<ClusterNode>,
+    inbox: Sender<Inbox>,
+    apply: Option<JoinHandle<()>>,
 }
 
 /// The cluster-facing state provider: snapshots the store and reports
 /// its commit index as the state version (the merge-grant fast path's
-/// resume hint).
-///
-/// The driver thread calls this while the apply thread may still be
-/// draining delivered casts, so a direct store read can lag the flush
-/// point. Once the apply loop runs, requests rendezvous with it via
-/// [`Ctl::Stable`]; before it runs (rendezvous at form time) the store
-/// is touched by no one else and a direct read is exact.
-struct StoreProvider {
-    store: Arc<Mutex<KvStore>>,
-    ctl_tx: Sender<Ctl>,
-    loop_running: Arc<AtomicBool>,
-}
-
-impl StoreProvider {
-    /// `(commit index, snapshot)` at a point where the apply thread has
-    /// drained everything delivered so far.
-    fn stable(&mut self) -> (u64, Vec<u8>) {
-        if self.loop_running.load(Ordering::Acquire) {
-            let (tx, rx) = channel();
-            if self.ctl_tx.send(Ctl::Stable(tx)).is_ok() {
-                if let Ok(reply) = rx.recv_timeout(Duration::from_secs(5)) {
-                    return reply;
-                }
-            }
-        }
-        let s = self.store.lock().expect("kv store mutex poisoned");
-        (s.commit_index(), s.snapshot())
-    }
-}
+/// resume hint). Each call queues a request in the apply thread's
+/// inbox and waits for the reply; see [`Inbox::Version`].
+struct StoreProvider(Sender<Inbox>);
 
 impl StateProvider for StoreProvider {
     fn snapshot(&mut self) -> Vec<u8> {
-        self.stable().1
+        ask(&self.0, Inbox::Snapshot)
     }
 
     fn version(&mut self) -> u64 {
-        self.stable().0
+        ask(&self.0, Inbox::Version)
     }
+}
+
+/// Sends the request `msg` wraps around a reply channel and waits for
+/// the apply thread's answer.
+fn ask<T>(inbox: &Sender<Inbox>, msg: impl FnOnce(Sender<T>) -> Inbox) -> T {
+    let (reply, rx) = channel();
+    let _ = inbox.send(msg(reply));
+    // The replica stops its node, and with it the cluster driver, first.
+    rx.recv()
+        .expect("the apply thread runs until the replica halts")
 }
 
 impl KvReplica {
@@ -310,58 +306,61 @@ impl KvReplica {
             }
             None => (KvStore::new(), None, None),
         };
-        let recovered_ci = store.commit_index();
-        let store = Arc::new(Mutex::new(store));
-        let (ctl_tx, ctl_rx) = channel();
-        let loop_running = Arc::new(AtomicBool::new(false));
-        let provider: Box<dyn StateProvider> = Box::new(StoreProvider {
-            store: Arc::clone(&store),
-            ctl_tx: ctl_tx.clone(),
-            loop_running: Arc::clone(&loop_running),
+        let pending: PendingTable = Arc::new(Mutex::new(HashMap::new()));
+        // The apply thread runs before `form`: the seed's rendezvous
+        // snapshot and a joiner's resume hint are state requests too.
+        let apply = ApplyLoop {
+            my_id: ep.id(),
+            recovered_ci: store.commit_index(),
+            store,
+            log: Vec::new(),
+            pending: Arc::clone(&pending),
+            metrics: Arc::clone(&metrics),
+            wal,
+            await_ack: VecDeque::new(),
+            snapshot_seen: false,
+            formed_seen: false,
+            trace: None,
+        };
+        let (inbox, apply) = apply
+            .spawn()
+            .map_err(|e| ClusterError::Runtime(format!("spawn apply loop: {e}")))?;
+        let events = inbox.clone();
+        let sink: EventSink = Box::new(move |ev| {
+            let _ = events.send(Inbox::Event(ev));
         });
-        let node = ClusterNode::form(ep, seed, cfg.cluster, control, data, Some(provider))?;
-
+        let provider = Box::new(StoreProvider(inbox.clone()));
+        let node = match ClusterNode::form_with_sink(
+            ep,
+            seed,
+            cfg.cluster,
+            control,
+            data,
+            Some(provider),
+            sink,
+        ) {
+            Ok(node) => node,
+            Err(e) => {
+                let _ = inbox.send(Inbox::Stop { crash: false });
+                let _ = apply.join();
+                return Err(e);
+            }
+        };
+        let _ = inbox.send(Inbox::Obs(node.obs_arc(), node.aux_obs_shard()));
         let front = ReplicaFront {
             id: ep.id(),
             sender: node.sender(),
             serving: node.serving_flag(),
-            pending: Arc::new(Mutex::new(HashMap::new())),
+            pending,
             next_token: Arc::new(AtomicU64::new(0)),
             metrics,
         };
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let stop = Arc::new(AtomicBool::new(false));
-        let crashed = Arc::new(AtomicBool::new(false));
-        let loop_ = ApplyLoop {
-            my_id: ep.id(),
-            node,
-            store,
-            log: Arc::clone(&log),
-            pending: Arc::clone(&front.pending),
-            metrics: Arc::clone(&front.metrics),
-            ctl_rx,
-            stop: Arc::clone(&stop),
-            wal,
-            await_ack: VecDeque::new(),
-            recovered_ci,
-            snapshot_seen: false,
-            formed_seen: false,
-            crashed: Arc::clone(&crashed),
-            loop_running,
-            stable_reqs: Vec::new(),
-        };
-        let apply = std::thread::Builder::new()
-            .name(format!("ensemble-kv-{}", ep.id()))
-            .spawn(move || loop_.run())
-            .map_err(|e| ClusterError::Runtime(format!("spawn apply loop: {e}")))?;
         Ok((
             KvReplica {
                 ep,
                 front,
-                log,
-                ctl_tx,
-                stop,
-                crashed,
+                node: Some(node),
+                inbox,
                 apply: Some(apply),
             },
             report,
@@ -394,38 +393,34 @@ impl KvReplica {
     }
 
     /// A copy of the applied log (commit index, operation) — the
-    /// checker's per-replica feed.
+    /// checker's per-replica feed. It holds every cast the apply thread
+    /// was handed before this call.
     pub fn commit_log(&self) -> Vec<(u64, KvOp)> {
-        self.log
-            .lock()
-            .expect("kv commit log mutex poisoned")
-            .clone()
+        ask(&self.inbox, Inbox::Log)
     }
 
-    /// The most recently installed view (asks the apply loop).
-    pub fn view(&self) -> Option<ViewState> {
-        let (tx, rx) = channel();
-        self.ctl_tx.send(Ctl::View(tx)).ok()?;
-        rx.recv_timeout(Duration::from_secs(2)).ok()
+    fn node(&self) -> &ClusterNode {
+        self.node
+            .as_ref()
+            .expect("the node lives until the replica halts")
+    }
+
+    /// The most recently installed view.
+    pub fn view(&self) -> ViewState {
+        self.node().view()
     }
 
     /// Runtime + cluster + KV metrics in Prometheus text exposition
-    /// format (asks the apply loop, which owns the node).
+    /// format.
     pub fn metrics_text(&self) -> String {
-        let (tx, rx) = channel();
-        if self.ctl_tx.send(Ctl::MetricsText(tx)).is_err() {
-            return self.front.metrics.render();
-        }
-        rx.recv_timeout(Duration::from_secs(2))
-            .unwrap_or_else(|_| self.front.metrics.render())
+        let mut text = self.node().metrics_text();
+        text.push_str(&self.front.metrics.render());
+        text
     }
 
     /// Stops the apply loop and the underlying cluster member.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.apply.take() {
-            let _ = t.join();
-        }
+        self.halt(false);
     }
 
     /// Simulates a crash-stop: tears the replica down like
@@ -435,32 +430,35 @@ impl KvReplica {
     /// [`crate::MemDisk::crash`] to also tear the medium's volatile
     /// buffers.
     pub fn kill(mut self) {
-        self.crashed.store(true, Ordering::Relaxed);
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.apply.take() {
-            let _ = t.join();
+        self.halt(true);
+    }
+
+    /// Stops the node first — its driver may be waiting on a state
+    /// request, which the still-running apply thread answers — then the
+    /// apply thread, which handles what the driver queued before `Stop`.
+    fn halt(&mut self, crash: bool) {
+        drop(self.node.take());
+        if let Some(apply) = self.apply.take() {
+            let _ = self.inbox.send(Inbox::Stop { crash });
+            let _ = apply.join();
         }
     }
 }
 
 impl Drop for KvReplica {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.apply.take() {
-            let _ = t.join();
-        }
+        self.halt(false);
     }
 }
 
+/// The apply thread's state: it alone touches the store, the log and
+/// the WAL.
 struct ApplyLoop {
     my_id: u32,
-    node: ClusterNode,
-    store: Arc<Mutex<KvStore>>,
-    log: Arc<Mutex<Vec<(u64, KvOp)>>>,
+    store: KvStore,
+    log: Vec<(u64, KvOp)>,
     pending: PendingTable,
     metrics: Arc<KvMetrics>,
-    ctl_rx: Receiver<Ctl>,
-    stop: Arc<AtomicBool>,
     /// Durable mode: every commit is WAL-appended before its ack.
     wal: Option<Wal>,
     /// This replica's own operations, applied and not yet acknowledged:
@@ -473,133 +471,109 @@ struct ApplyLoop {
     snapshot_seen: bool,
     /// The Formed event was observed.
     formed_seen: bool,
-    /// Crash-stop teardown: skip the final courtesy flush.
-    crashed: Arc<AtomicBool>,
-    /// Published for [`StoreProvider`]: once true, stable-state requests
-    /// must rendezvous with this loop instead of reading the store.
-    loop_running: Arc<AtomicBool>,
-    /// Stable-state requests answered at the next queue drain.
-    stable_reqs: Vec<Sender<(u64, Vec<u8>)>>,
+    /// The flight recorder, its shard for this thread and the `kv` tag,
+    /// once [`Inbox::Obs`] has arrived.
+    trace: Option<(Arc<NodeObs>, usize, Tag)>,
 }
 
 impl ApplyLoop {
-    fn run(mut self) {
-        let obs = self.node.obs_arc();
-        let shard = self.node.aux_obs_shard();
-        let tag = obs.recorder.register("kv");
-        self.loop_running.store(true, Ordering::Release);
-        if self.wal.is_some() {
-            self.record(&obs, shard, tag, EventKind::Recovery, self.recovered_ci);
-        }
-        // Opportunistic group commit: while acks are held for a partial
-        // batch, poll instead of parking so the sync runs the moment
-        // the event queue drains. After one forced-flush attempt the
-        // poll reverts to a parked wait, so an injected fsync failure
-        // retries at the tick cadence instead of spinning.
-        let mut quick = false;
-        while !self.stop.load(Ordering::Relaxed) {
-            while let Ok(ctl) = self.ctl_rx.try_recv() {
-                match ctl {
-                    Ctl::MetricsText(tx) => {
-                        let mut text = self.node.metrics_text();
-                        text.push_str(&self.metrics.render());
-                        let _ = tx.send(text);
-                    }
-                    Ctl::View(tx) => {
-                        let _ = tx.send(self.node.view());
-                    }
-                    Ctl::Stable(tx) => {
-                        self.stable_reqs.push(tx);
+    /// Starts the loop on its own thread; returns its inbox.
+    fn spawn(self) -> std::io::Result<(Sender<Inbox>, JoinHandle<()>)> {
+        let (tx, rx) = channel();
+        let thread = std::thread::Builder::new()
+            .name(format!("ensemble-kv-{}", self.my_id))
+            .spawn(move || self.run(rx))?;
+        Ok((tx, thread))
+    }
+
+    fn run(mut self, inbox: Receiver<Inbox>) {
+        loop {
+            let msg = match inbox.try_recv() {
+                Ok(msg) => msg,
+                Err(TryRecvError::Disconnected) => return,
+                Err(TryRecvError::Empty) => {
+                    // Drained: sync what group commit held back, then
+                    // sleep until the next message — or, while a flush
+                    // must be retried, for at most `FLUSH_RETRY`.
+                    let got = if self.on_drained() {
+                        inbox.recv_timeout(FLUSH_RETRY)
+                    } else {
+                        inbox.recv().map_err(RecvTimeoutError::from)
+                    };
+                    self.metrics.apply_wakeups.fetch_add(1, Ordering::Relaxed);
+                    match got {
+                        Ok(msg) => msg,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => return,
                     }
                 }
-            }
-            let timeout = if quick {
-                Duration::ZERO
-            } else {
-                Duration::from_millis(2)
             };
-            match self.node.recv_timeout(timeout) {
-                Some(ev) => {
-                    self.on_event(ev, &obs, shard, tag);
-                    quick = !self.await_ack.is_empty();
+            match msg {
+                Inbox::Event(ev) => self.on_event(ev),
+                Inbox::Version(reply) => {
+                    let _ = reply.send(self.store.commit_index());
                 }
-                None => {
-                    // Idle tick: force-sync a partial group-commit batch
-                    // and retry records stuck behind an injected short
-                    // write or fsync failure, then release any acks the
-                    // repaired frontier now covers.
-                    if let Some(wal) = &mut self.wal {
-                        let flushed = wal.needs_flush() && wal.flush();
-                        let errs = wal.take_io_errors();
-                        if errs > 0 {
-                            self.metrics
-                                .wal_append_failures
-                                .fetch_add(errs, Ordering::Relaxed);
-                        }
-                        if flushed {
-                            self.drain_acks(&obs, shard, tag);
-                        }
+                Inbox::Snapshot(reply) => {
+                    let _ = reply.send(self.store.snapshot());
+                }
+                Inbox::Log(reply) => {
+                    let _ = reply.send(self.log.clone());
+                }
+                Inbox::Obs(obs, shard) => {
+                    let tag = obs.recorder.register("kv");
+                    self.trace = Some((obs, shard, tag));
+                    if self.wal.is_some() {
+                        self.record(EventKind::Recovery, self.recovered_ci);
                     }
-                    // The queue is drained: everything delivered so far
-                    // is applied, so a stable-state reply is exact.
-                    self.answer_stable();
-                    quick = false;
+                }
+                Inbox::Stop { crash } => {
+                    // Make whatever the medium will accept durable
+                    // before the thread dies — unless this teardown
+                    // simulates a crash, where losing the unsynced tail
+                    // is exactly the point.
+                    if let Some(wal) = self.wal.as_mut().filter(|_| !crash) {
+                        let _ = wal.flush();
+                    }
+                    return;
                 }
             }
         }
-        // Make whatever the medium will accept durable before the
-        // thread dies — unless this teardown simulates a crash, where
-        // losing the unsynced tail is exactly the point.
-        if !self.crashed.load(Ordering::Relaxed) {
-            if let Some(wal) = &mut self.wal {
-                let _ = wal.flush();
-            }
-        }
-        // Don't leave a driver mid-grant hanging on its timeout: answer
-        // outstanding (and just-arrived) stable requests with what we
-        // have before the channel closes.
-        self.loop_running.store(false, Ordering::Release);
-        while let Ok(ctl) = self.ctl_rx.try_recv() {
-            if let Ctl::Stable(tx) = ctl {
-                self.stable_reqs.push(tx);
-            }
-        }
-        self.answer_stable();
     }
 
-    /// Replies to every pending stable-state request with the store as
-    /// it stands. Call only when the apply queue is drained (or the
-    /// loop is exiting and no better answer will ever come).
-    fn answer_stable(&mut self) {
-        if self.stable_reqs.is_empty() {
-            return;
-        }
-        let (ci, snap) = {
-            let s = self.store.lock().expect("kv store mutex poisoned");
-            (s.commit_index(), s.snapshot())
+    /// The inbox is empty: force-sync a partial group-commit batch (and
+    /// retry records an injected short write or fsync failure left
+    /// unsynced), release the acks the sync covers and count the errors.
+    /// Returns whether records are still unsynced, so a retry is due.
+    fn on_drained(&mut self) -> bool {
+        let Some(wal) = &mut self.wal else {
+            return false;
         };
-        for tx in self.stable_reqs.drain(..) {
-            let _ = tx.send((ci, snap.clone()));
+        let flushed = wal.needs_flush() && wal.flush();
+        let errs = wal.take_io_errors();
+        let retry = wal.needs_flush();
+        if errs > 0 {
+            self.metrics
+                .wal_append_failures
+                .fetch_add(errs, Ordering::Relaxed);
         }
+        if flushed {
+            self.drain_acks();
+        }
+        retry
     }
 
-    fn on_event(&mut self, ev: ClusterEvent, obs: &NodeObs, shard: usize, tag: Tag) {
+    fn on_event(&mut self, ev: ClusterEvent) {
         match ev {
             ClusterEvent::Snapshot(snap) => {
                 self.snapshot_seen = true;
-                let restored = self
-                    .store
-                    .lock()
-                    .expect("kv store mutex poisoned")
-                    .restore(&snap);
-                if restored {
+                if self.store.restore(&snap) {
                     self.metrics
                         .snapshots_installed
                         .fetch_add(1, Ordering::Relaxed);
                     // The WAL's lineage predates the installed state:
                     // checkpoint immediately so the (checkpoint, log)
                     // pair stays the authority for every later ack.
-                    self.take_checkpoint(obs, shard, tag);
+                    self.take_checkpoint();
                 }
             }
             ClusterEvent::Formed(_) if !self.formed_seen => {
@@ -614,7 +588,7 @@ impl ApplyLoop {
                 }
             }
             ClusterEvent::Delivery(Delivery::Cast { bytes, .. }) => {
-                self.on_cast(&bytes, obs, shard, tag);
+                self.on_cast(&bytes);
             }
             // Views, sends, stalls, fences: membership is the cluster
             // layer's business; the serving flag already reflects it.
@@ -625,7 +599,7 @@ impl ApplyLoop {
     /// Applies one ordered cast: every operation it carries, in order at
     /// consecutive commit indices, logged with one WAL append — or, if
     /// it does not decode, none of them.
-    fn on_cast(&mut self, bytes: &[u8], obs: &NodeObs, shard: usize, tag: Tag) {
+    fn on_cast(&mut self, bytes: &[u8]) {
         let Some((submitter, ops)) = decode_cast_batch(bytes) else {
             // Every replica was delivered these bytes at this position:
             // one that cannot decode them has diverged from any that
@@ -633,24 +607,12 @@ impl ApplyLoop {
             self.metrics
                 .undecodable_casts
                 .fetch_add(1, Ordering::Relaxed);
-            self.record(
-                obs,
-                shard,
-                tag,
-                EventKind::KvUndecodable,
-                bytes.len() as u64,
-            );
+            self.record(EventKind::KvUndecodable, bytes.len() as u64);
             return;
         };
         let n = ops.len() as u64;
-        let (first_ci, results): (u64, Vec<KvResult>) = {
-            let mut store = self.store.lock().expect("kv store mutex poisoned");
-            let first_ci = store.commit_index() + 1;
-            (
-                first_ci,
-                ops.iter().map(|(_, op)| store.apply(op)).collect(),
-            )
-        };
+        let first_ci = self.store.commit_index() + 1;
+        let results: Vec<KvResult> = ops.iter().map(|(_, op)| self.store.apply(op)).collect();
         let last_ci = first_ci + n - 1;
         self.metrics.commits.fetch_add(n, Ordering::Relaxed);
         if let Some(wal) = &mut self.wal {
@@ -672,23 +634,20 @@ impl ApplyLoop {
             if durable >= last_ci {
                 // Group-commit boundary: everything up to `last_ci`
                 // just became durable.
-                self.record(obs, shard, tag, EventKind::WalAppend, last_ci);
+                self.record(EventKind::WalAppend, last_ci);
             }
         }
         let mine = submitter == self.my_id;
-        {
-            let mut log = self.log.lock().expect("kv commit log mutex poisoned");
-            for (ci, ((token, op), result)) in (first_ci..).zip(ops.into_iter().zip(results)) {
-                log.push((ci, op));
-                self.record(obs, shard, tag, EventKind::KvCommit, ci);
-                if mine {
-                    self.await_ack.push_back((ci, token, result));
-                }
+        for (ci, ((token, op), result)) in (first_ci..).zip(ops.into_iter().zip(results)) {
+            self.log.push((ci, op));
+            self.record(EventKind::KvCommit, ci);
+            if mine {
+                self.await_ack.push_back((ci, token, result));
             }
         }
-        self.drain_acks(obs, shard, tag);
+        self.drain_acks();
         if self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
-            self.take_checkpoint(obs, shard, tag);
+            self.take_checkpoint();
         }
     }
 
@@ -697,7 +656,7 @@ impl ApplyLoop {
     /// remove-then-hand-over: `submit_timeout` and the listener's
     /// connection writers rely on that being atomic with respect to
     /// their own withdrawal.
-    fn drain_acks(&mut self, obs: &NodeObs, shard: usize, tag: Tag) {
+    fn drain_acks(&mut self) {
         let durable = match &self.wal {
             Some(wal) => wal.durable_ci(),
             None => u64::MAX,
@@ -718,7 +677,7 @@ impl ApplyLoop {
             if let Some(done) = pending.remove(&token) {
                 done(result);
                 self.metrics.responses.fetch_add(1, Ordering::Relaxed);
-                self.record(obs, shard, tag, EventKind::KvResponse, ci);
+                self.record(EventKind::KvResponse, ci);
             }
         }
     }
@@ -726,31 +685,30 @@ impl ApplyLoop {
     /// Snapshots the store into the alternate checkpoint slot and
     /// truncates the log; on success anything the log could not make
     /// durable is durable now, so held-back acks drain.
-    fn take_checkpoint(&mut self, obs: &NodeObs, shard: usize, tag: Tag) {
+    fn take_checkpoint(&mut self) {
         let Some(wal) = &mut self.wal else { return };
-        let (ci, written) = {
-            let s = self.store.lock().expect("kv store mutex poisoned");
-            (s.commit_index(), wal.checkpoint_store(&s))
-        };
-        if let Ok(bytes) = written {
+        if let Ok(bytes) = wal.checkpoint_store(&self.store) {
             self.metrics.checkpoints.fetch_add(1, Ordering::Relaxed);
             self.metrics
                 .checkpoint_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.record(obs, shard, tag, EventKind::Checkpoint, ci);
-            self.drain_acks(obs, shard, tag);
+            self.record(EventKind::Checkpoint, self.store.commit_index());
+            self.drain_acks();
         }
     }
 
-    fn record(&self, obs: &NodeObs, shard: usize, tag: Tag, kind: EventKind, aux: u64) {
+    fn record(&self, kind: EventKind, aux: u64) {
+        let Some((obs, shard, tag)) = &self.trace else {
+            return;
+        };
         if !obs.enabled() {
             return;
         }
         obs.recorder.record(
-            shard,
+            *shard,
             &Event {
                 t_ns: now_ns(),
-                layer: tag,
+                layer: *tag,
                 kind,
                 dir: Direction::Up,
                 group: self.my_id,
@@ -806,6 +764,83 @@ mod tests {
         (0..n)
             .map(|i| KvOp::Set(format!("k{i}").into_bytes(), vec![i as u8; i % 5]))
             .collect()
+    }
+
+    /// An apply loop with no node around it, fed through its inbox.
+    fn bare_loop(my_id: u32) -> (Sender<Inbox>, JoinHandle<()>) {
+        let apply = ApplyLoop {
+            my_id,
+            store: KvStore::new(),
+            log: Vec::new(),
+            pending: Arc::default(),
+            metrics: Arc::default(),
+            wal: None,
+            await_ack: VecDeque::new(),
+            recovered_ci: 0,
+            snapshot_seen: false,
+            formed_seen: false,
+            trace: None,
+        };
+        apply.spawn().expect("spawn apply loop")
+    }
+
+    fn cast_of(ops: &[KvOp]) -> Inbox {
+        Inbox::Event(ClusterEvent::Delivery(Delivery::Cast {
+            origin: 9,
+            bytes: encode_cast_batch(9, 0, ops),
+        }))
+    }
+
+    #[test]
+    fn a_state_request_behind_n_casts_sees_all_n() {
+        let (inbox, thread) = bare_loop(1);
+        let ops = sets(40);
+        for op in &ops {
+            inbox
+                .send(cast_of(std::slice::from_ref(op)))
+                .expect("loop runs");
+        }
+        assert_eq!(ask(&inbox, Inbox::Version), 40);
+        let snap = ask(&inbox, Inbox::Snapshot);
+        let mut copy = KvStore::new();
+        assert!(copy.restore(&snap));
+        assert_eq!(copy.commit_index(), 40);
+        for op in &ops {
+            let KvOp::Set(k, v) = op else { unreachable!() };
+            assert_eq!(copy.peek(k), Some(&v[..]), "the snapshot holds every cast");
+        }
+        inbox.send(Inbox::Stop { crash: false }).expect("loop runs");
+        thread.join().expect("loop exits cleanly");
+    }
+
+    #[test]
+    fn shutdown_and_kill_answer_an_outstanding_state_request_promptly() {
+        let (mut replicas, _control, _data) = group(47);
+        let front = replicas[0].front();
+        assert_eq!(
+            front.submit_timeout(&sets(1)[0], Duration::from_secs(5)),
+            KvResult::Applied { ci: 1 }
+        );
+        for (i, crash) in [(2, true), (1, false), (0, false)] {
+            let r = replicas.remove(i);
+            await_that("the commit reached the replica", || {
+                r.metrics().commits.load(Ordering::Relaxed) == 1
+            });
+            let (reply, rx) = channel();
+            r.inbox.send(Inbox::Version(reply)).expect("loop runs");
+            let t0 = Instant::now();
+            if crash {
+                r.kill();
+            } else {
+                r.shutdown();
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "took {:?}",
+                t0.elapsed()
+            );
+            assert_eq!(rx.try_recv().expect("answered before stop"), 1);
+        }
     }
 
     #[test]

@@ -125,9 +125,9 @@ pub struct WalConfig {
     pub checkpoint_every: u64,
     /// Group commit: sync only once this many records are written but
     /// unsynced (1 = sync on every append). A forced [`Wal::flush`] —
-    /// which the replica issues on idle ticks — syncs regardless, so
-    /// batching bounds ack latency by the idle-tick period, not by
-    /// traffic. Larger batches amortize fsync and leave a realistic
+    /// which the replica issues whenever its apply inbox drains — syncs
+    /// regardless, so a partial batch never waits for more traffic.
+    /// Larger batches amortize fsync and leave a realistic
     /// unsynced tail for a crash to tear.
     pub sync_every: u64,
 }
@@ -358,7 +358,7 @@ impl Wal {
 
     /// The flush engine. A non-forced flush (the append path) syncs
     /// only once `sync_every` records sit unsynced — group commit; a
-    /// forced flush (idle tick, graceful shutdown) always syncs.
+    /// forced flush (inbox drained, graceful shutdown) always syncs.
     fn flush_inner(&mut self, force: bool) -> bool {
         if self.log_torn {
             return false;

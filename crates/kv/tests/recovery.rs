@@ -141,8 +141,8 @@ fn crash_and_restart(
         Duration::from_secs(30),
         || {
             survivors.iter().all(|r| {
-                r.view()
-                    .is_some_and(|v| v.nmembers() == REPLICAS - 1 && !v.members.contains(&old_ep))
+                let v = r.view();
+                v.nmembers() == REPLICAS - 1 && !v.members.contains(&old_ep)
             })
         },
     );
@@ -217,7 +217,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
     drop(all);
-    // The idle tick force-flushes the group-commit tail; once the
+    // A drained inbox force-flushes the group-commit tail; once the
     // victim's disk has no volatile bytes the WAL covers all OPS
     // records and the crash can destroy nothing.
     wait_for("victim WAL fully synced", Duration::from_secs(10), || {

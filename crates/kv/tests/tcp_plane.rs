@@ -514,20 +514,35 @@ fn idle_plane_does_not_wake_and_a_call_wakes_it_thrice() {
     let mut kv = KvClient::new(addrs, Duration::from_secs(5));
     kv.set(b"warm", b"up").expect("first call commits");
     let wakeups = || replicas[0].metrics().listener_wakeups.load(Relaxed);
+    let applies = || -> Vec<u64> {
+        replicas
+            .iter()
+            .map(|r| r.metrics().apply_wakeups.load(Relaxed))
+            .collect()
+    };
     // A commit can reach the writer before the reader's submission notice
     // does; the writer then answers first and returns from its wait for
     // the notice just after the client has its reply (2 in 20 runs of
     // this test failed that way at ISSUE 26's parent).
     std::thread::sleep(Duration::from_millis(100));
     let idle = wakeups();
+    let idle_applies = applies();
     assert!(idle > 0, "accepting and serving the first call woke it");
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(wakeups(), idle, "an open, silent connection woke a thread");
+    assert_eq!(applies(), idle_applies, "an idle apply thread woke");
     kv.set(b"k", b"v").expect("commits");
     // The reader for the request, the writer for the submission and for
     // the commit; the two writer wake-ups merge when the commit is quick.
     let cost = wakeups() - idle;
     assert!((2..=4).contains(&cost), "one call cost {cost} wake-ups");
+    // The submitting replica's apply thread wakes for the delivered cast
+    // (once more if stack deliveries around it arrive apart).
+    let cost = applies()[0] - idle_applies[0];
+    assert!(
+        (1..=3).contains(&cost),
+        "one call cost {cost} apply wake-ups"
+    );
     for l in listeners {
         l.shutdown();
     }

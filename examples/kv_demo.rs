@@ -182,9 +182,8 @@ fn main() {
             Duration::from_secs(30),
             || {
                 replicas.iter().all(|r| {
-                    r.view().is_some_and(|v| {
-                        v.nmembers() == REPLICAS - 1 && !v.members.contains(&old_ep)
-                    })
+                    let v = r.view();
+                    v.nmembers() == REPLICAS - 1 && !v.members.contains(&old_ep)
                 })
             },
         );

@@ -97,7 +97,8 @@ for series in \
   'ensemble_kv_undecodable_casts_total 0' \
   'ensemble_kv_commits_total' \
   'ensemble_kv_responses_total' \
-  'ensemble_kv_listener_wakeups_total'; do
+  'ensemble_kv_listener_wakeups_total' \
+  'ensemble_kv_apply_wakeups_total'; do
   grep -q "^$series" <<<"$KV_LOAD_OUT" || {
     echo "missing series: $series" >&2
     exit 1
