@@ -377,12 +377,15 @@ impl ClusterNode {
         Arc::clone(&self.serving)
     }
 
-    /// Blocks up to `timeout` for the next cluster event.
+    /// Blocks up to `timeout` for the next cluster event. A node formed
+    /// with [`ClusterNode::form_with_sink`] sees none here: its events go
+    /// to the sink.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ClusterEvent> {
         self.events.as_ref()?.recv_timeout(timeout).ok()
     }
 
-    /// Non-blocking poll for the next cluster event.
+    /// Non-blocking poll for the next cluster event (none for a node
+    /// formed with [`ClusterNode::form_with_sink`]).
     pub fn try_recv(&self) -> Option<ClusterEvent> {
         self.events.as_ref()?.try_recv().ok()
     }
@@ -422,12 +425,16 @@ impl ClusterNode {
         text
     }
 
-    /// Gracefully leaves the group, then stops this member.
+    /// Gracefully leaves the group, then stops this member — at once if
+    /// it was formed with [`ClusterNode::form_with_sink`].
     pub fn leave(mut self) {
         let _ = self.sender.leave();
+        let Some(events) = &self.events else {
+            return self.halt();
+        };
         // Give the stack a moment to emit Exit before tearing down.
         let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
-        while let (Some(events), true) = (&self.events, std::time::Instant::now() < deadline) {
+        while std::time::Instant::now() < deadline {
             match events.recv_timeout(std::time::Duration::from_millis(50)) {
                 Ok(ClusterEvent::Delivery(Delivery::Exit)) => break,
                 Ok(_) | Err(RecvTimeoutError::Timeout) => continue,

@@ -47,10 +47,12 @@ enum Inbox {
     /// Reply with a copy of the commit log.
     Log(Sender<Vec<(u64, KvOp)>>),
     /// The node's flight recorder and the shard for threads outside its
-    /// worker pool, sent once `form` returns. Trace events before it are
-    /// not recorded.
+    /// worker pool, sent once `form` returns: KV tracing starts here, and
+    /// what the thread handled during `form` is not traced.
     Obs(Arc<NodeObs>, usize),
-    /// Leave the loop; a `crash` skips the final WAL flush.
+    /// Stop applying. A `crash` drops the WAL with its unsynced tail;
+    /// otherwise the WAL is flushed first. Later events are ignored,
+    /// but state requests are answered until the inbox disconnects.
     Stop { crash: bool },
 }
 
@@ -235,9 +237,8 @@ impl StateProvider for StoreProvider {
 fn ask<T>(inbox: &Sender<Inbox>, msg: impl FnOnce(Sender<T>) -> Inbox) -> T {
     let (reply, rx) = channel();
     let _ = inbox.send(msg(reply));
-    // The replica stops its node, and with it the cluster driver, first.
     rx.recv()
-        .expect("the apply thread runs until the replica halts")
+        .expect("a stopped apply thread answers until its last sender is gone")
 }
 
 impl KvReplica {
@@ -341,7 +342,7 @@ impl KvReplica {
         ) {
             Ok(node) => node,
             Err(e) => {
-                let _ = inbox.send(Inbox::Stop { crash: false });
+                drop(inbox);
                 let _ = apply.join();
                 return Err(e);
             }
@@ -433,13 +434,15 @@ impl KvReplica {
         self.halt(true);
     }
 
-    /// Stops the node first — its driver may be waiting on a state
-    /// request, which the still-running apply thread answers — then the
-    /// apply thread, which handles what the driver queued before `Stop`.
+    /// Stops the apply thread where its inbox stands — a crash leaves
+    /// the WAL's unsynced tail as it is — then the node. The stopped
+    /// thread still answers a driver's state request; it exits once the
+    /// node and `inbox`, its last senders, are gone.
     fn halt(&mut self, crash: bool) {
-        drop(self.node.take());
         if let Some(apply) = self.apply.take() {
             let _ = self.inbox.send(Inbox::Stop { crash });
+            drop(self.node.take());
+            self.inbox = channel().0; // drops the replica's own sender
             let _ = apply.join();
         }
     }
@@ -487,6 +490,7 @@ impl ApplyLoop {
     }
 
     fn run(mut self, inbox: Receiver<Inbox>) {
+        let mut stopped = false;
         loop {
             let msg = match inbox.try_recv() {
                 Ok(msg) => msg,
@@ -509,7 +513,8 @@ impl ApplyLoop {
                 }
             };
             match msg {
-                Inbox::Event(ev) => self.on_event(ev),
+                Inbox::Event(ev) if !stopped => self.on_event(ev),
+                Inbox::Event(_) => {}
                 Inbox::Version(reply) => {
                     let _ = reply.send(self.store.commit_index());
                 }
@@ -527,14 +532,14 @@ impl ApplyLoop {
                     }
                 }
                 Inbox::Stop { crash } => {
-                    // Make whatever the medium will accept durable
-                    // before the thread dies — unless this teardown
-                    // simulates a crash, where losing the unsynced tail
-                    // is exactly the point.
-                    if let Some(wal) = self.wal.as_mut().filter(|_| !crash) {
+                    // Make whatever the medium will accept durable —
+                    // unless this teardown simulates a crash, where
+                    // losing the unsynced tail is exactly the point —
+                    // and let go of the WAL, so no drain syncs it.
+                    if let Some(mut wal) = self.wal.take().filter(|_| !crash) {
                         let _ = wal.flush();
                     }
-                    return;
+                    stopped = true;
                 }
             }
         }
@@ -549,13 +554,10 @@ impl ApplyLoop {
             return false;
         };
         let flushed = wal.needs_flush() && wal.flush();
-        let errs = wal.take_io_errors();
+        self.metrics
+            .wal_append_failures
+            .fetch_add(wal.take_io_errors(), Ordering::Relaxed);
         let retry = wal.needs_flush();
-        if errs > 0 {
-            self.metrics
-                .wal_append_failures
-                .fetch_add(errs, Ordering::Relaxed);
-        }
         if flushed {
             self.drain_acks();
         }
@@ -621,16 +623,13 @@ impl ApplyLoop {
             // hears the result.
             let records = (first_ci..).zip(ops.iter().map(|(_, op)| op));
             let (durable, len) = wal.append_batch(records);
-            let errs = wal.take_io_errors();
             self.metrics.wal_appends.fetch_add(n, Ordering::Relaxed);
             self.metrics
                 .wal_bytes
                 .fetch_add(len as u64, Ordering::Relaxed);
-            if errs > 0 {
-                self.metrics
-                    .wal_append_failures
-                    .fetch_add(errs, Ordering::Relaxed);
-            }
+            self.metrics
+                .wal_append_failures
+                .fetch_add(wal.take_io_errors(), Ordering::Relaxed);
             if durable >= last_ci {
                 // Group-commit boundary: everything up to `last_ci`
                 // just became durable.
@@ -723,6 +722,7 @@ impl ApplyLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemDisk, StorageFaults};
     use ensemble_runtime::{FaultPlan, LoopbackHub};
     use std::time::Instant;
 
@@ -766,22 +766,21 @@ mod tests {
             .collect()
     }
 
-    /// An apply loop with no node around it, fed through its inbox.
-    fn bare_loop(my_id: u32) -> (Sender<Inbox>, JoinHandle<()>) {
-        let apply = ApplyLoop {
-            my_id,
+    /// An apply loop with no node around it, to feed through an inbox.
+    fn bare_loop(wal: Option<Wal>) -> ApplyLoop {
+        ApplyLoop {
+            my_id: 1,
             store: KvStore::new(),
             log: Vec::new(),
             pending: Arc::default(),
             metrics: Arc::default(),
-            wal: None,
+            wal,
             await_ack: VecDeque::new(),
             recovered_ci: 0,
             snapshot_seen: false,
             formed_seen: false,
             trace: None,
-        };
-        apply.spawn().expect("spawn apply loop")
+        }
     }
 
     fn cast_of(ops: &[KvOp]) -> Inbox {
@@ -793,7 +792,7 @@ mod tests {
 
     #[test]
     fn a_state_request_behind_n_casts_sees_all_n() {
-        let (inbox, thread) = bare_loop(1);
+        let (inbox, thread) = bare_loop(None).spawn().expect("spawn apply loop");
         let ops = sets(40);
         for op in &ops {
             inbox
@@ -809,12 +808,53 @@ mod tests {
             let KvOp::Set(k, v) = op else { unreachable!() };
             assert_eq!(copy.peek(k), Some(&v[..]), "the snapshot holds every cast");
         }
-        inbox.send(Inbox::Stop { crash: false }).expect("loop runs");
+        drop(inbox);
         thread.join().expect("loop exits cleanly");
     }
 
     #[test]
-    fn shutdown_and_kill_answer_an_outstanding_state_request_promptly() {
+    fn a_stopped_loop_answers_state_requests_until_its_inbox_disconnects() {
+        let (inbox, thread) = bare_loop(None).spawn().expect("spawn apply loop");
+        for (i, op) in sets(5).iter().enumerate() {
+            if i == 3 {
+                inbox.send(Inbox::Stop { crash: true }).expect("loop runs");
+            }
+            inbox
+                .send(cast_of(std::slice::from_ref(op)))
+                .expect("loop runs");
+        }
+        // A cluster driver still running may ask after Stop.
+        assert_eq!(ask(&inbox, Inbox::Version), 3, "no cast applied after Stop");
+        assert_eq!(ask(&inbox, Inbox::Log).len(), 3);
+        drop(inbox);
+        thread
+            .join()
+            .expect("with its last sender gone, the loop exits");
+    }
+
+    #[test]
+    fn a_crash_stop_leaves_the_group_commit_tail_unsynced_and_a_clean_one_syncs_it() {
+        for crash in [true, false] {
+            let disk = MemDisk::new(7, StorageFaults::clean());
+            let mut wal = Wal::on_mem_disk(&disk, "r", KvConfig::new(3).wal);
+            wal.recover().expect("an empty disk recovers");
+            let (inbox, rx) = channel();
+            for op in &sets(5) {
+                inbox
+                    .send(cast_of(std::slice::from_ref(op)))
+                    .expect("queued");
+            }
+            inbox.send(Inbox::Stop { crash }).expect("queued");
+            drop(inbox);
+            // Run over an inbox that is already full: it never drains
+            // before Stop, so Stop alone decides what the tail becomes.
+            bare_loop(Some(wal)).run(rx);
+            assert_eq!(disk.pending_len() > 0, crash, "crash: {crash}");
+        }
+    }
+
+    #[test]
+    fn shutdown_and_kill_answer_a_state_request_made_while_they_run() {
         let (mut replicas, _control, _data) = group(47);
         let front = replicas[0].front();
         assert_eq!(
@@ -826,8 +866,13 @@ mod tests {
             await_that("the commit reached the replica", || {
                 r.metrics().commits.load(Ordering::Relaxed) == 1
             });
-            let (reply, rx) = channel();
-            r.inbox.send(Inbox::Version(reply)).expect("loop runs");
+            // Stands in for the cluster driver's provider: it holds a
+            // sender and asks while the replica halts.
+            let driver = r.inbox.clone();
+            let asker = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(50));
+                ask(&driver, Inbox::Version)
+            });
             let t0 = Instant::now();
             if crash {
                 r.kill();
@@ -839,7 +884,7 @@ mod tests {
                 "took {:?}",
                 t0.elapsed()
             );
-            assert_eq!(rx.try_recv().expect("answered before stop"), 1);
+            assert_eq!(asker.join().expect("the request is answered"), 1);
         }
     }
 
