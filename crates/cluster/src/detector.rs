@@ -1,8 +1,8 @@
 //! The heartbeat failure detector.
 //!
 //! Pure state, no I/O and no clock: the cluster driver feeds it arrival
-//! events (`heard`) and periodic sweeps (`sweep`) off the runtime timer
-//! wheel. A peer silent for `miss_limit` heartbeat periods is reported
+//! events (`heard`) and periodic sweeps (`sweep`) at its sweep deadline.
+//! A peer silent for `miss_limit` heartbeat periods is reported
 //! suspected exactly once — suspicion is *sticky* until the next view
 //! change resets the detector, which is the backoff: one crashed peer
 //! produces one `Suspect` into the stack, not one per sweep, no matter

@@ -16,11 +16,11 @@
 //!   lowest endpoint = initial coordinator) and an optional application
 //!   snapshot ([`StateProvider`]).
 //! * **Failure detection** ([`detector`]) — each member heartbeats its
-//!   peers every `heartbeat_period` off the runtime timer wheel; a peer
-//!   silent for `miss_limit` periods is suspected once (sticky until
-//!   the next view) and fed into the stack as a real `Suspect` event.
-//!   The stack — not this crate — then runs the flush and installs the
-//!   new view on every survivor.
+//!   peers every `heartbeat_period`; a peer silent for `miss_limit`
+//!   periods is suspected once (sticky until the next view) and handed
+//!   to the stack by endpoint. The stack — not this crate — maps it to a
+//!   rank in the view it is in, runs the flush and installs the new view
+//!   on every survivor.
 //! * **Epoch fencing** ([`wire`]) — every control frame carries the
 //!   sender's view ltime. Heartbeats from an older epoch are answered
 //!   with a `Fence`, so an expelled member stops disturbing the group
@@ -45,13 +45,15 @@
 //!   over seeded [`ensemble_runtime::PartitionScript`]s.
 //!
 //! ```no_run
-//! use ensemble_cluster::{ClusterConfig, ClusterNode};
+//! use ensemble_cluster::{ClusterConfig, ClusterEvent, ClusterNode};
 //! use ensemble_runtime::LoopbackHub;
 //! use ensemble_util::Endpoint;
+//! use std::sync::mpsc::channel;
 //!
 //! let control = LoopbackHub::new(1);
 //! let data = LoopbackHub::new(2);
 //! let (me, seed) = (Endpoint::new(0), Endpoint::new(0));
+//! let (tx, events) = channel::<ClusterEvent>();
 //! let node = ClusterNode::form(
 //!     me,
 //!     seed,
@@ -59,8 +61,10 @@
 //!     Box::new(control.attach(me)),
 //!     Box::new(data.attach(me)),
 //!     None,
+//!     tx,
 //! )
 //! .unwrap();
+//! println!("{:?}", events.recv());
 //! println!("{}", node.metrics_text());
 //! ```
 //!
@@ -82,7 +86,7 @@ pub mod wire;
 pub use config::{ClusterConfig, ClusterError, QuorumPolicy};
 pub use detector::Detector;
 pub use invariant::VsyncChecker;
-pub use member::{ClusterEvent, ClusterNode, EventSink, StateProvider};
+pub use member::{ClusterEvent, ClusterNode, StateProvider};
 pub use metrics::ClusterMetrics;
 pub use rendezvous::{Joined, JoinerRendezvous, SeedRendezvous};
 pub use wire::{decode, encode, Envelope, Frame, WireError};

@@ -2,17 +2,19 @@
 //!
 //! `form` runs rendezvous synchronously on the caller's thread, joins
 //! the agreed view on a private [`Node`], then hands the control
-//! transport and the group handle to a *driver* thread that:
+//! transport and the group handle to a *driver* thread. The driver owns
+//! the member's view and three deadlines (heartbeat, detector sweep,
+//! merge beacon), parks until the earliest of them or a wake-up, and:
 //!
-//! * heartbeats every peer each period and sweeps the [`Detector`], both
-//!   off the runtime [`ensemble_runtime::TimerWheel`];
-//! * feeds real `Suspect` events into the stack (suspect/elect/gmp run
-//!   the actual view change — the driver never invents views);
+//! * heartbeats every peer each period and sweeps the [`Detector`];
+//! * feeds real `Suspect` events into the stack, naming the silent
+//!   members by endpoint: the stack maps them to ranks in the view it
+//!   is in (suspect/elect/gmp run the actual view change — the driver
+//!   never invents views);
 //! * fences stale-epoch frames, so an expelled member cannot disturb the
 //!   survivors and learns it has been passed by;
-//! * hands stack deliveries to an [`EventSink`] the caller supplies —
-//!   an unbounded channel behind [`ClusterNode::recv_timeout`] for
-//!   [`ClusterNode::form`] — so the application reads at its own pace
+//! * hands stack deliveries to the channel the caller passed to
+//!   [`ClusterNode::form`], so the application reads at its own pace
 //!   without stalling a shard.
 
 use crate::config::{ClusterConfig, ClusterError, QuorumPolicy};
@@ -26,9 +28,10 @@ use ensemble_runtime::{Delivery, GroupHandle, GroupSender, Node, NodeObs, Transp
 use ensemble_transport::Packet;
 use ensemble_util::{Endpoint, GroupId, Rank, Time, ViewId};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Supplies the application snapshot shipped to joiners in the Welcome.
 ///
@@ -52,11 +55,6 @@ impl<F: FnMut() -> Vec<u8> + Send> StateProvider for F {
         self()
     }
 }
-
-/// Where a member puts its [`ClusterEvent`]s: called with `Snapshot` and
-/// `Formed` on the thread running `form`, then from the driver thread,
-/// in order. It must only hand the event on (push it into a queue).
-pub type EventSink = Box<dyn FnMut(ClusterEvent) + Send>;
 
 /// What a cluster member reports to its application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,12 +102,12 @@ pub struct ClusterNode {
     ep: Endpoint,
     node: Node,
     sender: GroupSender,
-    /// The channel behind [`ClusterNode::form`]'s sink; `None` for
-    /// [`ClusterNode::form_with_sink`].
-    events: Option<Receiver<ClusterEvent>>,
     metrics: Arc<ClusterMetrics>,
+    /// The driver's view, published each time it installs one.
     view: Arc<Mutex<ViewState>>,
     stop: Arc<AtomicBool>,
+    /// The driver parks on this; `halt` wakes it after setting `stop`.
+    waker: Arc<Waker>,
     serving: Arc<AtomicBool>,
     driver: Option<JoinHandle<()>>,
 }
@@ -122,43 +120,29 @@ impl ClusterNode {
     /// frames; `data` carries the group stack's traffic — two transport
     /// instances for the same endpoint identity. When `ep == seed`,
     /// this node *is* the seed and `state` (if any) supplies the
-    /// snapshot shipped to every joiner. Events are read with
-    /// [`ClusterNode::recv_timeout`] and [`ClusterNode::try_recv`].
-    pub fn form(
-        ep: Endpoint,
-        seed: Endpoint,
-        cfg: ClusterConfig,
-        control: Box<dyn Transport>,
-        data: Box<dyn Transport>,
-        state: Option<Box<dyn StateProvider>>,
-    ) -> Result<ClusterNode, ClusterError> {
-        let (tx, rx) = channel();
-        let sink: EventSink = Box::new(move |ev| {
-            let _ = tx.send(ev);
-        });
-        let mut node = Self::form_with_sink(ep, seed, cfg, control, data, state, sink)?;
-        node.events = Some(rx);
-        Ok(node)
-    }
-
-    /// Like [`ClusterNode::form`], but every event goes to `sink`
-    /// (`recv_timeout` and `try_recv` then see none). An application
-    /// whose thread also serves `state` requests can merge both into
-    /// one queue: the driver asks `state` and emits deliveries in its
-    /// own program order.
-    pub fn form_with_sink(
+    /// snapshot shipped to every joiner.
+    ///
+    /// Every [`ClusterEvent`] goes to `events`: `Snapshot` and `Formed`
+    /// from the caller's thread before this returns, the rest from the
+    /// driver thread, in order. An application whose thread also serves
+    /// `state` requests can merge both into one queue: the driver asks
+    /// `state` and emits deliveries in its own program order.
+    pub fn form<E>(
         ep: Endpoint,
         seed: Endpoint,
         cfg: ClusterConfig,
         mut control: Box<dyn Transport>,
         data: Box<dyn Transport>,
         state: Option<Box<dyn StateProvider>>,
-        mut sink: EventSink,
-    ) -> Result<ClusterNode, ClusterError> {
+        events: Sender<E>,
+    ) -> Result<ClusterNode, ClusterError>
+    where
+        E: From<ClusterEvent> + Send + 'static,
+    {
         cfg.validate()?;
         let metrics = Arc::new(ClusterMetrics::default());
         let deadline = std::time::Instant::now() + cfg.form_timeout;
-        let poll_pause = (cfg.hello_retry / 4).max(std::time::Duration::from_micros(200));
+        let poll_pause = (cfg.hello_retry / 4).max(Duration::from_micros(200));
 
         // --- Rendezvous (caller's thread, blocking) -------------------
         let am_seed = ep == seed;
@@ -263,7 +247,7 @@ impl ClusterNode {
                 Direction::Up,
                 snapshot_in.len() as u64,
             );
-            sink(ClusterEvent::Snapshot(snapshot_in));
+            let _ = events.send(ClusterEvent::Snapshot(snapshot_in).into());
         } else if am_seed && !snapshot_out.is_empty() {
             record(
                 &obs,
@@ -275,23 +259,32 @@ impl ClusterNode {
                 snapshot_out.len() as u64,
             );
         }
-        sink(ClusterEvent::Formed(vs.clone()));
+        let _ = events.send(ClusterEvent::Formed(vs.clone()).into());
 
-        let view = Arc::new(Mutex::new(vs.clone()));
+        let published = Arc::new(Mutex::new(vs.clone()));
         let stop = Arc::new(AtomicBool::new(false));
         let serving = Arc::new(AtomicBool::new(true));
+        let waker = Arc::new(Waker::new());
+        let now = Time(now_ns());
+        let period_ns = cfg.heartbeat_period.as_nanos() as u64;
+        let beacon_period_ns = cfg.merge_beacon_period.as_nanos() as u64;
         let driver = Driver {
             me: ep,
             key: cfg.key,
-            period_ns: cfg.heartbeat_period.as_nanos() as u64,
+            period_ns,
             control,
             handle,
             welcome: welcome_cache.map(|r| (r, members)),
-            detector: Detector::new(cfg.heartbeat_period.as_nanos() as u64, cfg.miss_limit),
-            view: Arc::clone(&view),
+            detector: Detector::new(period_ns, cfg.miss_limit),
+            view: vs,
+            published: Arc::clone(&published),
             metrics: Arc::clone(&metrics),
-            events: sink,
+            events,
             stop: Arc::clone(&stop),
+            waker: Arc::clone(&waker),
+            heartbeat_at: Time(now.0 + period_ns),
+            sweep_at: Time(now.0 + period_ns / 2),
+            beacon_at: Time(now.0 + beacon_period_ns),
             obs,
             obs_shard,
             tag,
@@ -301,7 +294,7 @@ impl ClusterNode {
             suspicion_at: None,
             state,
             quorum: cfg.quorum,
-            beacon_period_ns: cfg.merge_beacon_period.as_nanos() as u64,
+            beacon_period_ns,
             stalled: false,
             serving: Arc::clone(&serving),
             suspected_eps: Vec::new(),
@@ -312,17 +305,17 @@ impl ClusterNode {
         };
         let worker = std::thread::Builder::new()
             .name(format!("ensemble-cluster-{}", ep.id()))
-            .spawn(move || driver.run())
+            .spawn(move || driver.run(now))
             .map_err(|e| ClusterError::Runtime(format!("spawn driver: {e}")))?;
 
         Ok(ClusterNode {
             ep,
             node,
             sender,
-            events: None,
             metrics,
-            view,
+            view: published,
             stop,
+            waker,
             serving,
             driver: Some(worker),
         })
@@ -348,13 +341,6 @@ impl ClusterNode {
             .map_err(|e| ClusterError::Runtime(e.to_string()))
     }
 
-    /// Sends `payload` point-to-point to `dst` (a rank in the current view).
-    pub fn send(&self, dst: Rank, payload: &[u8]) -> Result<(), ClusterError> {
-        self.sender
-            .send(dst, payload)
-            .map_err(|e| ClusterError::Runtime(e.to_string()))
-    }
-
     /// A cloneable send-only handle usable from other threads.
     pub fn sender(&self) -> GroupSender {
         self.sender.clone()
@@ -375,19 +361,6 @@ impl ClusterNode {
     /// borrow the node (e.g. TCP connection workers).
     pub fn serving_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.serving)
-    }
-
-    /// Blocks up to `timeout` for the next cluster event. A node formed
-    /// with [`ClusterNode::form_with_sink`] sees none here: its events go
-    /// to the sink.
-    pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<ClusterEvent> {
-        self.events.as_ref()?.recv_timeout(timeout).ok()
-    }
-
-    /// Non-blocking poll for the next cluster event (none for a node
-    /// formed with [`ClusterNode::form_with_sink`]).
-    pub fn try_recv(&self) -> Option<ClusterEvent> {
-        self.events.as_ref()?.try_recv().ok()
     }
 
     /// This member's cluster counters.
@@ -425,25 +398,6 @@ impl ClusterNode {
         text
     }
 
-    /// Gracefully leaves the group, then stops this member — at once if
-    /// it was formed with [`ClusterNode::form_with_sink`].
-    pub fn leave(mut self) {
-        let _ = self.sender.leave();
-        let Some(events) = &self.events else {
-            return self.halt();
-        };
-        // Give the stack a moment to emit Exit before tearing down.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_millis(500);
-        while std::time::Instant::now() < deadline {
-            match events.recv_timeout(std::time::Duration::from_millis(50)) {
-                Ok(ClusterEvent::Delivery(Delivery::Exit)) => break,
-                Ok(_) | Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.halt();
-    }
-
     /// Stops this member abruptly — no Leave, no flush — simulating a
     /// crash. Survivors must detect it and install a new view.
     pub fn kill(mut self) {
@@ -452,6 +406,7 @@ impl ClusterNode {
 
     fn halt(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.waker.wake();
         if let Some(d) = self.driver.take() {
             let _ = d.join();
         }
@@ -492,17 +447,7 @@ fn record(
     );
 }
 
-/// What the driver's timer wheel fires.
-enum Tick {
-    /// Send a heartbeat to every peer.
-    Heartbeat,
-    /// Sweep the detector for newly silent peers.
-    Sweep,
-    /// Advertise this component to absent/suspected members for merge.
-    Beacon,
-}
-
-struct Driver {
+struct Driver<E> {
     me: Endpoint,
     key: u64,
     period_ns: u64,
@@ -512,10 +457,20 @@ struct Driver {
     /// joiner whose Welcome was lost (it shows up as a repeated Hello).
     welcome: Option<(SeedRendezvous, Vec<Endpoint>)>,
     detector: Detector,
-    view: Arc<Mutex<ViewState>>,
+    /// The view this driver last installed; its own copy, read lock-free.
+    view: ViewState,
+    /// Where [`ClusterNode::view`] reads `view`, written at each install.
+    published: Arc<Mutex<ViewState>>,
     metrics: Arc<ClusterMetrics>,
-    events: EventSink,
+    events: Sender<E>,
     stop: Arc<AtomicBool>,
+    waker: Arc<Waker>,
+    /// When to heartbeat every peer next.
+    heartbeat_at: Time,
+    /// When to sweep the detector for newly silent peers next.
+    sweep_at: Time,
+    /// When to beacon absent and suspected members next.
+    beacon_at: Time,
     obs: Arc<NodeObs>,
     obs_shard: usize,
     tag: Tag,
@@ -551,25 +506,17 @@ struct Driver {
     merging: bool,
 }
 
-impl Driver {
-    fn run(mut self) {
-        let now = Time(now_ns());
-        let mut wheel: ensemble_runtime::TimerWheel<Tick> = ensemble_runtime::TimerWheel::new(now);
-        wheel.schedule(Time(now.0 + self.period_ns), Tick::Heartbeat);
-        wheel.schedule(Time(now.0 + self.period_ns / 2), Tick::Sweep);
-        wheel.schedule(Time(now.0 + self.beacon_period_ns), Tick::Beacon);
+impl<E: From<ClusterEvent>> Driver<E> {
+    fn run(mut self, now: Time) {
         self.detector.reset(&self.peers(), now);
-        let mut fired: Vec<(Time, Tick)> = Vec::new();
-        let pause = std::time::Duration::from_nanos((self.period_ns / 8).clamp(100_000, 5_000_000));
-
-        // Park on a waker instead of sleeping blind: the shard nudges it
-        // once per batch of deliveries it hands over (the loop below
-        // drains the whole batch) and the control transport on every
-        // ingress packet, so forwarding latency is wake-up time rather
-        // than up to a full `pause`. The bound keeps timer ticks live.
-        let waker = Arc::new(Waker::new());
-        let _ = self.handle.set_delivery_waker(Arc::clone(&waker));
-        self.control.set_waker(Arc::clone(&waker));
+        // The longest park. The shard nudges the waker once per batch of
+        // deliveries it hands over (the loop below drains the whole
+        // batch), the control transport on every ingress packet, and
+        // `halt` on stop; a transport that ignores `set_waker` (UDP) is
+        // only polled this often.
+        let pause = Duration::from_nanos((self.period_ns / 8).clamp(100_000, 5_000_000));
+        let _ = self.handle.set_delivery_waker(Arc::clone(&self.waker));
+        self.control.set_waker(Arc::clone(&self.waker));
 
         while !self.stop.load(Ordering::Relaxed) {
             let mut busy = false;
@@ -586,25 +533,21 @@ impl Driver {
                 }
             }
 
-            // Timer wheel: heartbeats out, detector sweeps.
-            fired.clear();
-            wheel.advance(now, &mut fired);
-            for (_, tick) in fired.drain(..) {
+            // Deadlines: heartbeats out, detector sweeps, merge beacons.
+            if now >= self.heartbeat_at {
                 busy = true;
-                match tick {
-                    Tick::Heartbeat => {
-                        self.heartbeat(now);
-                        wheel.schedule(Time(now.0 + self.period_ns), Tick::Heartbeat);
-                    }
-                    Tick::Sweep => {
-                        self.sweep(now);
-                        wheel.schedule(Time(now.0 + self.period_ns / 2), Tick::Sweep);
-                    }
-                    Tick::Beacon => {
-                        self.beacon(now);
-                        wheel.schedule(Time(now.0 + self.beacon_period_ns), Tick::Beacon);
-                    }
-                }
+                self.heartbeat();
+                self.heartbeat_at = Time(now.0 + self.period_ns);
+            }
+            if now >= self.sweep_at {
+                busy = true;
+                self.sweep(now);
+                self.sweep_at = Time(now.0 + self.period_ns / 2);
+            }
+            if now >= self.beacon_at {
+                busy = true;
+                self.beacon();
+                self.beacon_at = Time(now.0 + self.beacon_period_ns);
             }
 
             // Stack deliveries out to the application.
@@ -614,17 +557,21 @@ impl Driver {
             }
 
             if !busy {
-                waker.park(pause);
+                let due = self.heartbeat_at.min(self.sweep_at).min(self.beacon_at);
+                let wait = Duration::from_nanos(due.0.saturating_sub(now_ns()));
+                self.waker.park(wait.min(pause));
             }
         }
         self.serving.store(false, Ordering::Relaxed);
     }
 
+    fn emit(&self, ev: ClusterEvent) {
+        let _ = self.events.send(ev.into());
+    }
+
     /// Current peers (everyone in the view but us).
     fn peers(&self) -> Vec<Endpoint> {
         self.view
-            .lock()
-            .expect("cluster view mutex poisoned: the driver thread panicked")
             .members
             .iter()
             .copied()
@@ -642,7 +589,7 @@ impl Driver {
         let _ = self.control.send(&Packet::point(self.me, to, bytes));
     }
 
-    fn heartbeat(&mut self, _now: Time) {
+    fn heartbeat(&mut self) {
         // A stalled component keeps heartbeating its own side (else the
         // minority members suspect each other and heal one-by-one); the
         // Fences its stale epoch draws from the majority are ignored
@@ -675,13 +622,7 @@ impl Driver {
         if newly.is_empty() {
             return;
         }
-        let vs = self
-            .view
-            .lock()
-            .expect("cluster view mutex poisoned: the driver thread panicked")
-            .clone();
-        let mut ranks = Vec::new();
-        for ep in newly {
+        for &ep in &newly {
             self.metrics.suspicions.fetch_add(1, Ordering::Relaxed);
             record(
                 &self.obs,
@@ -695,12 +636,6 @@ impl Driver {
             if !self.suspected_eps.contains(&ep) {
                 self.suspected_eps.push(ep);
             }
-            if let Some(r) = vs.rank_of(ep) {
-                ranks.push(r);
-            }
-        }
-        if ranks.is_empty() {
-            return;
         }
         if self.suspicion_at.is_none() {
             self.suspicion_at = Some(now.0);
@@ -709,13 +644,13 @@ impl Driver {
         // this component still holds a strict majority of the last view.
         // Below that, stall instead — the other side of the split owns
         // the primary view sequence.
-        let live = self.live_members(&vs).len();
-        let needed = vs.members.len() / 2 + 1;
+        let live = self.live_members().len();
+        let needed = self.view.members.len() / 2 + 1;
         if self.quorum == QuorumPolicy::MajorityOfLastView && live < needed {
             self.enter_stall(live, needed);
             return;
         }
-        if self.am_acting_coord(&vs) {
+        if self.am_acting_coord() {
             // The acting coordinator's gmp will open the flush: this is
             // where the new view is first proposed.
             record(
@@ -728,12 +663,13 @@ impl Driver {
                 self.epoch + 1,
             );
         }
-        let _ = self.handle.suspect(ranks);
+        let _ = self.handle.suspect(newly);
     }
 
-    /// Members of `vs` not currently suspected, in view order.
-    fn live_members(&self, vs: &ViewState) -> Vec<Endpoint> {
-        vs.members
+    /// Members of the view not currently suspected, in view order.
+    fn live_members(&self) -> Vec<Endpoint> {
+        self.view
+            .members
             .iter()
             .copied()
             .filter(|m| !self.suspected_eps.contains(m))
@@ -742,12 +678,12 @@ impl Driver {
 
     /// The lowest unsuspected member acts as coordinator: rank 0 itself
     /// may be on the far side of a partition.
-    fn acting_coord(&self, vs: &ViewState) -> Option<Endpoint> {
-        self.live_members(vs).first().copied()
+    fn acting_coord(&self) -> Option<Endpoint> {
+        self.live_members().first().copied()
     }
 
-    fn am_acting_coord(&self, vs: &ViewState) -> bool {
-        self.acting_coord(vs) == Some(self.me)
+    fn am_acting_coord(&self) -> bool {
+        self.acting_coord() == Some(self.me)
     }
 
     /// Publishes the service-plane availability flag ([`ClusterNode::is_serving`]).
@@ -775,22 +711,14 @@ impl Driver {
             Direction::Dn,
             live as u64,
         );
-        (self.events)(ClusterEvent::MinorityPartition { live, needed });
+        self.emit(ClusterEvent::MinorityPartition { live, needed });
     }
 
     /// Periodic merge beacon: the acting coordinator advertises its
     /// component to every absent or suspected member so the two sides of
     /// a healed partition rediscover each other.
-    fn beacon(&mut self, _now: Time) {
-        if self.fenced {
-            return;
-        }
-        let vs = self
-            .view
-            .lock()
-            .expect("cluster view mutex poisoned: the driver thread panicked")
-            .clone();
-        if !self.am_acting_coord(&vs) {
+    fn beacon(&mut self) {
+        if self.fenced || !self.am_acting_coord() {
             return;
         }
         let mut targets: Vec<Endpoint> = Vec::new();
@@ -802,7 +730,7 @@ impl Driver {
         if targets.is_empty() {
             return;
         }
-        let live = self.live_members(&vs);
+        let live = self.live_members();
         for t in &targets {
             self.send_control(
                 *t,
@@ -841,21 +769,13 @@ impl Driver {
         their_stalled: bool,
         _now: Time,
     ) {
-        if self.fenced {
-            return;
-        }
-        let vs = self
-            .view
-            .lock()
-            .expect("cluster view mutex poisoned: the driver thread panicked")
-            .clone();
-        if !self.am_acting_coord(&vs) {
+        if self.fenced || !self.am_acting_coord() {
             return;
         }
         // Beacons from a live same-view peer are echoes, not foreign
         // components — nothing to merge.
         let foreign =
-            self.stalled || !vs.members.contains(&src) || self.suspected_eps.contains(&src);
+            self.stalled || !self.view.members.contains(&src) || self.suspected_eps.contains(&src);
         if !foreign {
             return;
         }
@@ -868,7 +788,7 @@ impl Driver {
             Direction::Up,
             their_epoch,
         );
-        let live = self.live_members(&vs);
+        let live = self.live_members();
         if (!their_stalled, their_epoch, src) > (!self.stalled, self.epoch, self.me) {
             self.metrics.merge_requests.fetch_add(1, Ordering::Relaxed);
             self.send_control(src, Frame::MergeRequest { members: live });
@@ -891,13 +811,8 @@ impl Driver {
         if self.fenced {
             return;
         }
-        let vs = self
-            .view
-            .lock()
-            .expect("cluster view mutex poisoned: the driver thread panicked")
-            .clone();
-        if !self.am_acting_coord(&vs) {
-            if let Some(c) = self.acting_coord(&vs) {
+        if !self.am_acting_coord() {
+            if let Some(c) = self.acting_coord() {
                 if c != self.me {
                     self.send_control(c, Frame::MergeRequest { members });
                 }
@@ -908,7 +823,7 @@ impl Driver {
             if ep == self.me {
                 continue;
             }
-            let live_in_view = vs.members.contains(&ep) && !self.suspected_eps.contains(&ep);
+            let live_in_view = self.view.members.contains(&ep) && !self.suspected_eps.contains(&ep);
             if live_in_view {
                 continue;
             }
@@ -916,24 +831,24 @@ impl Driver {
                 self.pending_admits.push(ep);
             }
         }
-        self.try_merge(&vs);
+        self.try_merge();
     }
 
     /// Starts a merge flush for the queued admits if none is in flight
     /// and the merged membership would hold quorum. A stalled senior
     /// unstalls here and injects its gated suspicions so gmp can run the
     /// combined suspect+merge view change without unreachable rows.
-    fn try_merge(&mut self, vs: &ViewState) {
+    fn try_merge(&mut self) {
         if self.merging || self.pending_admits.is_empty() {
             return;
         }
-        let mut merged = self.live_members(vs);
+        let mut merged = self.live_members();
         for ep in &self.pending_admits {
             if !merged.iter().any(|m| m.id() == ep.id()) {
                 merged.push(*ep);
             }
         }
-        let needed = vs.members.len() / 2 + 1;
+        let needed = self.view.members.len() / 2 + 1;
         if self.quorum == QuorumPolicy::MajorityOfLastView && merged.len() < needed {
             return;
         }
@@ -951,13 +866,8 @@ impl Driver {
                 Direction::Up,
                 merged.len() as u64,
             );
-            let ranks: Vec<Rank> = self
-                .suspected_eps
-                .iter()
-                .filter_map(|&e| vs.rank_of(e))
-                .collect();
-            if !ranks.is_empty() {
-                let _ = self.handle.suspect(ranks);
+            if !self.suspected_eps.is_empty() {
+                let _ = self.handle.suspect(self.suspected_eps.clone());
             }
         }
         record(
@@ -1025,7 +935,7 @@ impl Driver {
                 Direction::Up,
                 snapshot.len() as u64,
             );
-            (self.events)(ClusterEvent::Snapshot(snapshot));
+            self.emit(ClusterEvent::Snapshot(snapshot));
         }
         let _ = self.handle.install_view(vs);
     }
@@ -1037,13 +947,7 @@ impl Driver {
                     return;
                 }
                 if env.epoch < self.epoch {
-                    let lagging = self
-                        .view
-                        .lock()
-                        .expect("cluster view mutex poisoned: the driver thread panicked")
-                        .members
-                        .contains(&env.src);
-                    if lagging {
+                    if self.view.members.contains(&env.src) {
                         // A current member still catching up to the view
                         // we installed first (e.g. freshly merge-granted
                         // while another merge lands): alive, not expelled.
@@ -1054,7 +958,7 @@ impl Driver {
                         // observer that polls `fences_sent` is guaranteed to
                         // find the FencedPeer event already handed to the sink.
                         self.send_control(env.src, Frame::Fence);
-                        (self.events)(ClusterEvent::FencedPeer {
+                        self.emit(ClusterEvent::FencedPeer {
                             peer: env.src,
                             epoch: env.epoch,
                         });
@@ -1093,7 +997,7 @@ impl Driver {
                     self.fenced = true;
                     self.publish_serving();
                     self.metrics.fences_received.fetch_add(1, Ordering::Relaxed);
-                    (self.events)(ClusterEvent::FencedBy {
+                    self.emit(ClusterEvent::FencedBy {
                         peer: env.src,
                         epoch: env.epoch,
                     });
@@ -1147,13 +1051,8 @@ impl Driver {
     fn on_delivery(&mut self, d: Delivery, now: Time) {
         if let Delivery::View(vs) = &d {
             self.epoch = vs.view_id.ltime;
-            let prev = {
-                let mut guard = self
-                    .view
-                    .lock()
-                    .expect("cluster view mutex poisoned: the driver thread panicked");
-                std::mem::replace(&mut *guard, vs.clone())
-            };
+            let prev = std::mem::replace(&mut self.view, vs.clone());
+            *self.published.lock().expect("cluster view mutex poisoned") = vs.clone();
             // Members the group expelled stay on the beacon list until a
             // merge (under any incarnation) brings them back.
             for m in prev.members {
@@ -1262,9 +1161,9 @@ impl Driver {
             }
             self.merging = false;
             if !self.pending_admits.is_empty() {
-                self.try_merge(vs);
+                self.try_merge();
             }
         }
-        (self.events)(ClusterEvent::Delivery(d));
+        self.emit(ClusterEvent::Delivery(d));
     }
 }

@@ -18,20 +18,40 @@
 //! the virtual-synchrony contract — one primary view sequence, agreed
 //! delivery, exactly-once — for each seed in the matrix.
 
-use ensemble_cluster::{ClusterConfig, ClusterEvent, ClusterNode, StateProvider, VsyncChecker};
+use ensemble_cluster::{ClusterConfig, ClusterEvent, StateProvider, VsyncChecker};
 use ensemble_runtime::{Delivery, FaultPlan, LoopbackHub};
 use ensemble_util::Endpoint;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Member;
+
 const N: usize = 6;
 const MAJORITY: [u32; 4] = [0, 1, 2, 3];
 const MINORITY: [u32; 2] = [4, 5];
 
+/// Forms `ep` through `seed` with a state provider, so whoever ends up
+/// acting coordinator after a crash can still ship snapshots.
+fn form(
+    control: &LoopbackHub,
+    data: &LoopbackHub,
+    ep: Endpoint,
+    seed: Endpoint,
+    cfg: ClusterConfig,
+) -> std::thread::JoinHandle<Result<Member, ensemble_cluster::ClusterError>> {
+    let (c, d) = (control.attach(ep), data.attach(ep));
+    std::thread::spawn(move || {
+        let state: Option<Box<dyn StateProvider>> =
+            Some(Box::new(|| b"kv-state".to_vec()) as Box<dyn StateProvider>);
+        Member::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
+    })
+}
+
 struct Harness {
     /// Slot per original member id; `None` while that member is dead.
-    nodes: Vec<Option<ClusterNode>>,
+    nodes: Vec<Option<Member>>,
     checker: VsyncChecker,
     casts: Vec<Vec<Vec<u8>>>,
     stalled: HashSet<u32>,
@@ -41,23 +61,13 @@ struct Harness {
 impl Harness {
     /// Forms the six-node cluster and seeds the checker with the
     /// initial view (its `Formed` event is consumed while forming).
-    /// Every node carries a state provider so whoever ends up acting
-    /// coordinator after a crash can still ship snapshots to rejoiners.
     fn form(control: &LoopbackHub, data: &LoopbackHub) -> Harness {
         let cfg = ClusterConfig::new(N);
         let seed = Endpoint::new(0);
-        let mut formers = Vec::new();
-        for i in 0..N as u32 {
-            let ep = Endpoint::new(i);
-            let (c, d) = (control.attach(ep), data.attach(ep));
-            let cfg = cfg.clone();
-            formers.push(std::thread::spawn(move || {
-                let state: Option<Box<dyn StateProvider>> =
-                    Some(Box::new(|| b"kv-state".to_vec()) as Box<dyn StateProvider>);
-                ClusterNode::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
-            }));
-        }
-        let nodes: Vec<Option<ClusterNode>> = formers
+        let formers: Vec<_> = (0..N as u32)
+            .map(|i| form(control, data, Endpoint::new(i), seed, cfg.clone()))
+            .collect();
+        let nodes: Vec<Option<Member>> = formers
             .into_iter()
             .map(|f| Some(f.join().unwrap().expect("rendezvous completes")))
             .collect();
@@ -66,8 +76,8 @@ impl Harness {
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
                 assert!(Instant::now() < deadline, "node never saw Formed");
-                match n.recv_timeout(Duration::from_millis(10)) {
-                    Some(ClusterEvent::Formed(vs)) => {
+                match n.events.recv_timeout(Duration::from_millis(10)) {
+                    Ok(ClusterEvent::Formed(vs)) => {
                         assert_eq!(vs.nmembers(), N);
                         checker.on_view(n.endpoint(), &vs);
                         break;
@@ -86,7 +96,7 @@ impl Harness {
     }
 
     /// The live node in slot `id` (panics if it is crashed).
-    fn node(&self, id: u32) -> &ClusterNode {
+    fn node(&self, id: u32) -> &Member {
         self.nodes[id as usize].as_ref().expect("node alive")
     }
 
@@ -94,7 +104,7 @@ impl Harness {
         for (i, n) in self.nodes.iter().enumerate() {
             let Some(n) = n else { continue };
             let ep = n.endpoint();
-            while let Some(ev) = n.try_recv() {
+            while let Ok(ev) = n.events.try_recv() {
                 match ev {
                     ClusterEvent::Formed(vs) => self.checker.on_view(ep, &vs),
                     ClusterEvent::Delivery(Delivery::View(vs)) => self.checker.on_view(ep, &vs),
@@ -152,7 +162,7 @@ impl Harness {
         self.drain();
         let n = self.nodes[id as usize].take().expect("victim alive");
         let ep = n.endpoint();
-        n.kill();
+        n.node.kill();
         ep
     }
 
@@ -180,18 +190,11 @@ fn restart(
     data: &LoopbackHub,
     dead: Endpoint,
     contact: Endpoint,
-) -> std::thread::JoinHandle<ClusterNode> {
-    let reborn = dead.reincarnate();
-    let (c, d) = (control.attach(reborn), data.attach(reborn));
+) -> std::thread::JoinHandle<Result<Member, ensemble_cluster::ClusterError>> {
     let mut cfg = ClusterConfig::new(N);
     cfg.join_deadline = Duration::from_secs(30);
     cfg.form_timeout = Duration::from_secs(30);
-    std::thread::spawn(move || {
-        let state: Option<Box<dyn StateProvider>> =
-            Some(Box::new(|| b"kv-state".to_vec()) as Box<dyn StateProvider>);
-        ClusterNode::form(reborn, contact, cfg, Box::new(c), Box::new(d), state)
-            .expect("rejoin completes")
-    })
+    form(control, data, dead.reincarnate(), contact, cfg)
 }
 
 fn soak(seed: u64) {
@@ -317,7 +320,7 @@ fn crash_soak(seed: u64) {
 
     // Node 5 restarts under a fresh incarnation and rejoins by merge.
     let t = restart(&control, &data, dead5, h.node(0).endpoint());
-    h.nodes[5] = Some(t.join().unwrap());
+    h.nodes[5] = Some(t.join().unwrap().expect("rejoin completes"));
     h.wait("reborn follower pulled into the 6-member view", |h| {
         h.nodes.iter().flatten().all(|n| n.view().nmembers() == N)
     });
@@ -333,7 +336,7 @@ fn crash_soak(seed: u64) {
     // The old coordinator rejoins by Hello-ing a surviving member; the
     // relay forwards it to the acting coordinator.
     let t = restart(&control, &data, dead0, h.node(1).endpoint());
-    h.nodes[0] = Some(t.join().unwrap());
+    h.nodes[0] = Some(t.join().unwrap().expect("rejoin completes"));
     h.wait("reborn ex-coordinator pulled into the 6-member view", |h| {
         h.nodes.iter().flatten().all(|n| n.view().nmembers() == N)
     });
@@ -348,7 +351,7 @@ fn crash_soak(seed: u64) {
     let t = restart(&control, &data, dead4, h.node(1).endpoint());
     std::thread::sleep(Duration::from_millis(5 + (seed % 7) * 5));
     let dead3 = h.kill(3);
-    h.nodes[4] = Some(t.join().unwrap());
+    h.nodes[4] = Some(t.join().unwrap().expect("rejoin completes"));
     let live = [0u32, 1, 2, 4, 5];
     h.wait(
         "five live members converge after the mid-merge crash",

@@ -8,9 +8,7 @@
 //! a correctly-signed heartbeat from a stale epoch is answered with a
 //! `Fence` and never disturbs the installed view.
 
-use ensemble_cluster::{
-    encode, ClusterConfig, ClusterEvent, ClusterNode, Envelope, Frame, StateProvider,
-};
+use ensemble_cluster::{encode, ClusterConfig, ClusterEvent, Envelope, Frame, StateProvider};
 use ensemble_event::ViewState;
 use ensemble_runtime::{Delivery, FaultPlan, LoopbackHub, Transport};
 use ensemble_transport::Packet;
@@ -18,9 +16,12 @@ use ensemble_util::Endpoint;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Member;
+
 /// Forms a three-node cluster over the given hubs and drains each
 /// node's queue through its `Formed` event.
-fn form_three(control: &LoopbackHub, data: &LoopbackHub) -> Vec<ClusterNode> {
+fn form_three(control: &LoopbackHub, data: &LoopbackHub) -> Vec<Member> {
     let cfg = ClusterConfig::new(3);
     let seed = Endpoint::new(0);
     let mut formers = Vec::new();
@@ -31,10 +32,10 @@ fn form_three(control: &LoopbackHub, data: &LoopbackHub) -> Vec<ClusterNode> {
         formers.push(std::thread::spawn(move || {
             let state: Option<Box<dyn StateProvider>> =
                 (ep == seed).then(|| Box::new(|| b"kv-state".to_vec()) as Box<dyn StateProvider>);
-            ClusterNode::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
+            Member::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
         }));
     }
-    let nodes: Vec<ClusterNode> = formers
+    let nodes: Vec<Member> = formers
         .into_iter()
         .map(|f| f.join().unwrap().expect("rendezvous completes"))
         .collect();
@@ -46,8 +47,8 @@ fn form_three(control: &LoopbackHub, data: &LoopbackHub) -> Vec<ClusterNode> {
                 "node {} never saw Formed",
                 n.endpoint().id()
             );
-            match n.recv_timeout(Duration::from_millis(10)) {
-                Some(ClusterEvent::Formed(vs)) => {
+            match n.events.recv_timeout(Duration::from_millis(10)) {
+                Ok(ClusterEvent::Formed(vs)) => {
                     assert_eq!(vs.nmembers(), 3);
                     break;
                 }
@@ -60,13 +61,13 @@ fn form_three(control: &LoopbackHub, data: &LoopbackHub) -> Vec<ClusterNode> {
 
 /// Drains every pending event on each survivor into `views` / `casts`.
 fn drain(
-    nodes: &[ClusterNode],
+    nodes: &[Member],
     views: &mut [Vec<ViewState>],
     casts: &mut [Vec<Vec<u8>>],
     fenced: &mut Vec<(Endpoint, u64)>,
 ) {
     for (i, n) in nodes.iter().enumerate() {
-        while let Some(ev) = n.try_recv() {
+        while let Ok(ev) = n.events.try_recv() {
             match ev {
                 ClusterEvent::Delivery(Delivery::View(vs)) => views[i].push(vs),
                 ClusterEvent::Delivery(Delivery::Cast { bytes, .. }) => casts[i].push(bytes),
@@ -90,7 +91,7 @@ fn survivors_install_exactly_one_new_view_with_exactly_once_delivery() {
     nodes[0].cast(b"before").unwrap();
     let victim = nodes.pop().unwrap();
     let victim_ep = victim.endpoint();
-    victim.kill();
+    victim.node.kill();
     let killed = Instant::now();
 
     // A cast roughly inside the detection/flush window: whether it
@@ -178,7 +179,7 @@ fn stale_epoch_heartbeats_are_fenced_without_disturbing_the_view() {
     let hb = cfg.heartbeat_period;
 
     let victim = nodes.pop().unwrap();
-    victim.kill();
+    victim.node.kill();
     let killed = Instant::now();
 
     let mut views = vec![Vec::new(), Vec::new()];
@@ -279,7 +280,7 @@ fn cloned_sender_casts_through_view_change_exactly_once() {
         sent
     });
     std::thread::sleep(hb);
-    victim.kill();
+    victim.node.kill();
     let killed = Instant::now();
 
     let mut views = vec![Vec::new(), Vec::new()];

@@ -10,12 +10,15 @@
 //! cluster is symmetric: casts from either side deliver exactly once
 //! everywhere.
 
-use ensemble_cluster::{ClusterConfig, ClusterEvent, ClusterNode, StateProvider};
+use ensemble_cluster::{ClusterConfig, ClusterEvent, StateProvider};
 use ensemble_runtime::{Delivery, LoopbackHub};
 use ensemble_util::Endpoint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod common;
+use common::Member;
 
 /// A provider at a fixed state version that counts what it is asked.
 struct Counting {
@@ -69,10 +72,10 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
         formers.push(std::thread::spawn(move || {
             let state: Option<Box<dyn StateProvider>> = (ep == seed)
                 .then(|| Box::new(|| b"replicated-kv".to_vec()) as Box<dyn StateProvider>);
-            ClusterNode::form(ep, seed, cfg.clone(), Box::new(c), Box::new(d), state)
+            Member::form(ep, seed, cfg.clone(), Box::new(c), Box::new(d), state)
         }));
     }
-    let mut nodes: Vec<ClusterNode> = formers
+    let mut nodes: Vec<Member> = formers
         .into_iter()
         .map(|f| f.join().unwrap().expect("rendezvous completes"))
         .collect();
@@ -80,7 +83,7 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
     // Kill the highest member; survivors converge on the 2-member view.
     let victim = nodes.pop().unwrap();
     let victim_ep = victim.endpoint();
-    victim.kill();
+    victim.node.kill();
     wait("survivors install the 2-member view", || {
         nodes
             .iter()
@@ -92,7 +95,7 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
     let (c, d) = (control.attach(reborn_ep), data.attach(reborn_ep));
     let cfg2 = cfg.clone();
     let rejoiner = std::thread::spawn(move || {
-        ClusterNode::form(reborn_ep, seed, cfg2, Box::new(c), Box::new(d), None)
+        Member::form(reborn_ep, seed, cfg2, Box::new(c), Box::new(d), None)
     });
     let reborn = rejoiner.join().unwrap().expect("rejoin completes");
 
@@ -102,12 +105,12 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
     let deadline = Instant::now() + Duration::from_secs(10);
     while formed_view.is_none() {
         assert!(Instant::now() < deadline, "rejoiner never saw Formed");
-        match reborn.recv_timeout(Duration::from_millis(10)) {
-            Some(ClusterEvent::Snapshot(s)) => {
+        match reborn.events.recv_timeout(Duration::from_millis(10)) {
+            Ok(ClusterEvent::Snapshot(s)) => {
                 assert_eq!(s, b"replicated-kv");
                 got_snapshot = true;
             }
-            Some(ClusterEvent::Formed(vs)) => formed_view = Some(vs),
+            Ok(ClusterEvent::Formed(vs)) => formed_view = Some(vs),
             _ => continue,
         }
     }
@@ -136,8 +139,8 @@ fn killed_member_rejoins_with_fresh_incarnation_and_snapshot() {
     // Full symmetry: traffic flows both ways, exactly once.
     nodes[0].cast(b"from-survivor").unwrap();
     reborn.cast(b"from-reborn").unwrap();
-    let drain = |n: &ClusterNode, hits: &mut Vec<Vec<u8>>| {
-        while let Some(ev) = n.try_recv() {
+    let drain = |n: &Member, hits: &mut Vec<Vec<u8>>| {
+        while let Ok(ev) = n.events.try_recv() {
             if let ClusterEvent::Delivery(Delivery::Cast { bytes, .. }) = ev {
                 hits.push(bytes);
             }
@@ -189,10 +192,10 @@ fn a_rejoiner_whose_hint_covers_the_state_costs_the_coordinator_no_snapshot() {
         let state = (ep == seed)
             .then(|| Box::new(provider.take().expect("one seed")) as Box<dyn StateProvider>);
         formers.push(std::thread::spawn(move || {
-            ClusterNode::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
+            Member::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
         }));
     }
-    let mut nodes: Vec<ClusterNode> = formers
+    let mut nodes: Vec<Member> = formers
         .into_iter()
         .map(|f| f.join().unwrap().expect("rendezvous completes"))
         .collect();
@@ -201,7 +204,7 @@ fn a_rejoiner_whose_hint_covers_the_state_costs_the_coordinator_no_snapshot() {
 
     let victim = nodes.pop().unwrap();
     let reborn_ep = victim.endpoint().reincarnate();
-    victim.kill();
+    victim.node.kill();
     wait("survivors install the 2-member view", || {
         nodes.iter().all(|n| n.view().nmembers() == 2)
     });
@@ -209,7 +212,7 @@ fn a_rejoiner_whose_hint_covers_the_state_costs_the_coordinator_no_snapshot() {
     // The rejoiner recovered version 7 on its own: its Hello says so.
     let (own, _, own_versions) = counting(7);
     let (c, d) = (control.attach(reborn_ep), data.attach(reborn_ep));
-    let reborn = ClusterNode::form(
+    let reborn = Member::form(
         reborn_ep,
         seed,
         cfg,
@@ -222,9 +225,9 @@ fn a_rejoiner_whose_hint_covers_the_state_costs_the_coordinator_no_snapshot() {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         assert!(Instant::now() < deadline, "rejoiner never saw Formed");
-        match reborn.recv_timeout(Duration::from_millis(10)) {
-            Some(ClusterEvent::Snapshot(_)) => panic!("a covered rejoiner got a snapshot"),
-            Some(ClusterEvent::Formed(vs)) => {
+        match reborn.events.recv_timeout(Duration::from_millis(10)) {
+            Ok(ClusterEvent::Snapshot(_)) => panic!("a covered rejoiner got a snapshot"),
+            Ok(ClusterEvent::Formed(vs)) => {
                 assert!(vs.members.contains(&reborn_ep));
                 break;
             }

@@ -318,12 +318,8 @@ impl Simulation {
 
     /// Asks process `id` to declare `suspects` (by endpoint id) failed.
     pub fn suspect(&mut self, id: u32, suspects: &[u32]) {
-        let vs = self.current_view(id);
-        let ranks: Vec<Rank> = suspects
-            .iter()
-            .filter_map(|s| vs.rank_of(Endpoint::new(*s)))
-            .collect();
-        self.drive(id as usize, |core, now| core.suspect(now, ranks));
+        let members = suspects.iter().map(|&s| Endpoint::new(s)).collect();
+        self.drive(id as usize, |core, now| core.suspect(now, members));
     }
 
     /// Asks process `id`'s stack to admit `members` (partition healing):

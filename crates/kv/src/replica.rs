@@ -20,7 +20,7 @@ use crate::metrics::KvMetrics;
 use crate::proto::{decode_cast_batch, encode_cast_batch, KvError, KvOp, KvResult};
 use crate::store::KvStore;
 use crate::wal::{RecoveryReport, Wal};
-use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, EventSink, StateProvider};
+use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, StateProvider};
 use ensemble_event::ViewState;
 use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, Tag};
 use ensemble_runtime::{Delivery, GroupSender, NodeObs, Transport};
@@ -54,6 +54,12 @@ enum Inbox {
     /// otherwise the WAL is flushed first. Later events are ignored,
     /// but state requests are answered until the inbox disconnects.
     Stop { crash: bool },
+}
+
+impl From<ClusterEvent> for Inbox {
+    fn from(ev: ClusterEvent) -> Inbox {
+        Inbox::Event(ev)
+    }
 }
 
 /// How long the apply loop waits for input while a flush retry is due
@@ -326,19 +332,15 @@ impl KvReplica {
         let (inbox, apply) = apply
             .spawn()
             .map_err(|e| ClusterError::Runtime(format!("spawn apply loop: {e}")))?;
-        let events = inbox.clone();
-        let sink: EventSink = Box::new(move |ev| {
-            let _ = events.send(Inbox::Event(ev));
-        });
         let provider = Box::new(StoreProvider(inbox.clone()));
-        let node = match ClusterNode::form_with_sink(
+        let node = match ClusterNode::form(
             ep,
             seed,
             cfg.cluster,
             control,
             data,
             Some(provider),
-            sink,
+            inbox.clone(),
         ) {
             Ok(node) => node,
             Err(e) => {

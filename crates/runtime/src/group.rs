@@ -690,10 +690,14 @@ impl GroupCore {
         out
     }
 
-    /// Asks the stack to declare `ranks` suspected.
-    pub fn suspect(&mut self, now: Time, ranks: Vec<Rank>) -> Vec<Action> {
+    /// Asks the stack to declare `members` suspected. The endpoints are
+    /// resolved against the view installed when this runs, which is the
+    /// only view a rank means anything in; an endpoint that view lacks
+    /// is dropped, and if none is left nothing is injected.
+    pub fn suspect(&mut self, now: Time, members: Vec<Endpoint>) -> Vec<Action> {
         let mut out = Vec::new();
-        if self.alive {
+        let ranks: Vec<Rank> = members.iter().filter_map(|&m| self.vs.rank_of(m)).collect();
+        if self.alive && !ranks.is_empty() {
             self.trace(
                 now,
                 CoreLayer::App,
@@ -1307,7 +1311,7 @@ mod tests {
     #[test]
     fn a_full_park_list_drops_its_oldest_cast_first() {
         let (mut c, _) = vsync_core(0, 3);
-        c.suspect(Time::ZERO, vec![Rank(2)]);
+        c.suspect(Time::ZERO, vec![Endpoint::new(2)]);
         assert!(c.is_blocked());
         let over = 3;
         for i in 0..(PARK_LIMIT + over) as u32 {
@@ -1455,7 +1459,7 @@ mod tests {
 
         // The coordinator suspects member 2 (dead): flush begins and the
         // coordinator blocks synchronously.
-        let acts = c0.suspect(Time::ZERO, vec![Rank(2)]);
+        let acts = c0.suspect(Time::ZERO, vec![Endpoint::new(2)]);
         split(acts, &mut pending, &mut sink[0]);
         assert!(c0.is_blocked(), "coordinator enters the flush window");
         assert!(
@@ -1522,7 +1526,7 @@ mod tests {
         let mut pending = std::collections::VecDeque::new();
         let mut sink = vec![Vec::new(), Vec::new()];
 
-        let acts = c0.suspect(Time::ZERO, vec![Rank(1)]);
+        let acts = c0.suspect(Time::ZERO, vec![Endpoint::new(1)]);
         split(acts, &mut pending, &mut sink[0]);
         assert!(c0.is_blocked());
         // Parked send to old Rank(2) == ep2 (reranked after the change),
@@ -1548,6 +1552,44 @@ mod tests {
             "send remapped to ep2's new rank; send to the dead member dropped"
         );
         assert_eq!(cores[0].parked_depth(), 0);
+    }
+
+    #[test]
+    fn suspicion_names_endpoints_resolved_in_the_installed_view() {
+        // ep1 of [ep0, ep1, ep2] is handed [ep1, ep2]: ep0 is gone, ep1
+        // is rank 0 and ep2 rank 1. A caller still holding the old view
+        // would name ep0 as rank 0, which now means ep1 itself.
+        let (mut c1, _) = vsync_core(1, 3);
+        let (ep1, ep2) = (Endpoint::new(1), Endpoint::new(2));
+        let next = ViewState {
+            view_id: ensemble_util::ViewId {
+                ltime: 1,
+                coord: ep1,
+            },
+            members: vec![ep1, ep2],
+            rank: Rank(0),
+            ..c1.view().clone()
+        };
+        c1.install_external_view(Time::ZERO, next);
+        assert_eq!(c1.view().members, vec![ep1, ep2]);
+
+        let acts = c1.suspect(Time::ZERO, vec![Endpoint::new(0)]);
+        assert!(
+            acts.is_empty(),
+            "no transmit, no Block: ep0 is not a member"
+        );
+        assert!(!c1.is_blocked());
+
+        // ep2 is rank 1 now. With ep2 out, ep1 is the whole flush: it
+        // blocks and installs [ep1] within the call.
+        let (mut pending, mut sink) = (std::collections::VecDeque::new(), Vec::new());
+        split(c1.suspect(Time::ZERO, vec![ep2]), &mut pending, &mut sink);
+        assert_eq!(sink.first(), Some(&Delivery::Block));
+        assert_eq!(
+            views(&sink).last().map(|v| v.members.clone()),
+            Some(vec![ep1]),
+            "ep2 goes and ep1 stays"
+        );
     }
 
     /// `(batched, flushes)` as returned by [`GroupCore::take_defer_delta`].

@@ -97,14 +97,13 @@ enum Command {
     /// the shard wraps that buffer ([`Payload::from_vec`]) without copying.
     Cast(Vec<u8>),
     Send(Rank, Vec<u8>),
-    Suspect(Vec<Rank>),
+    Suspect(Vec<Endpoint>),
     /// Admit endpoints into the group via gmp's merge flush.
     Merge(Vec<Endpoint>),
     /// Install a view granted from outside the stack (partition heal).
     InstallView(ensemble_event::ViewState),
     /// Stall (true) or resume (false) the group for lack of quorum.
     Stall(bool),
-    Leave,
     /// Synthesize + compile the MACH bypass; the result goes back on the
     /// provided channel.
     InstallBypass(Sender<Result<(), String>>),
@@ -137,9 +136,8 @@ struct GroupSlot {
     /// [`hand_off`] empties it before the worker can park.
     held: Vec<Delivery>,
     /// `held` contains a new view: the turn drains nothing more, so the
-    /// application learns what ranks mean now (its `suspect` and `send`
-    /// name members by rank) as early as when every delivery was sent on
-    /// its own.
+    /// application learns what ranks mean now (its `send` names members
+    /// by rank) as early as when every delivery was sent on its own.
     view_held: bool,
     /// Nudged once per hand-off (see `Command::SetDeliveryWaker`).
     delivery_waker: Option<Arc<Waker>>,
@@ -234,9 +232,10 @@ impl GroupHandle {
         self.command(Command::Send(dst, payload.to_vec()))
     }
 
-    /// Asks the stack to suspect `ranks`.
-    pub fn suspect(&self, ranks: Vec<Rank>) -> Result<(), RuntimeError> {
-        self.command(Command::Suspect(ranks))
+    /// Asks the stack to suspect `members`, resolved against the view it
+    /// is in when the command runs (see [`GroupCore::suspect`]).
+    pub fn suspect(&self, members: Vec<Endpoint>) -> Result<(), RuntimeError> {
+        self.command(Command::Suspect(members))
     }
 
     /// Asks the stack to admit `members` (partition healing): gmp runs
@@ -256,11 +255,6 @@ impl GroupHandle {
     /// minority-partition safety mode.
     pub fn stall(&self, on: bool) -> Result<(), RuntimeError> {
         self.command(Command::Stall(on))
-    }
-
-    /// Gracefully leaves the group.
-    pub fn leave(&self) -> Result<(), RuntimeError> {
-        self.command(Command::Leave)
     }
 
     /// Registers a waker the shard nudges once per batch of deliveries it
@@ -357,16 +351,6 @@ impl GroupSender {
     /// Sends `payload` point-to-point to `dst` (blocks on a full queue).
     pub fn send(&self, dst: Rank, payload: &[u8]) -> Result<(), RuntimeError> {
         self.command(Command::Send(dst, payload.to_vec()))
-    }
-
-    /// Asks the stack to suspect `ranks`.
-    pub fn suspect(&self, ranks: Vec<Rank>) -> Result<(), RuntimeError> {
-        self.command(Command::Suspect(ranks))
-    }
-
-    /// Gracefully leaves the group.
-    pub fn leave(&self) -> Result<(), RuntimeError> {
-        self.command(Command::Leave)
     }
 }
 
@@ -635,13 +619,12 @@ fn worker_loop(
                             .core
                             .send_payload(now, dst, Payload::from_vec(p))
                     }
-                    Command::Suspect(ranks) => actions = groups[gidx].core.suspect(now, ranks),
+                    Command::Suspect(members) => actions = groups[gidx].core.suspect(now, members),
                     Command::Merge(members) => actions = groups[gidx].core.merge(now, members),
                     Command::InstallView(vs) => {
                         actions = groups[gidx].core.install_external_view(now, vs)
                     }
                     Command::Stall(on) => actions = groups[gidx].core.set_stalled(now, on),
-                    Command::Leave => actions = groups[gidx].core.leave(now),
                     Command::InstallBypass(reply) => {
                         let r = groups[gidx]
                             .core

@@ -4,9 +4,10 @@
 //! The default run wires the nodes over the deterministic in-process
 //! loopback hub; pass `--udp` for a best-effort run over real sockets
 //! on 127.0.0.1 (the group stack's retransmission absorbs loss, the
-//! heartbeat miss budget absorbs jitter). Either way the demo exits
-//! nonzero if the survivors fail to install the new view within ten
-//! heartbeat periods — CI runs the loopback mode as a regression gate.
+//! heartbeat miss budget absorbs jitter; it skips with a message if it
+//! cannot bind). Either way the demo exits nonzero if the survivors fail
+//! to install the new view within ten heartbeat periods — CI runs both
+//! modes as a regression gate.
 //!
 //! Pass `--partition` for the partition-healing episode instead: six
 //! nodes form, a scripted [`PartitionScript`] splits both planes 4/2,
@@ -31,6 +32,7 @@ use ensemble_runtime::{
     Delivery, LoopbackHub, PartitionOp, PartitionScript, Transport, UdpTransport,
 };
 use ensemble_util::Endpoint;
+use std::sync::mpsc::{channel, Receiver};
 use std::time::{Duration, Instant};
 
 const N: usize = 3;
@@ -38,6 +40,26 @@ const N: usize = 3;
 /// Per node: its endpoint, the control-plane transport, the data-plane
 /// transport.
 type Planes = Vec<(Endpoint, Box<dyn Transport>, Box<dyn Transport>)>;
+
+/// A formed node and the channel its events arrive on.
+type Member = (ClusterNode, Receiver<ClusterEvent>);
+
+/// Forms `ep` through `seed` on its own thread; the seed ships `state`.
+fn spawn_form(
+    ep: Endpoint,
+    seed: Endpoint,
+    cfg: ClusterConfig,
+    control: Box<dyn Transport>,
+    data: Box<dyn Transport>,
+) -> std::thread::JoinHandle<Result<Member, ensemble_cluster::ClusterError>> {
+    std::thread::spawn(move || {
+        let state: Option<Box<dyn StateProvider>> =
+            (ep == seed).then(|| Box::new(|| b"demo-state".to_vec()) as Box<dyn StateProvider>);
+        let (tx, rx) = channel();
+        let node = ClusterNode::form(ep, seed, cfg, control, data, state, tx)?;
+        Ok((node, rx))
+    })
+}
 
 fn main() {
     let udp = std::env::args().any(|a| a == "--udp");
@@ -90,9 +112,15 @@ fn udp_planes() -> Result<Planes, String> {
     let eps: Vec<Endpoint> = (0..N as u32).map(Endpoint::new).collect();
     let mut control = Vec::new();
     let mut data = Vec::new();
+    let bind = |ep| {
+        UdpTransport::bind(ep).unwrap_or_else(|e| {
+            println!("skipping: cannot bind UDP on 127.0.0.1 ({e})");
+            std::process::exit(0)
+        })
+    };
     for &ep in &eps {
-        control.push(UdpTransport::bind(ep).map_err(|e| e.to_string())?);
-        data.push(UdpTransport::bind(ep).map_err(|e| e.to_string())?);
+        control.push(bind(ep));
+        data.push(bind(ep));
     }
     let control_addrs: Vec<_> = control
         .iter()
@@ -126,15 +154,7 @@ fn run(planes: Planes) -> bool {
     // --- Rendezvous: every node forms through the one seed address. ---
     let mut formers = Vec::new();
     for (ep, control, data) in planes {
-        let cfg = cfg.clone();
-        formers.push(std::thread::spawn(move || {
-            let state: Option<Box<dyn StateProvider>> = if ep == seed {
-                Some(Box::new(|| b"demo-state".to_vec()))
-            } else {
-                None
-            };
-            ClusterNode::form(ep, seed, cfg, control, data, state)
-        }));
+        formers.push(spawn_form(ep, seed, cfg.clone(), control, data));
     }
     let mut nodes = Vec::new();
     for f in formers {
@@ -146,17 +166,17 @@ fn run(planes: Planes) -> bool {
             }
         }
     }
-    for n in &nodes {
+    for (n, events) in &nodes {
         let deadline = Instant::now() + Duration::from_secs(2);
         let mut formed = false;
         while !formed && Instant::now() < deadline {
-            match n.recv_timeout(Duration::from_millis(20)) {
-                Some(ClusterEvent::Snapshot(s)) => println!(
+            match events.recv_timeout(Duration::from_millis(20)) {
+                Ok(ClusterEvent::Snapshot(s)) => println!(
                     "node {}: received {}-byte state snapshot",
                     n.endpoint().id(),
                     s.len()
                 ),
-                Some(ClusterEvent::Formed(vs)) => {
+                Ok(ClusterEvent::Formed(vs)) => {
                     println!(
                         "node {}: formed with {} members, rank {}",
                         n.endpoint().id(),
@@ -175,11 +195,11 @@ fn run(planes: Planes) -> bool {
     }
 
     // --- A cast in the old view, then kill the highest-ranked member. -
-    if let Err(e) = nodes[0].cast(b"before-view-change") {
+    if let Err(e) = nodes[0].0.cast(b"before-view-change") {
         eprintln!("cast failed: {e}");
         return false;
     }
-    let victim = nodes.pop().expect("three nodes formed");
+    let (victim, _) = nodes.pop().expect("three nodes formed");
     let victim_ep = victim.endpoint();
     victim.kill();
     let killed_at = Instant::now();
@@ -189,7 +209,7 @@ fn run(planes: Planes) -> bool {
     let deadline = killed_at + hb * 10;
     let mut views = Vec::new();
     let mut casts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); nodes.len()];
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, (n, events)) in nodes.iter().enumerate() {
         let vs = loop {
             if Instant::now() >= deadline {
                 eprintln!(
@@ -198,11 +218,11 @@ fn run(planes: Planes) -> bool {
                 );
                 return false;
             }
-            match n.recv_timeout(Duration::from_millis(20)) {
-                Some(ClusterEvent::Delivery(Delivery::View(vs))) if vs.nmembers() == N - 1 => {
+            match events.recv_timeout(Duration::from_millis(20)) {
+                Ok(ClusterEvent::Delivery(Delivery::View(vs))) if vs.nmembers() == N - 1 => {
                     break vs;
                 }
-                Some(ClusterEvent::Delivery(Delivery::Cast { bytes, .. })) => {
+                Ok(ClusterEvent::Delivery(Delivery::Cast { bytes, .. })) => {
                     casts[i].push(bytes);
                 }
                 _ => {}
@@ -227,15 +247,15 @@ fn run(planes: Planes) -> bool {
     }
 
     // --- Exactly-once delivery across the change, old cast and new. ---
-    if let Err(e) = nodes[1].cast(b"after-view-change") {
+    if let Err(e) = nodes[1].0.cast(b"after-view-change") {
         eprintln!("post-view cast failed: {e}");
         return false;
     }
     let deadline = Instant::now() + Duration::from_secs(2);
-    for (i, n) in nodes.iter().enumerate() {
+    for (i, (n, events)) in nodes.iter().enumerate() {
         while casts[i].len() < 2 && Instant::now() < deadline {
-            if let Some(ClusterEvent::Delivery(Delivery::Cast { bytes, .. })) =
-                n.recv_timeout(Duration::from_millis(20))
+            if let Ok(ClusterEvent::Delivery(Delivery::Cast { bytes, .. })) =
+                events.recv_timeout(Duration::from_millis(20))
             {
                 casts[i].push(bytes);
             }
@@ -255,7 +275,7 @@ fn run(planes: Planes) -> bool {
     }
 
     // --- The counters that monitoring would scrape. --------------------
-    let text = nodes[0].metrics_text();
+    let text = nodes[0].0.metrics_text();
     for series in [
         "ensemble_cluster_heartbeats_total",
         "ensemble_cluster_suspicions_total",
@@ -293,12 +313,7 @@ fn run_partition() -> bool {
     for i in 0..P as u32 {
         let ep = Endpoint::new(i);
         let (c, d) = (control.attach(ep), data.attach(ep));
-        let cfg = cfg.clone();
-        formers.push(std::thread::spawn(move || {
-            let state: Option<Box<dyn StateProvider>> =
-                (ep == seed).then(|| Box::new(|| b"demo-state".to_vec()) as Box<dyn StateProvider>);
-            ClusterNode::form(ep, seed, cfg, Box::new(c), Box::new(d), state)
-        }));
+        formers.push(spawn_form(ep, seed, cfg.clone(), Box::new(c), Box::new(d)));
     }
     let mut nodes = Vec::new();
     for f in formers {
@@ -313,14 +328,14 @@ fn run_partition() -> bool {
 
     let mut checker = VsyncChecker::new();
     let mut casts: Vec<Vec<Vec<u8>>> = vec![Vec::new(); P];
-    for n in &nodes {
+    for (n, events) in &nodes {
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             if Instant::now() >= deadline {
                 eprintln!("node {} never formed", n.endpoint().id());
                 return false;
             }
-            if let Some(ClusterEvent::Formed(vs)) = n.recv_timeout(Duration::from_millis(10)) {
+            if let Ok(ClusterEvent::Formed(vs)) = events.recv_timeout(Duration::from_millis(10)) {
                 checker.on_view(n.endpoint(), &vs);
                 break;
             }
@@ -328,13 +343,13 @@ fn run_partition() -> bool {
     }
     println!("formed: {P} nodes in one view");
 
-    let drain = |nodes: &[ClusterNode],
+    let drain = |nodes: &[Member],
                  checker: &mut VsyncChecker,
                  casts: &mut [Vec<Vec<u8>>],
                  stalled: &mut Vec<u32>| {
-        for (i, n) in nodes.iter().enumerate() {
+        for (i, (n, events)) in nodes.iter().enumerate() {
             let ep = n.endpoint();
-            while let Some(ev) = n.try_recv() {
+            while let Ok(ev) = events.try_recv() {
                 match ev {
                     ClusterEvent::Delivery(Delivery::View(vs)) => {
                         println!(
@@ -389,7 +404,7 @@ fn run_partition() -> bool {
     }
 
     // Pre-split traffic: everyone delivers it.
-    nodes[0].cast(b"pre-split").expect("cast");
+    nodes[0].0.cast(b"pre-split").expect("cast");
     wait_for!(
         "pre-split cast everywhere",
         casts.iter().all(|c| c.iter().any(|b| b == b"pre-split"))
@@ -414,13 +429,13 @@ fn run_partition() -> bool {
     wait_for!(
         "majority installs the shrunk primary view",
         MAJORITY.iter().all(|&id| {
-            let v = nodes[id as usize].view();
+            let v = nodes[id as usize].0.view();
             v.nmembers() == MAJORITY.len() && v.view_id.ltime > 0
         })
     );
 
     // Primary-only traffic: the stalled minority must never see this.
-    nodes[0].cast(b"primary-only").expect("cast");
+    nodes[0].0.cast(b"primary-only").expect("cast");
     wait_for!(
         "primary-only cast on the majority",
         MAJORITY
@@ -430,14 +445,14 @@ fn run_partition() -> bool {
 
     wait_for!(
         "the merged six-member view everywhere",
-        nodes.iter().all(|n| {
+        nodes.iter().all(|(n, _)| {
             let v = n.view();
             v.nmembers() == P && v.view_id.ltime > 1
         })
     );
 
     // Post-heal traffic: symmetric again.
-    nodes[4].cast(b"post-heal").expect("cast");
+    nodes[4].0.cast(b"post-heal").expect("cast");
     wait_for!(
         "post-heal cast everywhere",
         casts.iter().all(|c| c.iter().any(|b| b == b"post-heal"))
@@ -446,7 +461,7 @@ fn run_partition() -> bool {
 
     // The healing episode, as the flight recorder saw it.
     println!("merge/stall trace events:");
-    for n in &nodes {
+    for (n, _) in &nodes {
         for ev in n.trace_events() {
             if matches!(
                 ev.kind,

@@ -51,6 +51,11 @@ echo "==> cluster: demo — 3 nodes rendezvous, 1 killed, survivors install the 
 # within ten heartbeat periods or any cast is lost/duplicated.
 cargo run --release -p ensemble-cluster --example cluster_demo
 
+echo "==> cluster: demo — the same over UDP on 127.0.0.1 (skips if it cannot bind)"
+# The one control plane with no waker (UdpTransport ignores set_waker):
+# only the driver's park cap bounds its ingress latency.
+cargo run --release -p ensemble-cluster --example cluster_demo -- --udp
+
 echo "==> cluster: demo — scripted 4/2 split, minority stall, heal, view merge"
 # --partition exits nonzero if the minority delivers primary-only
 # traffic or any vsync invariant is violated across the episode.
