@@ -4,7 +4,7 @@
 //! the agreed view on a private [`Node`], then hands the control
 //! transport and the group handle to a *driver* thread. The driver owns
 //! the member's view and three deadlines (heartbeat, detector sweep,
-//! merge beacon), parks until the earliest of them or a wake-up, and:
+//! merge beacon), checks them each time it wakes from a short park, and:
 //!
 //! * heartbeats every peer each period and sweeps the [`Detector`];
 //! * feeds real `Suspect` events into the stack, naming the silent
@@ -509,7 +509,9 @@ struct Driver<E> {
 impl<E: From<ClusterEvent>> Driver<E> {
     fn run(mut self, now: Time) {
         self.detector.reset(&self.peers(), now);
-        // The longest park. The shard nudges the waker once per batch of
+        // Every idle turn parks this long unless woken, and the three
+        // deadlines are checked once per turn, so each fires up to one
+        // pause late. The shard nudges the waker once per batch of
         // deliveries it hands over (the loop below drains the whole
         // batch), the control transport on every ingress packet, and
         // `halt` on stop; a transport that ignores `set_waker` (UDP) is
@@ -557,9 +559,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
             }
 
             if !busy {
-                let due = self.heartbeat_at.min(self.sweep_at).min(self.beacon_at);
-                let wait = Duration::from_nanos(due.0.saturating_sub(now_ns()));
-                self.waker.park(wait.min(pause));
+                self.waker.park(pause);
             }
         }
         self.serving.store(false, Ordering::Relaxed);
