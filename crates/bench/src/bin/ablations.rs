@@ -93,7 +93,7 @@ fn deferred_processing() {
     println!("\n3) deferred non-critical processing (MACH dn_cast)");
     // Deferral replaces the retransmission-store insertion the native
     // stack performs inline (an ordered-map insert holding the payload)
-    // with a cheap queued record processed off the critical path.
+    // with a count: the bypass keeps neither a record nor the payload.
     let body = payload(4);
     let mut a = mach(STACK_10, 0);
     let mut i = 0u64;
@@ -101,7 +101,7 @@ fn deferred_processing() {
         std::hint::black_box(a.bench_dn_stack(ensemble_ir::models::Case::DnCast, 1, 4));
         i += 1;
         if i.is_multiple_of(4096) {
-            a.drain_deferred(); // Off the measured path in spirit; ~0 here.
+            a.drain_deferred(); // Resets the count.
         }
     });
     let mut b = mach(STACK_10, 0);

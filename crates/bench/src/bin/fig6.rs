@@ -53,15 +53,15 @@ fn mach_sizes(size: usize) -> [f64; 4] {
     let up_tx = time_per_op(ROUNDS, |_| {
         std::hint::black_box(CompressedHdr::decode(std::hint::black_box(&pkts[0])).unwrap());
     });
-    let fields: Vec<Vec<u64>> = pkts
+    let hdrs: Vec<CompressedHdr> = pkts
         .iter()
-        .map(|p| CompressedHdr::decode(p).unwrap().0.fields)
+        .map(|p| CompressedHdr::decode(p).unwrap().0)
         .collect();
     let mut receiver = mach(STACK_10, 1);
     let up_stack = time_per_op(ROUNDS, |i| {
         std::hint::black_box(
             receiver
-                .bench_up_stack(Case::UpCast, 0, size as i64, &fields[i])
+                .bench_up_stack(Case::UpCast, 0, size as i64, hdrs[i].fields())
                 .unwrap(),
         );
     });

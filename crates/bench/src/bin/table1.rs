@@ -91,14 +91,14 @@ fn mach_segments(stack: &[&'static str], send_not_cast: bool) -> [f64; 4] {
     // Up Stack: CCP + state update over the real per-packet fields
     // (pre-decoded outside the timed loop).
     let mut receiver = mach(stack, 1);
-    let fields: Vec<Vec<u64>> = pkts
+    let hdrs: Vec<CompressedHdr> = pkts
         .iter()
-        .map(|p| CompressedHdr::decode(p).unwrap().0.fields)
+        .map(|p| CompressedHdr::decode(p).unwrap().0)
         .collect();
     let up_stack = time_per_op(ROUNDS, |i| {
         std::hint::black_box(
             receiver
-                .bench_up_stack(up_case, 0, PAYLOAD as i64, &fields[i])
+                .bench_up_stack(up_case, 0, PAYLOAD as i64, hdrs[i].fields())
                 .unwrap(),
         );
     });
@@ -117,7 +117,7 @@ fn hand_segments(send_not_cast: bool) -> [f64; 4] {
     });
 
     let body = payload(PAYLOAD);
-    let hdr = CompressedHdr::new(sender.stack_id(), 0, vec![0, 0]);
+    let hdr = CompressedHdr::new(sender.stack_id(), 0, [0, 0]);
     let gathered = body.gather();
     let dn_tx = time_per_op(ROUNDS, |_| {
         std::hint::black_box(hdr.encode(std::hint::black_box(&gathered)));

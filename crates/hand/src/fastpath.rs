@@ -107,8 +107,8 @@ impl HandBypass {
         let seqno = self.cast_next;
         self.cast_next += 1;
         // Transport integrated: encode straight into the packet buffer.
-        let hdr = CompressedHdr::new(self.id, CASE_CAST, vec![seqno, self.view_ltime]);
-        let bytes = hdr.encode(&payload.gather());
+        let hdr = CompressedHdr::new(self.id, CASE_CAST, [seqno, self.view_ltime]);
+        let bytes = hdr.encode_segments(payload.len(), payload.segments());
         self.deferred.push(HandDeferred {
             is_cast: true,
             seqno,
@@ -136,9 +136,9 @@ impl HandBypass {
         let hdr = CompressedHdr::new(
             self.id,
             CASE_SEND,
-            vec![seqno, self.recv_next[d], self.view_ltime],
+            [seqno, self.recv_next[d], self.view_ltime],
         );
-        let bytes = hdr.encode(&payload.gather());
+        let bytes = hdr.encode_segments(payload.len(), payload.segments());
         self.deferred.push(HandDeferred {
             is_cast: false,
             seqno,
@@ -157,12 +157,13 @@ impl HandBypass {
             return HandOutput::Fallback;
         };
         // CCP: right stack, right case, current view, in sequence.
+        let f = hdr.fields();
         if hdr.stack_id != self.id
             || hdr.case != CASE_CAST
-            || hdr.fields.len() != 2
-            || hdr.fields[1] != self.view_ltime
+            || f.len() != 2
+            || f[1] != self.view_ltime
             || origin as usize >= self.cast_expected.len()
-            || hdr.fields[0] != self.cast_expected[origin as usize]
+            || f[0] != self.cast_expected[origin as usize]
         {
             self.fallbacks += 1;
             return HandOutput::Fallback;
@@ -178,12 +179,13 @@ impl HandBypass {
             self.fallbacks += 1;
             return HandOutput::Fallback;
         };
+        let f = hdr.fields();
         if hdr.stack_id != self.id
             || hdr.case != CASE_SEND
-            || hdr.fields.len() != 3
-            || hdr.fields[2] != self.view_ltime
+            || f.len() != 3
+            || f[2] != self.view_ltime
             || origin as usize >= self.recv_next.len()
-            || hdr.fields[0] != self.recv_next[origin as usize]
+            || f[0] != self.recv_next[origin as usize]
         {
             self.fallbacks += 1;
             return HandOutput::Fallback;

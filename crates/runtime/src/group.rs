@@ -34,8 +34,10 @@
 //!
 //! ## Analysis-gated deferred-work batching
 //!
-//! Each bypass hit may queue non-critical work (`Defer` items:
-//! buffering, acknowledgments, stability bookkeeping). When the
+//! Each bypass hit may defer non-critical work (`Defer` items:
+//! buffering, acknowledgments, stability bookkeeping). The bypass counts
+//! those items and a drain discards them: nothing is replayed (see
+//! `ensemble_synth::bypass`). When the
 //! installed stack's [`DeferCertificate`] proves every pair of deferred
 //! items commutes and none observes delivery order (the DF rules in
 //! `ensemble-analyze`), the core *batches* that work and drains it in
@@ -753,10 +755,6 @@ impl GroupCore {
             } else {
                 bypass.up_send(origin.0, &pkt.bytes)
             };
-            // This stack's compressed format, or generic engine bytes?
-            // (`CompressedHdr::decode` alone is not a discriminator —
-            // it has no magic; the id/case check is what decides.)
-            let ours = bypass.recognizes(&pkt.bytes, is_cast);
             let case = if is_cast { Case::UpCast } else { Case::UpSend };
             match result {
                 BypassOutput::Done { .. } => {
@@ -766,7 +764,11 @@ impl GroupCore {
                     return out;
                 }
                 BypassOutput::Fallback => {
-                    if ours {
+                    // This stack's compressed format, or generic engine
+                    // bytes? (`CompressedHdr::decode` alone is not a
+                    // discriminator — it has no magic; the id/case check
+                    // is what decides.)
+                    if bypass.recognizes(&pkt.bytes, is_cast) {
                         // Compressed but CCP-rejected: an out-of-order
                         // fast-path packet. Park it for the gap fill.
                         self.bypass_misses += 1;
@@ -907,9 +909,8 @@ impl GroupCore {
                     };
                     out.push(Action::Transmit(pkt));
                 }
-                if let Some((origin, payload)) = deliver {
+                if let Some((origin, bytes)) = deliver {
                     let oid = self.vs.endpoint_of(Rank(origin)).id();
-                    let bytes = payload.gather();
                     self.trace(
                         now,
                         CoreLayer::Bypass,

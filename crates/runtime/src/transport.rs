@@ -18,11 +18,15 @@
 use crate::fault::{
     Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
 };
-use ensemble_transport::{decode_datagram_owned, encode_datagram, Dest, Packet};
+use ensemble_transport::{
+    datagram_len, decode_datagram, decode_datagram_owned, encode_datagram, write_datagram, Dest,
+    Packet, WireError,
+};
 use ensemble_util::Endpoint;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Deref;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -161,12 +165,65 @@ pub trait Transport: Send {
     }
 }
 
+/// Datagrams of at most this many bytes (envelope included) travel
+/// inside the hub's queue slot; larger ones are moved as a vector.
+const INLINE_DATAGRAM: usize = 48;
+
+/// One encoded datagram in a hub queue slot. A small one lives in the
+/// slot itself, so it is neither allocated by the sending shard nor freed
+/// by the receiving one; a larger one is a vector the receiver takes over.
+#[derive(Clone)]
+enum Frame {
+    Inline { len: u8, buf: [u8; INLINE_DATAGRAM] },
+    Heap(Vec<u8>),
+}
+
+impl Frame {
+    /// Encodes `pkt` into a slot when it fits, else into a vector.
+    fn encode(pkt: &Packet) -> Frame {
+        let len = datagram_len(pkt);
+        if len > INLINE_DATAGRAM {
+            return Frame::Heap(encode_datagram(pkt));
+        }
+        let mut buf = [0; INLINE_DATAGRAM];
+        let mut at = 0;
+        write_datagram(pkt, |b| {
+            buf[at..at + b.len()].copy_from_slice(b);
+            at += b.len();
+        });
+        Frame::Inline {
+            len: len as u8,
+            buf,
+        }
+    }
+
+    /// Decodes the datagram: a vector becomes the packet's bytes in
+    /// place, a slot's body is copied out.
+    fn into_packet(self) -> Result<Packet, WireError> {
+        match self {
+            Frame::Inline { .. } => decode_datagram(&self),
+            Frame::Heap(buf) => decode_datagram_owned(buf),
+        }
+    }
+}
+
+impl Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Frame::Inline { len, buf } => &buf[..usize::from(*len)],
+            Frame::Heap(buf) => buf,
+        }
+    }
+}
+
 struct HubPeer {
     /// The peer's 32-bit endpoint id (what the plane keys on).
     id: u32,
     /// Frames carry the sender's origin stamp (obs-clock ns) in-band so
     /// receivers can measure cast→deliver latency.
-    tx: SyncSender<(u64, Vec<u8>)>,
+    tx: SyncSender<(u64, Frame)>,
     /// Nudged after each enqueue so a parked recipient shard wakes.
     waker: Option<Arc<Waker>>,
     /// The hub's meaning of [`Fate::Late`]: datagrams (src id, stamp,
@@ -174,11 +231,11 @@ struct HubPeer {
     /// idle poll by it). The src id is kept so the flush re-checks the
     /// link matrix — a datagram held back before a split must not leak
     /// across it afterwards.
-    held: Vec<(u32, u64, Vec<u8>)>,
+    held: Vec<(u32, u64, Frame)>,
 }
 
 impl HubPeer {
-    fn push(&self, plane: &mut FaultPlane, stamp: u64, frame: Vec<u8>) {
+    fn push(&self, plane: &mut FaultPlane, stamp: u64, frame: Frame) {
         if self.tx.try_send((stamp, frame)).is_err() {
             plane.count_backpressure_drop();
         } else if let Some(w) = &self.waker {
@@ -189,7 +246,7 @@ impl HubPeer {
     /// Carries out the plane's verdict on one datagram from endpoint id
     /// `src` to this peer. An owned `frame` is moved into the peer's
     /// queue; a borrowed one is copied only if the verdict keeps it.
-    fn deliver(&mut self, plane: &mut FaultPlane, src: u32, stamp: u64, frame: Cow<'_, [u8]>) {
+    fn deliver(&mut self, plane: &mut FaultPlane, src: u32, stamp: u64, frame: Cow<'_, Frame>) {
         match plane.fate(src, self.id) {
             Fate::Drop => return,
             Fate::Late => {
@@ -197,7 +254,7 @@ impl HubPeer {
                 return;
             }
             Fate::Once => {}
-            Fate::Twice => self.push(plane, stamp, frame.as_ref().to_owned()),
+            Fate::Twice => self.push(plane, stamp, Frame::clone(&frame)),
         }
         self.push(plane, stamp, frame.into_owned());
         self.flush_held(plane);
@@ -220,7 +277,7 @@ fn fan_out<'a>(
     plane: &mut FaultPlane,
     src: u32,
     stamp: u64,
-    frame: Vec<u8>,
+    frame: Frame,
 ) {
     let Some(mut peer) = recipients.next() else {
         return;
@@ -372,7 +429,7 @@ impl LoopbackHub {
 pub struct LoopbackTransport {
     ep: Endpoint,
     hub: LoopbackHub,
-    rx: Receiver<(u64, Vec<u8>)>,
+    rx: Receiver<(u64, Frame)>,
 }
 
 impl Transport for LoopbackTransport {
@@ -385,7 +442,7 @@ impl Transport for LoopbackTransport {
     }
 
     fn send_at(&mut self, pkt: &Packet, origin_ns: u64) -> io::Result<()> {
-        let frame = encode_datagram(pkt);
+        let frame = Frame::encode(pkt);
         let src = self.ep.id();
         let mut inner = self.hub.locked();
         let HubInner { peers, plane } = &mut *inner;
@@ -417,7 +474,7 @@ impl Transport for LoopbackTransport {
     fn try_recv_stamped(&mut self) -> io::Result<Option<(Packet, Option<u64>)>> {
         loop {
             match self.rx.try_recv() {
-                Ok((stamp, frame)) => match decode_datagram_owned(frame) {
+                Ok((stamp, frame)) => match frame.into_packet() {
                     Ok(pkt) => return Ok(Some((pkt, Some(stamp)))),
                     Err(_) => continue, // foreign datagram: drop, keep polling
                 },
@@ -435,7 +492,7 @@ impl Transport for LoopbackTransport {
                     }
                     return match self.rx.try_recv() {
                         Ok((stamp, frame)) => {
-                            Ok(decode_datagram_owned(frame).ok().map(|p| (p, Some(stamp))))
+                            Ok(frame.into_packet().ok().map(|p| (p, Some(stamp))))
                         }
                         Err(_) => Ok(None),
                     };
@@ -749,6 +806,54 @@ mod tests {
         assert!(counts.partition_drops > 0 && counts.link_drops > 0);
         assert_eq!(hub.fault_counts(), counts);
         assert_eq!(hub.partition_status(), plane.status());
+    }
+
+    /// A cast and a point packet whose datagrams are `len` bytes long.
+    fn sized(len: usize) -> [Packet; 2] {
+        let body = |n: usize| (0..n).map(|i| i as u8 ^ 0x5A).collect::<Vec<u8>>();
+        let cast_len = len - ensemble_transport::DATAGRAM_OVERHEAD;
+        [
+            Packet::cast(Endpoint::new(0), body(cast_len)),
+            Packet::point(Endpoint::new(0), Endpoint::new(1), body(cast_len - 8)),
+        ]
+    }
+
+    #[test]
+    fn the_slot_writer_writes_the_bytes_encode_datagram_does() {
+        for len in 24..=INLINE_DATAGRAM + 1 {
+            for pkt in sized(len) {
+                let frame = Frame::encode(&pkt);
+                assert_eq!(*frame, encode_datagram(&pkt)[..], "{len}-byte datagram");
+                let inline = matches!(frame, Frame::Inline { .. });
+                assert_eq!(inline, len <= INLINE_DATAGRAM, "{len}-byte datagram");
+                assert_eq!(frame.into_packet().unwrap(), pkt);
+            }
+        }
+    }
+
+    #[test]
+    fn datagrams_at_and_past_the_inline_limit_roundtrip_under_every_kept_fate() {
+        // Once, Twice (two copies) and Late (held, then released by the
+        // receiver's idle poll).
+        for (dup, late, copies) in [(0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 1)] {
+            let hub = LoopbackHub::with_faults(6, FaultPlan::lossy(0.0, dup, late));
+            let mut a = hub.attach(Endpoint::new(0));
+            let mut b = hub.attach(Endpoint::new(1));
+            for len in [INLINE_DATAGRAM, INLINE_DATAGRAM + 1] {
+                for pkt in sized(len) {
+                    a.send(&pkt).unwrap();
+                    for _ in 0..copies {
+                        let got = b.try_recv().unwrap();
+                        assert_eq!(got.as_ref(), Some(&pkt), "{len} B, dup {dup}, late {late}");
+                    }
+                    assert!(b.try_recv().unwrap().is_none(), "{len} B: {copies} copies");
+                }
+            }
+            let counts = hub.fault_counts();
+            let fated = |p: f64| if p > 0.0 { 4 } else { 0 };
+            assert_eq!(counts.duplicated, fated(dup));
+            assert_eq!(counts.reordered, fated(late));
+        }
     }
 
     #[test]

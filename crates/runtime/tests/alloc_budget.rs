@@ -1,7 +1,10 @@
-//! What one 4 KiB cast costs the allocator, as a count that repeats.
+//! What one cast costs the allocator, as a count that repeats.
 //!
-//! One test in its own process, on one thread, under a counting global
-//! allocator: member 0 of a two-member `STACK_10` group casts 4 096 bytes
+//! Under a counting global allocator that keeps one tally per thread (so
+//! the two tests of this binary may run at once), each test drives a
+//! two-member `STACK_10` group on its own thread.
+//!
+//! The 4 KiB test: member 0 casts 4 096 bytes
 //! (three fragments at the default `frag_max`), every datagram crosses a
 //! [`LoopbackHub`] to member 1's `deliver_packet`, and whatever either
 //! member answers goes back the same way until both are quiet. glibc's
@@ -12,8 +15,22 @@
 //! 25 such allocations among 245, asking for 73 015 bytes in all. Now it
 //! makes 9 among 61 — the copy in, a marshal buffer and an envelope per
 //! fragment, one `gather()` per delivery (the sender's own and the
-//! receiver's) — and asks for 32 429 bytes, a third of them in the small
+//! receiver's) — and asks for 32 402 bytes, a third of them in the small
 //! blocks (frame vectors, boundaries, action lists) that are the layers'.
+//!
+//! The 4-byte test runs the benchmark's `cast-small` configuration: the
+//! MACH bypass installed on both members, flow-control windows and the
+//! gossip period pushed out so every CCP holds. It counts every block by
+//! stage. Before the fast path stopped allocating what nobody keeps, a
+//! cast made 17: the header's field vectors on both sides, a gathered
+//! copy before encoding, a `String` tag per deferred item, a second
+//! decode in the receive triage, a payload built from the
+//! received body only to be gathered again, and a heap envelope that the
+//! receiving shard freed. Now it makes 8, each one kept past the call
+//! that made it: the copy in (and its shared handle), the wire packet,
+//! the sender's own delivery, the receiver's packet body and delivery,
+//! and each side's action list. The envelope rides in the hub's queue
+//! slot.
 
 use ensemble_event::ViewState;
 use ensemble_layers::{LayerConfig, STACK_10};
@@ -21,23 +38,48 @@ use ensemble_runtime::{Action, Delivery, GroupCore, LoopbackHub, LoopbackTranspo
 use ensemble_stack::EngineKind;
 use ensemble_util::{Rank, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 /// Blocks at least this large miss the allocator's per-thread cache.
 const LARGE: usize = 1024;
 const CAST_BYTES: usize = 4096;
 
-static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+/// What one thread has asked of the allocator.
+#[derive(Clone, Copy)]
+struct Counts {
+    blocks: u64,
+    large: u64,
+    bytes: u64,
+}
+
+thread_local! {
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts {
+            blocks: 0,
+            large: 0,
+            bytes: 0,
+        })
+    };
+}
+
+/// The calling thread's tally so far.
+fn counts() -> Counts {
+    COUNTS.with(Cell::get)
+}
 
 struct Counting;
 
 impl Counting {
     fn note(size: usize) {
-        BYTES.fetch_add(size as u64, Relaxed);
-        if size >= LARGE {
-            LARGE_ALLOCS.fetch_add(1, Relaxed);
-        }
+        // A const-initialized `Cell` needs no destructor: reading it
+        // never allocates, not even on a thread's way out.
+        let _ = COUNTS.try_with(|c| {
+            let mut n = c.get();
+            n.blocks += 1;
+            n.bytes += size as u64;
+            n.large += u64::from(size >= LARGE);
+            c.set(n);
+        });
     }
 }
 
@@ -145,12 +187,12 @@ fn a_4k_cast_stays_inside_its_allocation_budget() {
         cast(&mut members, &mut t);
     }
     const CASTS: u64 = 256;
-    let (allocs0, bytes0) = (LARGE_ALLOCS.load(Relaxed), BYTES.load(Relaxed));
+    let c0 = counts();
     for _ in 0..CASTS {
         cast(&mut members, &mut t);
     }
-    let large = (LARGE_ALLOCS.load(Relaxed) - allocs0) as f64 / CASTS as f64;
-    let bytes = (BYTES.load(Relaxed) - bytes0) as f64 / CASTS as f64;
+    let large = (counts().large - c0.large) as f64 / CASTS as f64;
+    let bytes = (counts().bytes - c0.bytes) as f64 / CASTS as f64;
     println!("per 4 KiB cast: {large:.2} allocations >= {LARGE} B, {bytes:.0} bytes allocated");
     assert!(
         large <= 9.0,
@@ -159,5 +201,101 @@ fn a_4k_cast_stays_inside_its_allocation_budget() {
     assert!(
         bytes <= 8.0 * CAST_BYTES as f64,
         "{bytes:.0} bytes allocated per cast (budget 8 x {CAST_BYTES})"
+    );
+}
+
+/// Blocks the calling thread allocates while `f` runs, and its result.
+fn blocks_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = counts().blocks;
+    let out = f();
+    (counts().blocks - before, out)
+}
+
+#[test]
+fn a_4_byte_bypass_cast_makes_at_most_8_blocks() {
+    const BODY: &[u8] = b"ping";
+    // `cast-small`'s layers: windows and the gossip period pushed out.
+    let cfg = LayerConfig {
+        pt2pt_window: 1 << 40,
+        mflow_window: 1 << 40,
+        collect_every: 1 << 40,
+        ..LayerConfig::default()
+    };
+    let hub = LoopbackHub::new(29);
+    let vs = ViewState::initial(2);
+    let mut t = 0u64;
+    let mut members = Vec::new();
+    let mut boot = Vec::new();
+    for r in 0..2 {
+        let (mut core, actions) = GroupCore::new(
+            STACK_10,
+            vs.for_rank(Rank(r)),
+            EngineKind::Imp,
+            cfg.clone(),
+            Time::ZERO,
+        )
+        .unwrap();
+        core.install_bypass().unwrap();
+        boot.push(actions);
+        members.push(Member {
+            core,
+            link: hub.attach(vs.members[r as usize]),
+        });
+    }
+    for (r, actions) in boot.into_iter().enumerate() {
+        settle(&mut members, r, actions, &mut t);
+    }
+
+    // Blocks per stage: cast, send_at, try_recv, deliver_packet.
+    let cast = |members: &mut [Member], t: &mut u64| -> [u64; 4] {
+        *t += 1_000;
+        let (cast, actions) = blocks_in(|| members[0].core.cast(Time(*t), BODY));
+        let mut send_at = 0;
+        let mut own = 0;
+        for a in actions {
+            match a {
+                Action::Transmit(pkt) => {
+                    send_at += blocks_in(|| members[0].link.send_at(&pkt, *t).unwrap()).0;
+                }
+                Action::Deliver(Delivery::Cast { bytes, .. }) => {
+                    assert_eq!(bytes, BODY);
+                    own += 1;
+                }
+                other => panic!("a bypass cast made {other:?}"),
+            }
+        }
+        assert_eq!(own, 1, "the sender delivers its own cast");
+        let (try_recv, pkt) = blocks_in(|| members[1].link.try_recv().unwrap());
+        let pkt = pkt.expect("one datagram in flight");
+        *t += 1_000;
+        let (deliver, actions) = blocks_in(|| members[1].core.deliver_packet(Time(*t), pkt));
+        match &actions[..] {
+            [Action::Deliver(Delivery::Cast { bytes, .. })] => assert_eq!(bytes, BODY),
+            other => panic!("the receiver's bypass made {other:?}"),
+        }
+        assert!(members[1].link.try_recv().unwrap().is_none());
+        [cast, send_at, try_recv, deliver]
+    };
+    // Steady state: queues and the deferred-work batch have cycled.
+    for _ in 0..256 {
+        cast(&mut members, &mut t);
+    }
+    const CASTS: u64 = 256;
+    let mut stages = [0u64; 4];
+    for _ in 0..CASTS {
+        for (sum, n) in stages.iter_mut().zip(cast(&mut members, &mut t)) {
+            *sum += n;
+        }
+    }
+    let per = stages.map(|n| n as f64 / CASTS as f64);
+    let total: f64 = per.iter().sum();
+    println!(
+        "per 4-byte cast: {total:.2} blocks (cast {:.2}, send_at {:.2}, try_recv {:.2}, deliver_packet {:.2})",
+        per[0], per[1], per[2], per[3]
+    );
+    assert!(total <= 8.0, "{total:.2} blocks per 4-byte cast (budget 8)");
+    assert_eq!(
+        per[1], 0.0,
+        "a datagram that fits the hub's slot allocates nothing"
     );
 }

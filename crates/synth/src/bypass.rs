@@ -9,9 +9,14 @@
 //! §4.2: each call first evaluates the compiled CCP; on failure the caller
 //! must route the event through the real stack instead.
 //!
-//! Non-critical work the theorems marked `Defer` is queued and replayed
-//! off the critical path via [`StackBypass::drain_deferred`] (§4
-//! optimization 3: "delaying non-critical message processing").
+//! Non-critical work the theorems marked `Defer` is counted, not kept:
+//! each hit adds its case's number of `Defer` items, and
+//! [`StackBypass::drain_deferred`] takes the count back to zero at the
+//! quiescent points the runtime picks (§4 optimization 3: "delaying
+//! non-critical message processing"). Nothing is replayed. In particular
+//! the bypass keeps no copy of a sent payload, so `mnak` has nothing to
+//! retransmit for a cast the fast path sent; the engine's own buffer
+//! holds only what the engine sent.
 
 use crate::compose::{StackSynthesis, StackTheorem};
 use crate::compress::HeaderTemplate;
@@ -19,7 +24,7 @@ use ensemble_event::Payload;
 use ensemble_ir::models::Case;
 use ensemble_ir::term::{Prim, Term};
 use ensemble_ir::Val;
-use ensemble_transport::CompressedHdr;
+use ensemble_transport::{CompressedHdr, MAX_FIELDS};
 use ensemble_util::Intern;
 use std::collections::HashMap;
 use std::fmt;
@@ -173,6 +178,9 @@ pub enum CodegenError {
     UnknownField(String),
     /// A delivery event still carried headers.
     ResidualHeaders(String),
+    /// A header template has more varying fields than a compressed
+    /// header carries ([`MAX_FIELDS`]).
+    TooManyFields(usize),
 }
 
 impl fmt::Display for CodegenError {
@@ -181,6 +189,9 @@ impl fmt::Display for CodegenError {
             CodegenError::Unsupported(t) => write!(f, "unsupported term: {t}"),
             CodegenError::UnknownField(t) => write!(f, "unknown state field: {t}"),
             CodegenError::ResidualHeaders(t) => write!(f, "delivery kept headers: {t}"),
+            CodegenError::TooManyFields(n) => {
+                write!(f, "{n} varying header fields (at most {MAX_FIELDS})")
+            }
         }
     }
 }
@@ -212,21 +223,24 @@ fn case_index(case: Case) -> usize {
     }
 }
 
-/// A deferred (non-critical) work item.
-#[derive(Clone, Debug)]
-pub struct Deferred {
-    /// Which layer deferred it.
-    pub layer: usize,
-    /// The work tag (e.g. `StoreOwn`).
-    pub tag: String,
-    /// The payload retained for buffering, if any.
-    pub payload: Option<Payload>,
-}
+/// What a case that ran decided, before any bytes are written: the wire
+/// header with its destination rank (`None` for a cast), if it
+/// transmits, and the delivery origin, if it delivers.
+type Hit = (Option<(Option<u16>, CompressedHdr)>, Option<u16>);
 
-/// The wire half of a bypass result: `(dst rank or None for cast, bytes)`.
-type WireOut = Option<(Option<u16>, Vec<u8>)>;
-/// The delivery half of a bypass result: `(origin, payload)`.
-type DeliverOut = Option<(u16, Payload)>;
+/// The program inputs of one call: origin or destination, length, then
+/// the varying header fields.
+type Inputs = [i64; 2 + MAX_FIELDS];
+
+fn inputs(who: u16, len: i64, fields: &[u64]) -> Inputs {
+    let mut inputs: Inputs = [0; 2 + MAX_FIELDS];
+    inputs[0] = i64::from(who);
+    inputs[1] = len;
+    for (k, &f) in fields.iter().enumerate().take(MAX_FIELDS) {
+        inputs[2 + k] = f as i64;
+    }
+    inputs
+}
 
 /// The output of one bypass invocation.
 #[derive(Clone, Debug)]
@@ -237,8 +251,8 @@ pub enum BypassOutput {
     Done {
         /// Wire bytes to transmit: `(dst rank or None for cast, bytes)`.
         wire: Option<(Option<u16>, Vec<u8>)>,
-        /// A local delivery `(origin, payload)`.
-        deliver: Option<(u16, Payload)>,
+        /// A local delivery `(origin, bytes)`: the body, copied once.
+        deliver: Option<(u16, Vec<u8>)>,
     },
 }
 
@@ -255,8 +269,10 @@ pub struct StackBypass {
     cases: [CompiledCase; 4],
     cast_template: HeaderTemplate,
     send_template: HeaderTemplate,
-    deferred: Vec<Deferred>,
-    defer_specs: [Vec<(usize, String)>; 4],
+    /// `Defer` items counted since the last drain.
+    deferred: usize,
+    /// `Defer` items one hit of each case adds.
+    defers: [usize; 4],
     /// CCP failures observed (fallbacks taken).
     pub fallbacks: u64,
 }
@@ -533,28 +549,18 @@ impl StackBypass {
     /// Compiles a synthesized stack into an executable bypass for the
     /// process at `my_rank`.
     pub fn compile(synth: &StackSynthesis, _my_rank: u16) -> Result<StackBypass, CodegenError> {
+        for template in [&synth.cast_template, &synth.send_template] {
+            if template.nfields() > MAX_FIELDS {
+                return Err(CodegenError::TooManyFields(template.nfields()));
+            }
+        }
         let layout = build_layout(synth);
         let mut cases: [CompiledCase; 4] = Default::default();
-        let mut defer_specs: [Vec<(usize, String)>; 4] = Default::default();
+        let mut defers = [0; 4];
         for case in Case::ALL {
             cases[case_index(case)] = compile_case(synth, &layout, case)?;
-            let Some(th) = synth.cases.get(&case) else {
-                continue; // Absent case: always falls back, defers nothing.
-            };
-            defer_specs[case_index(case)] = th
-                .defers
-                .iter()
-                .map(|(l, d)| {
-                    let tag = match d {
-                        Term::Con(_, args) => match args.first() {
-                            Some(Term::Con(t, _)) => t.as_str(),
-                            _ => "work".to_owned(),
-                        },
-                        _ => "work".to_owned(),
-                    };
-                    (*l, tag)
-                })
-                .collect::<Vec<_>>();
+            // An absent case always falls back and defers nothing.
+            defers[case_index(case)] = synth.cases.get(&case).map_or(0, |th| th.defers.len());
         }
         Ok(StackBypass {
             stack_id: synth.stack_id,
@@ -565,26 +571,22 @@ impl StackBypass {
             cases,
             cast_template: synth.cast_template.clone(),
             send_template: synth.send_template.clone(),
-            deferred: Vec::new(),
-            defer_specs,
+            deferred: 0,
+            defers,
             fallbacks: 0,
         })
     }
 
-    fn run_case(
-        &mut self,
-        case: Case,
-        who: u16,
-        len: i64,
-        fields: &[u64],
-        payload: &Payload,
-    ) -> Option<(WireOut, DeliverOut)> {
-        let mut inputs: [i64; 10] = [0; 10];
-        inputs[0] = who as i64;
-        inputs[1] = len;
-        for (k, &f) in fields.iter().enumerate().take(8) {
-            inputs[2 + k] = f as i64;
+    fn wire_id(&self, case: Case) -> u32 {
+        match case {
+            Case::DnCast | Case::UpCast => self.cast_id,
+            Case::DnSend | Case::UpSend => self.send_id,
         }
+    }
+
+    /// Runs `case`'s programs; `None` when its CCP rejects the call.
+    fn run_case(&mut self, case: Case, who: u16, len: i64, fields: &[u64]) -> Option<Hit> {
+        let inputs = inputs(who, len, fields);
         // Field-level split borrows: programs are read-only, state is
         // mutable — no per-call cloning on the critical path.
         let cc = &self.cases[case_index(case)];
@@ -596,74 +598,72 @@ impl StackBypass {
         let wire = if cc.wire_fields.is_empty() {
             None
         } else {
-            let case_tag = case_tag(case);
-            let wire_id = match case {
-                Case::DnCast | Case::UpCast => self.cast_id,
-                Case::DnSend | Case::UpSend => self.send_id,
-            };
-            let fields: Vec<u64> = cc
-                .wire_fields
-                .iter()
-                .map(|p| p.run(&mut self.scalars, &mut self.vecs, &inputs) as u64)
-                .collect();
-            let hdr = CompressedHdr::new(wire_id, case_tag, fields);
-            let bytes = hdr.encode(&payload.gather());
+            let mut out = [0; MAX_FIELDS];
+            for (f, p) in out.iter_mut().zip(&cc.wire_fields) {
+                *f = p.run(&mut self.scalars, &mut self.vecs, &inputs) as u64;
+            }
+            let hdr = CompressedHdr::new(
+                self.wire_id(case),
+                case_tag(case),
+                &out[..cc.wire_fields.len()],
+            );
             let dst = cc
                 .wire_dst
                 .as_ref()
                 .map(|p| p.run(&mut self.scalars, &mut self.vecs, &inputs) as u16);
-            Some((dst, bytes))
+            Some((dst, hdr))
         };
-        let deliver = cc.deliver_origin.as_ref().map(|p| {
-            let o = p.run(&mut self.scalars, &mut self.vecs, &inputs) as u16;
-            (o, payload.clone())
-        });
+        let deliver = cc
+            .deliver_origin
+            .as_ref()
+            .map(|p| p.run(&mut self.scalars, &mut self.vecs, &inputs) as u16);
         cc.update.run(&mut self.scalars, &mut self.vecs, &inputs);
-        // Queue the deferred work (buffering etc.) off the critical path.
-        let specs = &self.defer_specs[case_index(case)];
-        for (l, tag) in specs {
-            self.deferred.push(Deferred {
-                layer: *l,
-                tag: tag.clone(),
-                payload: Some(payload.clone()),
-            });
-        }
+        // Count the deferred work (buffering etc.); nothing keeps it.
+        self.deferred += self.defers[case_index(case)];
         Some((wire, deliver))
+    }
+
+    /// A down case: the header and the payload's segments go into one
+    /// wire buffer, and a local delivery gathers the payload once.
+    fn dn_common(&mut self, case: Case, dst: u16, payload: &Payload) -> BypassOutput {
+        let Some((wire, deliver)) = self.run_case(case, dst, payload.len() as i64, &[]) else {
+            return BypassOutput::Fallback;
+        };
+        BypassOutput::Done {
+            wire: wire
+                .map(|(dst, hdr)| (dst, hdr.encode_segments(payload.len(), payload.segments()))),
+            deliver: deliver.map(|origin| (origin, payload.gather())),
+        }
     }
 
     /// Sends a multicast through the bypass.
     pub fn dn_cast(&mut self, payload: &Payload) -> BypassOutput {
-        match self.run_case(Case::DnCast, 0, payload.len() as i64, &[], payload) {
-            None => BypassOutput::Fallback,
-            Some((wire, deliver)) => BypassOutput::Done { wire, deliver },
-        }
+        self.dn_common(Case::DnCast, 0, payload)
     }
 
     /// Sends a point-to-point message through the bypass.
     pub fn dn_send(&mut self, dst: u16, payload: &Payload) -> BypassOutput {
-        match self.run_case(Case::DnSend, dst, payload.len() as i64, &[], payload) {
-            None => BypassOutput::Fallback,
-            Some((wire, deliver)) => BypassOutput::Done { wire, deliver },
-        }
+        self.dn_common(Case::DnSend, dst, payload)
     }
 
+    /// An up case: the header is decoded in place and the body is copied
+    /// once, into the delivery.
     fn up_common(&mut self, case: Case, origin: u16, bytes: &[u8]) -> BypassOutput {
         let Ok((hdr, body)) = CompressedHdr::decode(bytes) else {
             self.fallbacks += 1;
             return BypassOutput::Fallback;
         };
-        let wire_id = match case {
-            Case::DnCast | Case::UpCast => self.cast_id,
-            Case::DnSend | Case::UpSend => self.send_id,
-        };
-        if hdr.stack_id != wire_id || hdr.case != case_tag(case_dn_of(case)) {
+        if hdr.stack_id != self.wire_id(case) || hdr.case != case_tag(case_dn_of(case)) {
             self.fallbacks += 1;
             return BypassOutput::Fallback;
         }
-        let payload = Payload::from_slice(body);
-        match self.run_case(case, origin, payload.len() as i64, &hdr.fields, &payload) {
-            None => BypassOutput::Fallback,
-            Some((wire, deliver)) => BypassOutput::Done { wire, deliver },
+        let Some((wire, deliver)) = self.run_case(case, origin, body.len() as i64, hdr.fields())
+        else {
+            return BypassOutput::Fallback;
+        };
+        BypassOutput::Done {
+            wire: wire.map(|(dst, hdr)| (dst, hdr.encode(body))),
+            deliver: deliver.map(|origin| (origin, body.to_vec())),
         }
     }
 
@@ -678,12 +678,8 @@ impl StackBypass {
         let Ok((hdr, _)) = CompressedHdr::decode(bytes) else {
             return false;
         };
-        let (wire_id, case) = if is_cast {
-            (self.cast_id, Case::UpCast)
-        } else {
-            (self.send_id, Case::UpSend)
-        };
-        hdr.stack_id == wire_id && hdr.case == case_tag(case_dn_of(case))
+        let case = if is_cast { Case::UpCast } else { Case::UpSend };
+        hdr.stack_id == self.wire_id(case) && hdr.case == case_tag(case_dn_of(case))
     }
 
     /// Receives a multicast's compressed bytes.
@@ -702,9 +698,7 @@ impl StackBypass {
     /// separately / off the critical path). Returns the field count, or
     /// `None` on CCP failure.
     pub fn bench_dn_stack(&mut self, case: Case, who: u16, len: i64) -> Option<usize> {
-        let mut inputs: [i64; 10] = [0; 10];
-        inputs[0] = who as i64;
-        inputs[1] = len;
+        let inputs = inputs(who, len, &[]);
         let cc = &self.cases[case_index(case)];
         if cc.ccp.run(&mut self.scalars, &mut self.vecs, &inputs) == 0 {
             return None;
@@ -731,12 +725,7 @@ impl StackBypass {
         len: i64,
         fields: &[u64],
     ) -> Option<u16> {
-        let mut inputs: [i64; 10] = [0; 10];
-        inputs[0] = origin as i64;
-        inputs[1] = len;
-        for (k, &f) in fields.iter().enumerate().take(8) {
-            inputs[2 + k] = f as i64;
-        }
+        let inputs = inputs(origin, len, fields);
         let cc = &self.cases[case_index(case)];
         if cc.ccp.run(&mut self.scalars, &mut self.vecs, &inputs) == 0 {
             return None;
@@ -752,24 +741,21 @@ impl StackBypass {
 
     /// Bench hook: the CCP check alone (the paper reports ≈ 3 µs).
     pub fn bench_ccp(&mut self, case: Case, who: u16, len: i64) -> bool {
-        let mut inputs: [i64; 10] = [0; 10];
-        inputs[0] = who as i64;
-        inputs[1] = len;
+        let inputs = inputs(who, len, &[]);
         let cc = &self.cases[case_index(case)];
         cc.ccp.run(&mut self.scalars, &mut self.vecs, &inputs) != 0
     }
 
-    /// Pending deferred work items.
+    /// Deferred work items counted since the last drain.
     pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
+        self.deferred
     }
 
-    /// Processes (drains) the deferred non-critical work, returning how
-    /// many items were handled.
+    /// Drains the deferred non-critical work: returns how many items were
+    /// counted since the last drain and resets the count. The items are
+    /// discarded, not replayed (see the module docs).
     pub fn drain_deferred(&mut self) -> usize {
-        let n = self.deferred.len();
-        self.deferred.clear();
-        n
+        std::mem::take(&mut self.deferred)
     }
 
     /// Instruction counts per case (CCP, wire, update) — the generated
@@ -851,7 +837,7 @@ mod tests {
         // Self-delivery through the local bounce.
         let (o, p) = deliver.expect("self delivery");
         assert_eq!(o, 0);
-        assert_eq!(p, payload);
+        assert_eq!(p, b"ping");
         let (dst, bytes) = wire.expect("wire output");
         assert!(dst.is_none(), "cast");
         // Receiver decodes and delivers.
@@ -860,7 +846,7 @@ mod tests {
                 assert!(wire.is_none());
                 let (o, p) = deliver.expect("delivery");
                 assert_eq!(o, 0);
-                assert_eq!(p, payload);
+                assert_eq!(p, b"ping");
             }
             other => panic!("{other:?}"),
         }
@@ -892,7 +878,7 @@ mod tests {
             let (_, bytes) = wire.unwrap();
             match receiver.up_cast(0, &bytes) {
                 BypassOutput::Done { deliver, .. } => {
-                    assert_eq!(deliver.unwrap().1.gather(), vec![i]);
+                    assert_eq!(deliver.unwrap().1, vec![i]);
                 }
                 other => panic!("{other:?} at {i}"),
             }
@@ -965,7 +951,7 @@ mod tests {
         assert_eq!(dst, Some(1));
         match b.up_send(0, &bytes) {
             BypassOutput::Done { deliver, .. } => {
-                assert_eq!(deliver.unwrap().1, payload);
+                assert_eq!(deliver.unwrap().1, b"req");
             }
             other => panic!("{other:?}"),
         }
@@ -1000,6 +986,25 @@ mod tests {
         let n = sender.drain_deferred();
         assert!(n >= 2);
         assert_eq!(sender.deferred_len(), 0);
+    }
+
+    #[test]
+    fn a_template_wider_than_a_compressed_header_is_refused() {
+        let mut s = synthesize(STACK_10, &ModelCtx::new(3, 0)).unwrap();
+        let n = s.cast_template.nfields();
+        s.cast_template
+            .sources
+            .extend(std::iter::repeat_n(Term::Int(0), MAX_FIELDS + 1 - n));
+        match StackBypass::compile(&s, 0) {
+            Err(CodegenError::TooManyFields(k)) => assert_eq!(k, MAX_FIELDS + 1),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a {}-field template compiled", MAX_FIELDS + 1),
+        }
+        s.cast_template.sources.truncate(MAX_FIELDS);
+        assert!(
+            StackBypass::compile(&s, 0).is_ok(),
+            "{MAX_FIELDS} fields fit"
+        );
     }
 
     #[test]

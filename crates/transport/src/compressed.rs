@@ -23,68 +23,107 @@ use crate::wire::{WireError, WireReader, WireWriter};
 /// Size of the fixed part of a compressed header.
 pub const COMPRESSED_BASE_LEN: usize = 8;
 
+/// Most varying fields one compressed header carries. The synthesized
+/// bypass refuses a template with more, and `decode` rejects a header
+/// that claims more: the fields then live inline, and neither encoding
+/// nor decoding allocates.
+pub const MAX_FIELDS: usize = 8;
+
 /// A compressed header: the constant parts of an entire header stack
 /// reduced to `(stack_id, case)`, plus the varying fields in order.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CompressedHdr {
     /// Identifies the sending stack's layer composition (a hash of the
     /// layer names, computed by the synthesis pipeline).
     pub stack_id: u32,
     /// Which of the four fundamental cases (and which bypass path) this is.
     pub case: u8,
-    /// The varying header fields, in the order the theorems list them.
-    pub fields: Vec<u64>,
+    nfields: u8,
+    /// `fields[nfields..]` stay zero, so the derived equality holds.
+    fields: [u64; MAX_FIELDS],
 }
 
 impl CompressedHdr {
     /// Builds a compressed header.
-    pub fn new(stack_id: u32, case: u8, fields: Vec<u64>) -> Self {
-        CompressedHdr {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fields` holds more than [`MAX_FIELDS`] values.
+    pub fn new(stack_id: u32, case: u8, fields: impl AsRef<[u64]>) -> Self {
+        let fields = fields.as_ref();
+        assert!(
+            fields.len() <= MAX_FIELDS,
+            "{} varying fields (at most {MAX_FIELDS})",
+            fields.len()
+        );
+        let mut hdr = CompressedHdr {
             stack_id,
             case,
-            fields,
-        }
+            nfields: fields.len() as u8,
+            fields: [0; MAX_FIELDS],
+        };
+        hdr.fields[..fields.len()].copy_from_slice(fields);
+        hdr
+    }
+
+    /// The varying header fields, in the order the theorems list them.
+    pub fn fields(&self) -> &[u64] {
+        &self.fields[..usize::from(self.nfields)]
     }
 
     /// The encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
-        COMPRESSED_BASE_LEN + 8 * self.fields.len()
+        COMPRESSED_BASE_LEN + 8 * usize::from(self.nfields)
     }
 
     /// Encodes the header followed by the raw payload bytes.
     pub fn encode(&self, payload: &[u8]) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.encoded_len() + payload.len());
+        self.encode_segments(payload.len(), [payload])
+    }
+
+    /// Encodes the header followed by `segments` (`len` bytes in all)
+    /// into one buffer sized up front: a scattered payload is gathered
+    /// straight into the packet.
+    pub fn encode_segments<'a>(
+        &self,
+        len: usize,
+        segments: impl IntoIterator<Item = &'a [u8]>,
+    ) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.encoded_len() + len);
         w.u32(self.stack_id);
         w.u8(self.case);
-        w.u8(self.fields.len() as u8);
+        w.u8(self.nfields);
         w.u16(0);
-        for &f in &self.fields {
+        for &f in self.fields() {
             w.u64(f);
         }
-        w.raw(payload);
+        for s in segments {
+            w.raw(s);
+        }
         w.finish()
     }
 
     /// Decodes a compressed header, returning it and the payload bytes.
+    /// A header claiming more than [`MAX_FIELDS`] fields is rejected.
     pub fn decode(bytes: &[u8]) -> Result<(CompressedHdr, &[u8]), WireError> {
         let mut r = WireReader::new(bytes);
         let stack_id = r.u32()?;
         let case = r.u8()?;
-        let nfields = r.u8()? as usize;
-        let _seghint = r.u16()?;
-        let mut fields = Vec::with_capacity(nfields);
-        for _ in 0..nfields {
-            fields.push(r.u64()?);
+        let nfields = r.u8()?;
+        if usize::from(nfields) > MAX_FIELDS {
+            return Err(WireError::BadLength(usize::from(nfields)));
         }
-        let consumed = COMPRESSED_BASE_LEN + 8 * nfields;
-        Ok((
-            CompressedHdr {
-                stack_id,
-                case,
-                fields,
-            },
-            &bytes[consumed..],
-        ))
+        let _seghint = r.u16()?;
+        let mut hdr = CompressedHdr {
+            stack_id,
+            case,
+            nfields,
+            fields: [0; MAX_FIELDS],
+        };
+        for f in &mut hdr.fields[..usize::from(nfields)] {
+            *f = r.u64()?;
+        }
+        Ok((hdr, &bytes[hdr.encoded_len()..]))
     }
 }
 
@@ -134,6 +173,28 @@ mod tests {
         let (back, payload) = CompressedHdr::decode(&bytes).unwrap();
         assert_eq!(back, h);
         assert!(payload.is_empty());
+    }
+
+    #[test]
+    fn more_than_max_fields_is_rejected() {
+        let h = CompressedHdr::new(7, 3, [5; MAX_FIELDS]);
+        let mut bytes = h.encode(b"sixteen bytes...");
+        assert_eq!(CompressedHdr::decode(&bytes).unwrap().0, h);
+        // Claim one field more, which the payload's bytes would cover.
+        bytes[5] = MAX_FIELDS as u8 + 1;
+        assert_eq!(
+            CompressedHdr::decode(&bytes),
+            Err(WireError::BadLength(MAX_FIELDS + 1))
+        );
+        bytes[5] = 255;
+        assert!(CompressedHdr::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn segments_encode_like_one_slice() {
+        let h = CompressedHdr::new(9, 0, [1, 2]);
+        let parts: [&[u8]; 3] = [b"ab", b"", b"cde"];
+        assert_eq!(h.encode_segments(5, parts), h.encode(b"abcde"));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! seam stays as narrow as the paper's transport interface.
 
 use crate::packet::{Dest, Packet};
-use crate::wire::{WireError, WireReader, WireWriter};
+use crate::wire::{WireError, WireReader};
 use ensemble_util::Endpoint;
 
 /// First bytes of every datagram ("EN" + format id).
@@ -23,21 +23,37 @@ const KIND_POINT: u8 = 1;
 /// Fixed envelope overhead in bytes (magic, version, kind, src, length).
 pub const DATAGRAM_OVERHEAD: usize = 2 + 1 + 1 + 8 + 4;
 
-/// Encodes a packet into one datagram.
-pub fn encode_datagram(pkt: &Packet) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(DATAGRAM_OVERHEAD + 8 + pkt.bytes.len());
-    w.u16(MAGIC);
-    w.u8(VERSION);
+/// The size of `pkt`'s datagram in bytes.
+pub fn datagram_len(pkt: &Packet) -> usize {
+    let dst = match pkt.dst {
+        Dest::Cast => 0,
+        Dest::Point(_) => 8,
+    };
+    DATAGRAM_OVERHEAD + dst + pkt.bytes.len()
+}
+
+/// Writes `pkt`'s datagram, [`datagram_len`] bytes in order, to `put`:
+/// the one envelope writer, whether the bytes go to a vector
+/// ([`encode_datagram`]) or into a fixed buffer of the caller's.
+pub fn write_datagram(pkt: &Packet, mut put: impl FnMut(&[u8])) {
+    put(&MAGIC.to_le_bytes());
     match pkt.dst {
-        Dest::Cast => w.u8(KIND_CAST),
+        Dest::Cast => put(&[VERSION, KIND_CAST]),
         Dest::Point(ep) => {
-            w.u8(KIND_POINT);
-            w.u64(ep.to_wire());
+            put(&[VERSION, KIND_POINT]);
+            put(&ep.to_wire().to_le_bytes());
         }
     }
-    w.u64(pkt.src.to_wire());
-    w.bytes(&pkt.bytes);
-    w.finish()
+    put(&pkt.src.to_wire().to_le_bytes());
+    put(&(pkt.bytes.len() as u32).to_le_bytes());
+    put(&pkt.bytes);
+}
+
+/// Encodes a packet into one datagram.
+pub fn encode_datagram(pkt: &Packet) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(datagram_len(pkt));
+    write_datagram(pkt, |b| buf.extend_from_slice(b));
+    buf
 }
 
 /// Decodes one datagram back into a packet, copying the body out.
@@ -95,6 +111,7 @@ mod tests {
     /// Encodes `p` and checks that both decoders give it back.
     fn roundtrip(p: Packet) {
         let d = encode_datagram(&p);
+        assert_eq!(d.len(), datagram_len(&p));
         assert_eq!(decode_datagram(&d).unwrap(), p);
         assert_eq!(decode_datagram_owned(d).unwrap(), p);
     }

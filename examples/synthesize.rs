@@ -92,7 +92,7 @@ fn main() {
                     let (origin, p) = deliver.expect("delivery");
                     println!(
                         "receiver delivered {:?} from rank {origin} via the bypass",
-                        String::from_utf8_lossy(&p.gather())
+                        String::from_utf8_lossy(&p)
                     );
                 }
                 other => panic!("{other:?}"),
@@ -101,7 +101,7 @@ fn main() {
         other => panic!("{other:?}"),
     }
     println!(
-        "\ndeferred non-critical work queued: {} items (drained off the critical path)",
+        "\ndeferred non-critical work: {} items counted (a drain discards them)",
         sender.deferred_len()
     );
     sender.drain_deferred();

@@ -22,10 +22,11 @@ echo "==> runtime integration tests (release)"
 cargo test --release -p ensemble-runtime --test loopback_stack
 cargo test --release -p ensemble-runtime --test udp_smoke
 cargo test --release -p ensemble-runtime --test obs_trace
-# alloc_budget counts what one 4 KiB cast asks of the allocator (its own
-# process, one thread, a counting global allocator); the count is the
-# same optimized or not, this runs it as the benchmark's build would.
-cargo test --release -p ensemble-runtime --test alloc_budget
+# alloc_budget counts what one 4 KiB cast and one 4-byte bypass cast ask
+# of the allocator (a counting global allocator, one tally per thread);
+# the counts are the same optimized or not, this runs them as the
+# benchmark's build would and prints both per-cast counts into the log.
+cargo test --release -p ensemble-runtime --test alloc_budget -- --nocapture
 
 echo "==> sim: the virtual-time examples and the membership seed sweep (release)"
 # Both examples assert what they print (total order under loss; a

@@ -76,12 +76,12 @@ fn mach_and_native_deliver_identically() {
         match mach_sender.dn_cast(&payload) {
             BypassOutput::Done { wire, deliver } => {
                 if let Some((_, p)) = deliver {
-                    mach_self.push(p.gather());
+                    mach_self.push(p);
                 }
                 let (_, bytes) = wire.expect("wire");
                 match mach_recv.up_cast(0, &bytes) {
                     BypassOutput::Done { deliver, .. } => {
-                        mach_deliveries.push(deliver.expect("delivery").1.gather());
+                        mach_deliveries.push(deliver.expect("delivery").1);
                     }
                     other => panic!("receiver fallback: {other:?}"),
                 }
