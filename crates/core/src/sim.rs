@@ -5,9 +5,11 @@
 //! There is one state machine and two shells around it:
 //! `ensemble_runtime`'s shard worker (wall clock and `Transport`) and this
 //! module (virtual clock and one link latency). Each simulated process is
-//! one `GroupCore`; the shell owns only what virtual time needs: one event
-//! queue interleaving packet arrivals and timers, the crash flag, the
-//! delivery logs, and virtual-time observability. Everything a process
+//! one `GroupCore`; the shell owns only what virtual time needs: one
+//! [`DeadlineQueue`] interleaving packet arrivals and timers (the type
+//! the shard worker keeps its timers in, so both shells fire a timer by
+//! the same rule), the crash flag, the delivery logs, and virtual-time
+//! observability. Everything a process
 //! *does* — marshaling, the bypass, parking application traffic during a
 //! flush window, rebuilding the stack per view, switching stacks at a view
 //! boundary — is `GroupCore`'s.
@@ -22,10 +24,11 @@
 use ensemble_event::ViewState;
 use ensemble_layers::{LayerConfig, StackError};
 use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Histogram, Recorder, Summary, Tag};
-use ensemble_runtime::{Action, CoreEvent, Delivery, Fate, FaultPlane, GroupCore, LayerTags};
+use ensemble_runtime::{
+    Action, CoreEvent, DeadlineQueue, Delivery, Fate, FaultPlane, GroupCore, LayerTags,
+};
 use ensemble_transport::{Dest, Packet};
 use ensemble_util::{Duration, Endpoint, Rank, Time};
-use std::collections::BTreeMap;
 
 pub use ensemble_obs::TraceEvent;
 pub use ensemble_runtime::{BypassError, FaultCounts, FaultPlan, PartitionOp, PartitionScript};
@@ -36,40 +39,6 @@ pub const ETHERNET_LATENCY: Duration = Duration::from_micros(80);
 
 /// One-way latency of VIA / Giganet: ≈ 10 µs (§4, ref. \[27\] of the paper).
 pub const VIA_LATENCY: Duration = Duration::from_micros(10);
-
-/// The virtual-time event queue, keyed by `(time, scheduling order)`:
-/// events scheduled for the same instant pop in scheduling order.
-/// Determinism here is what makes whole-system runs replayable from a
-/// seed.
-struct EventQueue<T> {
-    events: BTreeMap<(Time, u64), T>,
-    next_seq: u64,
-}
-
-impl<T> EventQueue<T> {
-    fn new() -> Self {
-        EventQueue {
-            events: BTreeMap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `item` at virtual time `at`.
-    fn push(&mut self, at: Time, item: T) {
-        self.events.insert((at, self.next_seq), item);
-        self.next_seq += 1;
-    }
-
-    /// Removes and returns the earliest event.
-    fn pop(&mut self) -> Option<(Time, T)> {
-        self.events.pop_first().map(|((at, _), item)| (at, item))
-    }
-
-    /// The time of the earliest pending event.
-    fn peek_time(&self) -> Option<Time> {
-        self.events.first_key_value().map(|((at, _), _)| *at)
-    }
-}
 
 /// Virtual-time observability for a simulation run.
 ///
@@ -166,7 +135,10 @@ pub struct Simulation {
     plane: FaultPlane,
     /// One-way link latency of every copy (a late copy takes two).
     latency: Duration,
-    queue: EventQueue<SimEvent>,
+    /// Arrivals and timers keyed by `(time, push order)`: events due at
+    /// the same instant run in the order they were scheduled, which is
+    /// what makes whole-system runs replayable from a seed.
+    queue: DeadlineQueue<SimEvent>,
     now: Time,
     /// Total events processed (observability).
     pub steps: u64,
@@ -191,7 +163,7 @@ impl Simulation {
             procs: Vec::new(),
             plane: FaultPlane::new(seed, FaultPlan::clean()),
             latency,
-            queue: EventQueue::new(),
+            queue: DeadlineQueue::new(),
             now: Time::ZERO,
             steps: 0,
             obs: None,
@@ -503,7 +475,8 @@ impl Simulation {
 
     /// Processes a single queued event; returns `false` when idle.
     pub fn step(&mut self) -> bool {
-        let Some((at, ev)) = self.queue.pop() else {
+        let next = self.queue.peek_time();
+        let Some((at, ev)) = next.and_then(|t| self.queue.pop_due(t)) else {
             return false;
         };
         self.advance_to(at);
@@ -617,53 +590,53 @@ mod tests {
 
     #[test]
     fn queue_orders_by_time() {
-        let mut q = EventQueue::new();
+        let mut q = DeadlineQueue::new();
         q.push(Time(10), 1);
         q.push(Time(2), 2);
         q.push(Time(7), 3);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop_due(Time(10)).map(|(_, v)| v)).collect();
         assert_eq!(order, vec![2, 3, 1]);
     }
 
     #[test]
     fn queue_is_fifo_at_the_same_instant() {
-        let mut q = EventQueue::new();
+        let mut q = DeadlineQueue::new();
         for i in 0..100 {
             q.push(Time(1), i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop_due(Time(1)).map(|(_, v)| v)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn queue_peek_time_is_the_earliest_pending() {
-        let mut q = EventQueue::new();
+        let mut q = DeadlineQueue::new();
         assert_eq!(q.peek_time(), None);
         q.push(Time(4), ());
         q.push(Time(3), ());
         assert_eq!(q.peek_time(), Some(Time(3)));
-        q.pop();
+        q.pop_due(Time(3));
         assert_eq!(q.peek_time(), Some(Time(4)));
     }
 
     #[test]
     fn queue_interleaved_push_pop_stays_ordered() {
-        let mut q = EventQueue::new();
+        let mut q = DeadlineQueue::new();
         q.push(Time(5), 'a');
         q.push(Time(1), 'b');
-        assert_eq!(q.pop(), Some((Time(1), 'b')));
+        assert_eq!(q.pop_due(Time(1)), Some((Time(1), 'b')));
         q.push(Time(3), 'c');
         q.push(Time(5), 'd');
-        assert_eq!(q.pop(), Some((Time(3), 'c')));
-        assert_eq!(q.pop(), Some((Time(5), 'a')));
-        assert_eq!(q.pop(), Some((Time(5), 'd')));
+        assert_eq!(q.pop_due(Time(5)), Some((Time(3), 'c')));
+        assert_eq!(q.pop_due(Time(5)), Some((Time(5), 'a')));
+        assert_eq!(q.pop_due(Time(5)), Some((Time(5), 'd')));
     }
 
     /// Pops everything queued and returns the packet arrivals as
     /// `(time, process index, first byte)`, in pop order.
     fn drain_arrivals(s: &mut Simulation) -> Vec<(Time, usize, u8)> {
         let mut out = Vec::new();
-        while let Some((at, ev)) = s.queue.pop() {
+        while let Some((at, ev)) = s.queue.pop_due(Time(u64::MAX)) {
             if let SimEvent::Arrival { idx, packet, .. } = ev {
                 out.push((at, idx, packet.bytes[0]));
             }

@@ -15,8 +15,8 @@
 //! which is what the linearizability checker verifies; callers that
 //! need exactly-once semantics build it from CAS.
 //!
-//! Redirects are *bounded*: after `attempt_cap` failed tries (default:
-//! every replica twice) the batch fails terminally with
+//! Redirects are *bounded*: after `attempt_cap` failed tries (every
+//! replica twice) the batch fails terminally with
 //! [`KvError::Unavailable`], so a crashed quorum cannot spin a client
 //! forever. Between failed tries the client sleeps an exponentially
 //! growing, jittered backoff so a restarting cluster is not hammered by
@@ -28,6 +28,9 @@ use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+/// Base delay of the exponential backoff between failed tries.
+const BACKOFF: Duration = Duration::from_millis(10);
+
 /// A redirecting, pipelining TCP client for the KV service.
 pub struct KvClient {
     addrs: Vec<SocketAddr>,
@@ -38,10 +41,9 @@ pub struct KvClient {
     /// single-operation calls).
     timeout: Duration,
     redirects: u64,
-    /// Failed tries allowed per batch before [`KvError::Unavailable`].
+    /// Failed tries allowed per batch before [`KvError::Unavailable`]:
+    /// every replica twice.
     attempt_cap: u32,
-    /// Base delay of the exponential backoff between failed tries.
-    backoff: Duration,
     /// SplitMix64 state feeding the backoff jitter.
     jitter: u64,
 }
@@ -59,24 +61,8 @@ impl KvClient {
             timeout,
             redirects: 0,
             attempt_cap,
-            backoff: Duration::from_millis(10),
             jitter: 0x9E37_79B9_7F4A_7C15,
         }
-    }
-
-    /// Caps failed tries per batch (minimum 1); the default is every
-    /// replica twice.
-    pub fn with_attempt_cap(mut self, cap: u32) -> KvClient {
-        self.attempt_cap = cap.max(1);
-        self
-    }
-
-    /// Sets the base delay of the jittered exponential backoff between
-    /// failed tries (default 10ms; the delay doubles per failure and is
-    /// capped at 32× the base).
-    pub fn with_backoff(mut self, base: Duration) -> KvClient {
-        self.backoff = base;
-        self
     }
 
     /// How many times this client abandoned a replica and moved on.
@@ -168,7 +154,7 @@ impl KvClient {
     }
 
     /// The jittered exponential delay before retry number `failures`:
-    /// 50–100% of `backoff × 2^(failures-1)`, exponent capped at 5.
+    /// 50–100% of `BACKOFF × 2^(failures-1)`, exponent capped at 5.
     fn backoff_delay(&mut self, failures: u32) -> Duration {
         // SplitMix64: cheap, stateful, and dependency-free.
         self.jitter = self.jitter.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -176,9 +162,7 @@ impl KvClient {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
-        let nominal = self
-            .backoff
-            .saturating_mul(1 << failures.saturating_sub(1).min(5));
+        let nominal = BACKOFF.saturating_mul(1 << failures.saturating_sub(1).min(5));
         nominal / 2 + Duration::from_nanos(z % (nominal.as_nanos().max(2) / 2) as u64)
     }
 

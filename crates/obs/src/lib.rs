@@ -15,7 +15,7 @@
 //! * [`Histogram`] — log-bucketed (power-of-two) latency histograms,
 //!   HDR-style but dependency-free, with p50/p90/p99/max accessors.
 //!   Used for cast→deliver latency, per-layer handler time, and
-//!   timer-wheel lateness.
+//!   timer lateness.
 //! * [`Registry`] — a metrics snapshot rendered in Prometheus text
 //!   exposition format (`name{label="v"} value` lines).
 //! * [`Json`] / [`write_jsonl`] — a minimal JSON value (renderer *and*

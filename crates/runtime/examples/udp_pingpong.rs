@@ -2,8 +2,8 @@
 //!
 //! Demonstrates the full runtime path: two `Node`s (each with its own
 //! worker pool), UDP transports wired peer-to-peer, a 4-layer stack, the
-//! MACH bypass on both sides, and the per-shard `RuntimeStats` printed at
-//! the end. Run with:
+//! MACH bypass on both sides, a layer timer fired by the shard, and the
+//! per-shard `RuntimeStats` printed at the end. Run with:
 //!
 //! ```text
 //! cargo run --release -p ensemble-runtime --example udp_pingpong
@@ -15,7 +15,7 @@
 
 use ensemble_event::ViewState;
 use ensemble_layers::{LayerConfig, STACK_4};
-use ensemble_runtime::{Delivery, Node, RuntimeConfig, UdpTransport};
+use ensemble_runtime::{Delivery, GroupHandle, Node, RuntimeConfig, UdpTransport};
 use ensemble_stack::EngineKind;
 use ensemble_util::Rank;
 use std::time::{Duration, Instant};
@@ -86,41 +86,28 @@ fn main() {
         )
         .expect("join b");
 
+    let deadline = Duration::from_secs(10);
+    // One round trip through the interpreted stack before the bypass goes
+    // in: each cast arms mnak's NAK/heartbeat timer, which the shard
+    // fires `nak_timeout` (5 ms) later, bypass or not.
+    round_trip(&a, &b, "warm-up", deadline);
+
     // Install the synthesized fast path on both members.
     a.install_bypass().expect("bypass a");
     b.install_bypass().expect("bypass b");
 
     let started = Instant::now();
-    let deadline = Duration::from_secs(10);
     let mut rtt_worst = Duration::ZERO;
     for round in 0..ROUNDS {
         let sent = Instant::now();
-        a.cast(format!("ping {round}").as_bytes())
-            .expect("cast ping");
-        // Member 1 waits for the ping and answers.
-        loop {
-            match b.recv_timeout(deadline) {
-                Some(Delivery::Cast { origin: 0, bytes }) => {
-                    let text = String::from_utf8_lossy(&bytes);
-                    b.cast(format!("pong for [{text}]").as_bytes())
-                        .expect("cast pong");
-                    break;
-                }
-                Some(_) => continue,
-                None => panic!("ping lost beyond the stack's recovery"),
-            }
-        }
-        // Member 0 waits for the pong (STACK_4 has no self-delivery).
-        loop {
-            match a.recv_timeout(deadline) {
-                Some(Delivery::Cast { origin: 1, .. }) => break,
-                Some(_) => continue,
-                None => panic!("pong lost beyond the stack's recovery"),
-            }
-        }
+        round_trip(&a, &b, &round.to_string(), deadline);
         rtt_worst = rtt_worst.max(sent.elapsed());
     }
     let elapsed = started.elapsed();
+    while node_a.stats().totals().timers_fired == 0 {
+        assert!(started.elapsed() < deadline, "no layer timer fired");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     println!(
         "{ROUNDS} round trips in {:.1} ms ({:.0} µs/rt, worst {:.0} µs)",
         elapsed.as_secs_f64() * 1e3,
@@ -149,5 +136,32 @@ fn main() {
         let mut f = std::io::BufWriter::new(std::fs::File::create(&path).expect("create jsonl"));
         ensemble_obs::write_jsonl(&mut f, &events).expect("write jsonl");
         println!("wrote {} trace events to {path}", events.len());
+    }
+}
+
+/// Member 0 casts a ping, member 1 answers it with a pong, member 0
+/// waits for the pong.
+fn round_trip(a: &GroupHandle, b: &GroupHandle, round: &str, deadline: Duration) {
+    a.cast(format!("ping {round}").as_bytes())
+        .expect("cast ping");
+    loop {
+        match b.recv_timeout(deadline) {
+            Some(Delivery::Cast { origin: 0, bytes }) => {
+                let text = String::from_utf8_lossy(&bytes);
+                b.cast(format!("pong for [{text}]").as_bytes())
+                    .expect("cast pong");
+                break;
+            }
+            Some(_) => continue,
+            None => panic!("ping lost beyond the stack's recovery"),
+        }
+    }
+    // STACK_4 has no self-delivery.
+    loop {
+        match a.recv_timeout(deadline) {
+            Some(Delivery::Cast { origin: 1, .. }) => break,
+            Some(_) => continue,
+            None => panic!("pong lost beyond the stack's recovery"),
+        }
     }
 }

@@ -223,7 +223,7 @@ pub enum Delivery {
 pub enum Action {
     /// Hand this packet to the transport.
     Transmit(Packet),
-    /// Ask the timer wheel for a callback.
+    /// Ask the shell's deadline queue for a callback.
     Timer {
         /// Stack layer to wake.
         layer: usize,
@@ -373,19 +373,9 @@ impl GroupCore {
         self.alive
     }
 
-    /// Whether a bypass is currently installed.
-    pub fn has_bypass(&self) -> bool {
-        self.bypass.is_some()
-    }
-
     /// Whether the stack is in a flush window (sends are being parked).
     pub fn is_blocked(&self) -> bool {
         self.blocked
-    }
-
-    /// Whether the group is stalled for lack of quorum.
-    pub fn is_stalled(&self) -> bool {
-        self.stalled
     }
 
     /// Stalls or unstalls the group (see the `stalled` field docs).

@@ -17,8 +17,10 @@
 //! * [`Node`] runs M shard workers; each joined group is pinned to one
 //!   shard, so protocol state is single-threaded and lock-free while
 //!   distinct groups run in parallel.
-//! * A hierarchical [`TimerWheel`] per shard feeds `Layer::timer`
-//!   deadlines (retransmission, NAK, suspicion, stability).
+//! * A [`DeadlineQueue`] per shard feeds `Layer::timer` deadlines
+//!   (retransmission, NAK, suspicion, stability). The simulator keeps its
+//!   arrivals and timers in the same type, so both shells fire a timer
+//!   by one rule: never before its deadline, ties in scheduling order.
 //! * [`GroupHandle`] is the application API: `cast`, `send`, `recv`,
 //!   `install_bypass` — each a command to the group's `GroupCore`, as
 //!   the simulator's methods of the same names are.
@@ -69,6 +71,6 @@ pub use group::{Action, BypassError, CoreEvent, CoreLayer, Delivery, GroupCore, 
 pub use metrics::{RuntimeStats, ShardMetrics, ShardSnapshot, TransportHealth};
 pub use node::{GroupHandle, GroupSender, Node, RuntimeConfig, RuntimeError};
 pub use obs::NodeObs;
-pub use timer::TimerWheel;
+pub use timer::DeadlineQueue;
 pub use transport::{LoopbackHub, LoopbackTransport, Transport, TransportIoErrors, Waker};
 pub use udp::UdpTransport;

@@ -32,7 +32,7 @@ pub struct ShardMetrics {
     /// Deferred-work drain passes (batch flushes at quiescent points,
     /// or per-hit drains on uncertified stacks).
     pub defer_flushes: AtomicU64,
-    /// Timer-wheel entries fired into `Layer::timer` handlers.
+    /// Deadline-queue entries fired into `Layer::timer` handlers.
     pub timers_fired: AtomicU64,
     /// Transmissions triggered by timer events (mnak/pt2pt recovery).
     pub retransmits: AtomicU64,

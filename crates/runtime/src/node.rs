@@ -5,14 +5,15 @@
 //! every group it owns through one poll loop:
 //!
 //! 1. accept newly joined groups;
-//! 2. drain a bounded batch of application commands per group;
-//! 3. drain a bounded batch of transport ingress per group, then hand
+//! 2. drain up to `BATCH` application commands per group;
+//! 3. drain up to `BATCH` transport datagrams per group, then hand
 //!    the deliveries that turn produced to the group's application queue
 //!    in one batch (a new view ends the turn early);
-//! 4. advance the shard's timer wheel, fire due layer timers, and hand
-//!    over what they delivered;
+//! 4. pop the layer timers due from the shard's [`DeadlineQueue`] (never
+//!    one before its deadline), fire them, and hand over what they
+//!    delivered;
 //! 5. if nothing happened, park on the shard's [`Waker`] for up to
-//!    `idle_sleep` (~50 µs).
+//!    `IDLE_SLEEP` (50 µs).
 //!
 //! Sharding gives groups-to-cores parallelism without any locking on the
 //! protocol path: a group's stack is only ever touched by its shard's
@@ -22,7 +23,7 @@
 use crate::group::{Action, CoreEvent, Delivery, GroupCore, LayerTags};
 use crate::metrics::{RuntimeStats, ShardMetrics, TransportHealth};
 use crate::obs::NodeObs;
-use crate::timer::TimerWheel;
+use crate::timer::DeadlineQueue;
 use crate::transport::{Transport, Waker};
 use ensemble_event::Payload;
 use ensemble_layers::LayerConfig;
@@ -36,39 +37,36 @@ use std::sync::mpsc::{
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
+/// Application command queue capacity per group.
+const CMD_CAPACITY: usize = 1024;
+/// Commands / packets drained per group per loop iteration.
+const BATCH: usize = 64;
+/// Longest a worker parks when a loop iteration did no work. Handles and
+/// waker-aware transports (the loopback hub) wake the worker early; this
+/// bound keeps polled transports (UDP) and timers live.
+const IDLE_SLEEP: std::time::Duration = std::time::Duration::from_micros(50);
+/// Flight-recorder capacity (events) per shard ring.
+const OBS_RING_CAPACITY: usize = 8192;
+
 /// Tuning knobs for a [`Node`].
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Worker threads (= shards). Default: 2.
     pub workers: usize,
-    /// Application command queue capacity per group.
-    pub cmd_capacity: usize,
     /// Application delivery queue capacity per group.
     pub delivery_capacity: usize,
-    /// Commands / packets drained per group per loop iteration.
-    pub batch: usize,
-    /// Longest a worker parks when a loop iteration did no work. Handles
-    /// and waker-aware transports (the loopback hub) wake the worker
-    /// early; this bound keeps polled transports (UDP) and timers live.
-    pub idle_sleep: std::time::Duration,
     /// Structured tracing + latency histograms ([`Node::obs`]). The cost
     /// when off is one branch per event; when on, a handful of relaxed
     /// atomic stores. Default: on.
     pub obs: bool,
-    /// Flight-recorder capacity (events) per shard ring.
-    pub obs_ring_capacity: usize,
 }
 
 impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             workers: 2,
-            cmd_capacity: 1024,
             delivery_capacity: 4096,
-            batch: 64,
-            idle_sleep: std::time::Duration::from_micros(50),
             obs: true,
-            obs_ring_capacity: 8192,
         }
     }
 }
@@ -173,88 +171,68 @@ impl SlotTags {
 /// [`GroupHandle::cast`]/[`GroupHandle::send`] until the shard catches up
 /// — the application feels the stack's pace. Deliveries are handed over
 /// once per group turn: the shard holds what one turn of command and
-/// ingress draining (bounded by `batch`, and cut short by a new view) or
+/// ingress draining (bounded by `BATCH`, and cut short by a new view) or
 /// one timer pass produced, then queues it in order. A full *delivery*
 /// queue blocks the shard worker mid-hand-off: the runtime never drops an
 /// application delivery, so a consumer that stops reading eventually
 /// stalls its whole shard (every group on it). Drain deliveries promptly
 /// or size `delivery_capacity` for the burst.
 pub struct GroupHandle {
-    ep: Endpoint,
-    rank: Rank,
-    cmd_tx: SyncSender<Command>,
+    sender: GroupSender,
     delivery_rx: Receiver<Delivery>,
-    metrics: Arc<ShardMetrics>,
-    waker: Arc<Waker>,
 }
 
 impl GroupHandle {
     /// This member's endpoint.
     pub fn endpoint(&self) -> Endpoint {
-        self.ep
+        self.sender.endpoint()
     }
 
     /// This member's rank in the initial view.
     pub fn rank(&self) -> Rank {
-        self.rank
+        self.sender.rank()
     }
 
     /// A cloneable send-only handle for this group, so one thread can own
     /// `recv` while others cast/send (e.g. a cluster driver draining
     /// deliveries while the application keeps publishing).
     pub fn sender(&self) -> GroupSender {
-        GroupSender {
-            ep: self.ep,
-            rank: self.rank,
-            cmd_tx: self.cmd_tx.clone(),
-            metrics: Arc::clone(&self.metrics),
-            waker: Arc::clone(&self.waker),
-        }
-    }
-
-    fn command(&self, c: Command) -> Result<(), RuntimeError> {
-        self.metrics.cmd_depth.fetch_add(1, Ordering::Relaxed);
-        self.cmd_tx.send(c).map_err(|_| {
-            self.metrics.cmd_depth.fetch_sub(1, Ordering::Relaxed);
-            RuntimeError::Closed
-        })?;
-        self.waker.wake();
-        Ok(())
+        self.sender.clone()
     }
 
     /// Multicasts `payload` to the group (blocks on a full queue).
     pub fn cast(&self, payload: &[u8]) -> Result<(), RuntimeError> {
-        self.command(Command::Cast(payload.to_vec()))
+        self.sender.cast(payload)
     }
 
     /// Sends `payload` point-to-point to `dst` (blocks on a full queue).
     pub fn send(&self, dst: Rank, payload: &[u8]) -> Result<(), RuntimeError> {
-        self.command(Command::Send(dst, payload.to_vec()))
+        self.sender.send(dst, payload)
     }
 
     /// Asks the stack to suspect `members`, resolved against the view it
     /// is in when the command runs (see [`GroupCore::suspect`]).
     pub fn suspect(&self, members: Vec<Endpoint>) -> Result<(), RuntimeError> {
-        self.command(Command::Suspect(members))
+        self.sender.command(Command::Suspect(members))
     }
 
     /// Asks the stack to admit `members` (partition healing): gmp runs
     /// a flush and announces the grown view to the current members.
     pub fn merge(&self, members: Vec<Endpoint>) -> Result<(), RuntimeError> {
-        self.command(Command::Merge(members))
+        self.sender.command(Command::Merge(members))
     }
 
     /// Installs a strictly newer view handed in from outside the stack
     /// (a control-plane merge grant). Older or equal views are ignored.
     pub fn install_view(&self, vs: ensemble_event::ViewState) -> Result<(), RuntimeError> {
-        self.command(Command::InstallView(vs))
+        self.sender.command(Command::InstallView(vs))
     }
 
     /// Stalls (`true`) or resumes (`false`) the group: while stalled,
     /// application traffic parks and ingress is quarantined — the
     /// minority-partition safety mode.
     pub fn stall(&self, on: bool) -> Result<(), RuntimeError> {
-        self.command(Command::Stall(on))
+        self.sender.command(Command::Stall(on))
     }
 
     /// Registers a waker the shard nudges once per batch of deliveries it
@@ -266,14 +244,14 @@ impl GroupHandle {
     /// forwarding latency from the poll period to microseconds. One nudge
     /// may stand for many deliveries: drain with `try_recv` until empty.
     pub fn set_delivery_waker(&self, waker: Arc<Waker>) -> Result<(), RuntimeError> {
-        self.command(Command::SetDeliveryWaker(waker))
+        self.sender.command(Command::SetDeliveryWaker(waker))
     }
 
     /// Synthesizes and installs the MACH bypass for the current view,
     /// waiting for the worker to compile it.
     pub fn install_bypass(&self) -> Result<(), RuntimeError> {
         let (tx, rx) = mpsc::channel();
-        self.command(Command::InstallBypass(tx))?;
+        self.sender.command(Command::InstallBypass(tx))?;
         match rx.recv() {
             Ok(Ok(())) => Ok(()),
             Ok(Err(_)) => Err(RuntimeError::Rejected),
@@ -283,14 +261,17 @@ impl GroupHandle {
 
     /// Removes the bypass.
     pub fn drop_bypass(&self) -> Result<(), RuntimeError> {
-        self.command(Command::DropBypass)
+        self.sender.command(Command::DropBypass)
     }
 
     /// Blocks up to `timeout` for the next delivery.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Option<Delivery> {
         match self.delivery_rx.recv_timeout(timeout) {
             Ok(d) => {
-                self.metrics.delivery_depth.fetch_sub(1, Ordering::Relaxed);
+                self.sender
+                    .metrics
+                    .delivery_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 Some(d)
             }
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
@@ -301,7 +282,10 @@ impl GroupHandle {
     pub fn try_recv(&self) -> Option<Delivery> {
         match self.delivery_rx.try_recv() {
             Ok(d) => {
-                self.metrics.delivery_depth.fetch_sub(1, Ordering::Relaxed);
+                self.sender
+                    .metrics
+                    .delivery_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 Some(d)
             }
             Err(_) => None,
@@ -379,7 +363,7 @@ impl Node {
         // One ring per shard worker plus one auxiliary ring for a single
         // non-worker writer (the cluster driver) — the recorder's
         // single-writer-per-ring discipline holds for all of them.
-        let obs = Arc::new(NodeObs::new(cfg.obs, workers + 1, cfg.obs_ring_capacity));
+        let obs = Arc::new(NodeObs::new(cfg.obs, workers + 1, OBS_RING_CAPACITY));
         let mut shards = Vec::with_capacity(workers);
         for shard_id in 0..workers {
             let (join_tx, join_rx) = mpsc::channel::<JoinSpec>();
@@ -387,12 +371,11 @@ impl Node {
             let waker = Arc::new(Waker::new());
             let m = Arc::clone(&metrics);
             let s = Arc::clone(&stop);
-            let c = cfg.clone();
             let o = Arc::clone(&obs);
             let w = Arc::clone(&waker);
             let worker = std::thread::Builder::new()
                 .name(format!("ensemble-shard-{shard_id}"))
-                .spawn(move || worker_loop(shard_id, join_rx, m, s, c, o, w))
+                .spawn(move || worker_loop(shard_id, join_rx, m, s, o, w))
                 .expect("failed to spawn shard worker OS thread (resource limit?)");
             shards.push(Shard {
                 join_tx,
@@ -409,11 +392,6 @@ impl Node {
             obs,
             health: None,
         }
-    }
-
-    /// A node with default tuning.
-    pub fn with_defaults() -> Node {
-        Node::new(RuntimeConfig::default())
     }
 
     /// The node's monotonic clock, as stack [`Time`]. This is the
@@ -458,7 +436,7 @@ impl Node {
     ) -> Result<GroupHandle, RuntimeError> {
         let shard = self.next_shard % self.shards.len();
         self.next_shard += 1;
-        let (cmd_tx, cmd_rx) = sync_channel(self.cfg.cmd_capacity);
+        let (cmd_tx, cmd_rx) = sync_channel(CMD_CAPACITY);
         let (delivery_tx, delivery_rx) = sync_channel(self.cfg.delivery_capacity);
         let (built_tx, built_rx) = mpsc::channel();
         let ep = vs.my_endpoint();
@@ -480,12 +458,14 @@ impl Node {
         self.shards[shard].waker.wake();
         match built_rx.recv() {
             Ok(Ok(())) => Ok(GroupHandle {
-                ep,
-                rank,
-                cmd_tx,
+                sender: GroupSender {
+                    ep,
+                    rank,
+                    cmd_tx,
+                    metrics: Arc::clone(&self.shards[shard].metrics),
+                    waker: Arc::clone(&self.shards[shard].waker),
+                },
                 delivery_rx,
-                metrics: Arc::clone(&self.shards[shard].metrics),
-                waker: Arc::clone(&self.shards[shard].waker),
             }),
             Ok(Err(_)) | Err(_) => Err(RuntimeError::Rejected),
         }
@@ -541,12 +521,12 @@ fn worker_loop(
     join_rx: Receiver<JoinSpec>,
     metrics: Arc<ShardMetrics>,
     stop: Arc<AtomicBool>,
-    cfg: RuntimeConfig,
     obs: Arc<NodeObs>,
     waker: Arc<Waker>,
 ) {
     let mut groups: Vec<GroupSlot> = Vec::new();
-    let mut wheel: TimerWheel<(usize, usize, u64)> = TimerWheel::new(Time(now_ns()));
+    // Layer timers as (group index, layer, generation).
+    let mut timers: DeadlineQueue<(usize, usize, u64)> = DeadlineQueue::new();
     let mut fired: Vec<(Time, (usize, usize, u64))> = Vec::new();
     let mut actions: Vec<Action> = Vec::new();
     let mut events: Vec<CoreEvent> = Vec::new();
@@ -581,7 +561,7 @@ fn worker_loop(
                     metrics.groups.fetch_add(1, Ordering::Relaxed);
                     let _ = spec.built.send(Ok(()));
                     let mut ctx = RouteCtx {
-                        wheel: &mut wheel,
+                        timers: &mut timers,
                         metrics: &metrics,
                         obs: &obs,
                         shard,
@@ -598,7 +578,7 @@ fn worker_loop(
 
         for gidx in 0..groups.len() {
             // 2. Application commands.
-            for _ in 0..cfg.batch {
+            for _ in 0..BATCH {
                 if groups[gidx].view_held {
                     break;
                 }
@@ -637,7 +617,7 @@ fn worker_loop(
                 }
                 let acts = std::mem::take(&mut actions);
                 let mut ctx = RouteCtx {
-                    wheel: &mut wheel,
+                    timers: &mut timers,
                     metrics: &metrics,
                     obs: &obs,
                     shard,
@@ -655,7 +635,7 @@ fn worker_loop(
             }
 
             // 3. Transport ingress.
-            for _ in 0..cfg.batch {
+            for _ in 0..BATCH {
                 if groups[gidx].view_held {
                     break;
                 }
@@ -704,7 +684,7 @@ fn worker_loop(
                     }
                 }
                 let mut ctx = RouteCtx {
-                    wheel: &mut wheel,
+                    timers: &mut timers,
                     metrics: &metrics,
                     obs: &obs,
                     shard,
@@ -724,21 +704,20 @@ fn worker_loop(
             hand_off(&mut groups[gidx], &metrics);
         }
 
-        // 4. Timers.
+        // 4. Timers: what is due now fires; what the firing re-arms waits
+        // for the next iteration, even if it is due already.
         let now = Time(now_ns());
-        fired.clear();
-        wheel.advance(now, &mut fired);
+        fired.extend(std::iter::from_fn(|| timers.pop_due(now)));
         for (deadline, (gidx, layer, generation)) in fired.drain(..) {
             busy = true;
             metrics.timers_fired.fetch_add(1, Ordering::Relaxed);
             if obs_on {
-                obs.timer_lateness_ns
-                    .record(now.0.saturating_sub(deadline.0));
+                obs.timer_lateness_ns.record(now.0 - deadline.0);
             }
             let t0 = now_ns();
             let acts = groups[gidx].core.fire_timer(now, layer, generation);
             let mut ctx = RouteCtx {
-                wheel: &mut wheel,
+                timers: &mut timers,
                 metrics: &metrics,
                 obs: &obs,
                 shard,
@@ -799,7 +778,7 @@ fn worker_loop(
             if woke {
                 metrics.spurious_wakeups.fetch_add(1, Ordering::Relaxed);
             }
-            woke = waker.park(cfg.idle_sleep);
+            woke = waker.park(IDLE_SLEEP);
         } else {
             woke = false;
         }
@@ -814,7 +793,7 @@ fn fold_events(slot: &mut GroupSlot, shard: usize, obs: &NodeObs, buf: &mut Vec<
 
 /// Everything [`route_actions`] needs besides the groups themselves.
 struct RouteCtx<'a> {
-    wheel: &'a mut TimerWheel<(usize, usize, u64)>,
+    timers: &'a mut DeadlineQueue<(usize, usize, u64)>,
     metrics: &'a ShardMetrics,
     obs: &'a NodeObs,
     shard: usize,
@@ -856,7 +835,7 @@ fn route_actions(groups: &mut [GroupSlot], gidx: usize, actions: Vec<Action>, ct
                 deadline,
                 generation,
             } => {
-                ctx.wheel.schedule(deadline, (gidx, layer, generation));
+                ctx.timers.push(deadline, (gidx, layer, generation));
             }
             Action::Deliver(d) => {
                 g.view_held |= matches!(d, Delivery::View(_));

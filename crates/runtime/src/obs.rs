@@ -27,7 +27,7 @@
 //! * `ensemble_cast_to_deliver_ns{quantile}` — sender command drain to the
 //!   receiving core producing the delivery (before the hand-off)
 //! * `ensemble_handler_ns{quantile}` — per-event handling time
-//! * `ensemble_timer_lateness_ns{quantile}` — wheel deadline slip
+//! * `ensemble_timer_lateness_ns{quantile}` — how late a layer timer fired
 //! * `ensemble_layer_handler_ns{layer,quantile}` — per-layer spans
 //! * `ensemble_trace_events_total` (+ `_overwritten_`, `_contended_`)
 
@@ -49,7 +49,9 @@ pub struct NodeObs {
     /// Time spent handling one event (command, packet, or timer),
     /// including routing its actions.
     pub handler_ns: Histogram,
-    /// How late the timer wheel fired entries past their deadline.
+    /// How late a layer timer fired past its deadline. The shard's
+    /// [`crate::DeadlineQueue`] never pops an entry before its deadline,
+    /// so no early fire is folded in here as a zero.
     pub timer_lateness_ns: Histogram,
     /// Per-layer handler time, keyed by layer name (timer fires here;
     /// the layer harness contributes finer spans in unit tests).

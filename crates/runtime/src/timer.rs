@@ -1,155 +1,59 @@
-//! A hierarchical timer wheel for layer timers.
+//! The deadline queue both `GroupCore` shells schedule into.
 //!
-//! The stacks request timers constantly (retransmission, NAK probing,
-//! suspicion, stability gossip), so the runtime needs cheap schedule and
-//! cheap advance. This is a classic two-level wheel: level 0 holds one
-//! tick (~131 µs) per slot across 256 slots (~33 ms horizon), level 1 holds
-//! 256-tick spans (~8.6 s horizon), and everything beyond parks in an
-//! overflow list cascaded down as the wheel turns. Deadlines are absolute
-//! [`Time`] values on the node's monotonic clock.
+//! The shard worker keeps layer timers in one, and the simulator keeps its
+//! packet arrivals and layer timers in another, so both shells fire a
+//! timer by the same rule: never before its deadline, and entries due at
+//! the same instant in the order they were pushed. Deadlines are absolute
+//! [`Time`] values on the shell's clock (monotonic or virtual).
+//!
+//! Each timer layer keeps at most one timer pending, so a shard holds a
+//! handful of entries per group; an ordered map costs nothing that a
+//! timer wheel's O(1) insert would win back, and it fires exactly.
 
 use ensemble_util::Time;
+use std::collections::BTreeMap;
 
-/// log2 of the tick length in nanoseconds (2^17 ns ≈ 131 µs).
-const TICK_SHIFT: u32 = 17;
-/// Slots per level (must be a power of two).
-const SLOTS: usize = 256;
-const MASK: u64 = (SLOTS as u64) - 1;
-
-struct Entry<T> {
-    deadline: Time,
-    seq: u64,
-    item: T,
+/// Items keyed by `(deadline, push order)`.
+pub struct DeadlineQueue<T> {
+    entries: BTreeMap<(Time, u64), T>,
+    next_seq: u64,
 }
 
-/// A two-level hierarchical timer wheel.
-pub struct TimerWheel<T> {
-    l0: Vec<Vec<Entry<T>>>,
-    l1: Vec<Vec<Entry<T>>>,
-    overflow: Vec<Entry<T>>,
-    /// The tick the wheel has advanced to (everything before it fired).
-    now_tick: u64,
-    seq: u64,
-    len: usize,
+impl<T> Default for DeadlineQueue<T> {
+    fn default() -> Self {
+        DeadlineQueue {
+            entries: BTreeMap::new(),
+            next_seq: 0,
+        }
+    }
 }
 
-impl<T> TimerWheel<T> {
-    /// An empty wheel positioned at `now`.
-    pub fn new(now: Time) -> Self {
-        TimerWheel {
-            l0: (0..SLOTS).map(|_| Vec::new()).collect(),
-            l1: (0..SLOTS).map(|_| Vec::new()).collect(),
-            overflow: Vec::new(),
-            now_tick: now.nanos() >> TICK_SHIFT,
-            seq: 0,
-            len: 0,
+impl<T> DeadlineQueue<T> {
+    /// An empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `item` at `at`. A deadline already past is due at once.
+    pub fn push(&mut self, at: Time, item: T) {
+        self.entries.insert((at, self.next_seq), item);
+        self.next_seq += 1;
+    }
+
+    /// Removes and returns the earliest entry whose deadline is at or
+    /// before `now`, with that deadline; `None` if nothing is due.
+    pub fn pop_due(&mut self, now: Time) -> Option<(Time, T)> {
+        let entry = self.entries.first_entry()?;
+        if entry.key().0 > now {
+            return None;
         }
+        let ((at, _), item) = entry.remove_entry();
+        Some((at, item))
     }
 
-    /// Pending timers.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no timers are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedules `item` to fire at `deadline` (clamped to the present:
-    /// past deadlines fire on the next [`TimerWheel::advance`]).
-    pub fn schedule(&mut self, deadline: Time, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        let e = Entry {
-            deadline,
-            seq,
-            item,
-        };
-        self.insert(e);
-    }
-
-    fn insert(&mut self, e: Entry<T>) {
-        let tick = (e.deadline.nanos() >> TICK_SHIFT).max(self.now_tick);
-        let delta = tick - self.now_tick;
-        if delta < SLOTS as u64 {
-            self.l0[(tick & MASK) as usize].push(e);
-        } else if delta < (SLOTS * SLOTS) as u64 {
-            self.l1[((tick >> 8) & MASK) as usize].push(e);
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Advances the wheel to `now`, appending every due `(deadline, item)`
-    /// to `fired` in deadline order (schedule order breaks ties).
-    pub fn advance(&mut self, now: Time, fired: &mut Vec<(Time, T)>) {
-        let target = now.nanos() >> TICK_SHIFT;
-        if target < self.now_tick {
-            return;
-        }
-        let mut due: Vec<Entry<T>> = Vec::new();
-        if target - self.now_tick >= (SLOTS * SLOTS) as u64 {
-            // The clock jumped past the whole wheel: linear sweep.
-            let mut all: Vec<Entry<T>> = Vec::new();
-            for slot in self.l0.iter_mut().chain(self.l1.iter_mut()) {
-                all.append(slot);
-            }
-            all.append(&mut self.overflow);
-            self.len = 0;
-            self.now_tick = target;
-            for e in all {
-                if e.deadline.nanos() >> TICK_SHIFT <= target {
-                    due.push(e);
-                } else {
-                    self.schedule_cascaded(e);
-                }
-            }
-            due.sort_by_key(|e| (e.deadline, e.seq));
-            fired.extend(due.into_iter().map(|e| (e.deadline, e.item)));
-            return;
-        }
-        while self.now_tick <= target {
-            let tick = self.now_tick;
-            // Entries in this slot may belong to a later wheel round.
-            let slot = &mut self.l0[(tick & MASK) as usize];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].deadline.nanos() >> TICK_SHIFT <= tick {
-                    let e = slot.swap_remove(i);
-                    self.len -= 1;
-                    due.push(e);
-                } else {
-                    i += 1;
-                }
-            }
-            self.now_tick += 1;
-            // Crossing into a new level-0 round: cascade the level-1 slot
-            // (and the overflow when a whole level-1 round completed).
-            if self.now_tick & MASK == 0 {
-                let l1_slot = ((self.now_tick >> 8) & MASK) as usize;
-                let entries: Vec<Entry<T>> = self.l1[l1_slot].drain(..).collect();
-                for e in entries {
-                    self.len -= 1;
-                    self.schedule_cascaded(e);
-                }
-                if self.now_tick & (((SLOTS * SLOTS) as u64) - 1) == 0 {
-                    let entries: Vec<Entry<T>> = self.overflow.drain(..).collect();
-                    for e in entries {
-                        self.len -= 1;
-                        self.schedule_cascaded(e);
-                    }
-                }
-            }
-        }
-        due.sort_by_key(|e| (e.deadline, e.seq));
-        fired.extend(due.into_iter().map(|e| (e.deadline, e.item)));
-    }
-
-    fn schedule_cascaded(&mut self, e: Entry<T>) {
-        self.len += 1;
-        self.insert(e);
+    /// The deadline of the earliest pending entry.
+    pub fn peek_time(&self) -> Option<Time> {
+        self.entries.first_key_value().map(|((at, _), _)| *at)
     }
 }
 
@@ -162,92 +66,75 @@ mod tests {
         Time(Duration::from_micros(us).nanos())
     }
 
+    fn drain<T>(q: &mut DeadlineQueue<T>, now: Time) -> Vec<(Time, T)> {
+        std::iter::from_fn(|| q.pop_due(now)).collect()
+    }
+
+    #[test]
+    fn nothing_pops_before_its_deadline() {
+        let mut q = DeadlineQueue::new();
+        q.push(Time(262_143), "late");
+        assert!(q.pop_due(Time(131_072)).is_none());
+        assert!(q.pop_due(Time(262_142)).is_none());
+        assert_eq!(q.pop_due(Time(262_143)), Some((Time(262_143), "late")));
+        // A deadline pushed after the clock has moved on still waits for
+        // itself, and is due the instant it comes.
+        q.push(t(20), "next");
+        assert!(q.pop_due(t(19)).is_none());
+        assert_eq!(q.pop_due(t(20)), Some((t(20), "next")));
+    }
+
     #[test]
     fn near_timer_fires_in_order() {
-        let mut w = TimerWheel::new(Time::ZERO);
-        w.schedule(t(500), "b");
-        w.schedule(t(300), "a");
-        w.schedule(t(900), "c");
-        let mut fired = Vec::new();
-        w.advance(t(600), &mut fired);
-        assert_eq!(
-            fired.iter().map(|(_, x)| *x).collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
-        assert_eq!(w.len(), 1);
-        w.advance(t(1000), &mut fired);
-        assert_eq!(fired.last().unwrap().1, "c");
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn level1_timer_cascades_and_fires() {
-        let mut w = TimerWheel::new(Time::ZERO);
-        // ~100 ms: beyond level 0 (33 ms), inside level 1.
-        w.schedule(t(100_000), "far");
-        let mut fired = Vec::new();
-        w.advance(t(50_000), &mut fired);
-        assert!(fired.is_empty());
-        w.advance(t(100_200), &mut fired);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, "far");
-    }
-
-    #[test]
-    fn overflow_timer_survives_the_horizon() {
-        let mut w = TimerWheel::new(Time::ZERO);
-        // ~20 s: beyond level 1 (8.6 s).
-        w.schedule(t(20_000_000), "deep");
-        let mut fired = Vec::new();
-        w.advance(t(10_000_000), &mut fired);
-        assert!(fired.is_empty());
-        assert_eq!(w.len(), 1);
-        w.advance(t(20_100_000), &mut fired);
-        assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].1, "deep");
+        let mut q = DeadlineQueue::new();
+        q.push(t(500), "b");
+        q.push(t(300), "a");
+        q.push(t(900), "c");
+        assert_eq!(drain(&mut q, t(600)), vec![(t(300), "a"), (t(500), "b")]);
+        assert_eq!(q.peek_time(), Some(t(900)));
+        assert_eq!(drain(&mut q, t(1000)), vec![(t(900), "c")]);
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn clock_jump_fires_everything_due() {
-        let mut w = TimerWheel::new(Time::ZERO);
-        w.schedule(t(100), 1u32);
-        w.schedule(t(40_000_000), 2u32); // 40 s, overflow
-        w.schedule(t(100_000), 3u32);
-        let mut fired = Vec::new();
+        let mut q = DeadlineQueue::new();
+        q.push(t(100), 1u32);
+        q.push(t(40_000_000), 2u32);
+        q.push(t(100_000), 3u32);
+        q.push(t(90_000_000), 4u32);
         // Jump 60 s forward in one step.
-        w.advance(t(60_000_000), &mut fired);
-        assert_eq!(fired.len(), 3);
-        assert!(w.is_empty());
-        assert_eq!(fired[0].1, 1);
-        assert_eq!(fired[1].1, 3);
-        assert_eq!(fired[2].1, 2);
+        let fired: Vec<u32> = drain(&mut q, t(60_000_000))
+            .into_iter()
+            .map(|(_, x)| x)
+            .collect();
+        assert_eq!(fired, vec![1, 3, 2]);
+        assert_eq!(q.peek_time(), Some(t(90_000_000)));
     }
 
     #[test]
     fn past_deadline_fires_immediately() {
-        let mut w = TimerWheel::new(t(1000));
-        w.schedule(t(10), "late");
-        let mut fired = Vec::new();
-        w.advance(t(1200), &mut fired);
-        assert_eq!(fired.len(), 1);
+        let mut q = DeadlineQueue::new();
+        assert!(q.pop_due(t(1000)).is_none());
+        q.push(t(10), "late");
+        assert_eq!(q.pop_due(t(1000)), Some((t(10), "late")));
     }
 
     #[test]
     fn dense_timers_all_fire_once() {
-        let mut w = TimerWheel::new(Time::ZERO);
+        let mut q = DeadlineQueue::new();
         for i in 0..1000u64 {
-            w.schedule(t(37 * (i + 1)), i);
+            q.push(t(37 * (i + 1)), i);
         }
         let mut fired = Vec::new();
         let mut at = 0u64;
-        while !w.is_empty() {
+        while q.peek_time().is_some() {
             at += 500;
-            w.advance(t(at), &mut fired);
-            assert!(at < 60_000, "wheel failed to drain");
+            for (deadline, i) in drain(&mut q, t(at)) {
+                assert!(deadline <= t(at));
+                fired.push(i);
+            }
         }
-        let mut ids: Vec<u64> = fired.iter().map(|(_, i)| *i).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 1000);
+        assert_eq!(fired, (0..1000).collect::<Vec<_>>());
     }
 }

@@ -154,7 +154,7 @@ if cargo run --release -p ensemble-analyze --bin stack_lint -- --inject-collisio
   exit 1
 fi
 
-echo "==> runtime: smoke run exposes the defer-batching series"
+echo "==> runtime: smoke run exposes the defer-batching series and fires a layer timer"
 # udp_pingpong installs the bypass on a defer-licensed stack, so the
 # exposition must carry the batching counters the certificate gate feeds.
 PINGPONG_OUT=$(cargo run --release -p ensemble-runtime --example udp_pingpong -- --metrics)
@@ -166,6 +166,12 @@ for series in \
     exit 1
   }
 done
+# The one end-to-end run of the shard's timer path on a wall clock: the
+# warm-up cast arms mnak's timer, so at least one layer timer fired.
+grep -Eq '^ensemble_timers_fired_total\{[^}]*\} [1-9]' <<<"$PINGPONG_OUT" || {
+  echo "udp_pingpong fired no layer timer" >&2
+  exit 1
+}
 
 echo "==> bench: table2a emits and validates BENCH_table2a.json"
 TABLE2A_OUT=$(cargo run --release -p ensemble-bench --bin table2a)
