@@ -13,7 +13,7 @@ pub enum ClusterError {
     /// Rendezvous did not complete within `form_timeout`.
     Timeout,
     /// A joiner gave up: no Welcome (or merge grant) arrived within
-    /// `join_deadline` despite the recorded number of Hello attempts.
+    /// `form_timeout` despite the recorded number of Hello attempts.
     JoinFailed {
         /// Hello frames sent before giving up.
         attempts: u64,
@@ -33,21 +33,6 @@ impl std::fmt::Display for ClusterError {
             ClusterError::Runtime(m) => write!(f, "runtime error: {m}"),
         }
     }
-}
-
-/// How a member decides whether its component may keep changing views.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QuorumPolicy {
-    /// Suspicion is only fed into the stack while the live (unsuspected)
-    /// membership holds a strict majority of the last installed view.
-    /// A component below that threshold stalls — parks application
-    /// egress, quarantines ingress — so at most one side of a split
-    /// installs primary views (default).
-    #[default]
-    MajorityOfLastView,
-    /// No gate: every component keeps installing views. Split-brain is
-    /// possible; only for tests and deployments that accept it.
-    Disabled,
 }
 
 impl std::error::Error for ClusterError {}
@@ -71,23 +56,10 @@ pub struct ClusterConfig {
     pub heartbeat_period: Duration,
     /// Heartbeat periods without contact before a peer is suspected.
     pub miss_limit: u32,
-    /// Initial interval between Hello retries while rendezvousing. Each
-    /// retry doubles the interval (with seed-derived jitter) up to
-    /// `hello_retry_max`.
-    pub hello_retry: Duration,
-    /// Cap on the Hello retry backoff.
-    pub hello_retry_max: Duration,
-    /// A joiner gives up (with [`ClusterError::JoinFailed`]) after this
-    /// long without a Welcome or merge grant.
-    pub join_deadline: Duration,
-    /// Give up on rendezvous after this long.
+    /// Give up on rendezvous after this long: the seed with
+    /// [`ClusterError::Timeout`], a joiner with
+    /// [`ClusterError::JoinFailed`].
     pub form_timeout: Duration,
-    /// Primary-partition policy: when (if ever) to stall a component
-    /// that lost quorum.
-    pub quorum: QuorumPolicy,
-    /// Interval between merge beacons while a coordinator has absent or
-    /// unreachable members to rediscover (partition healing).
-    pub merge_beacon_period: Duration,
     /// MAC key for control frames (the data plane has its own
     /// `layers.sign_key`).
     pub key: u64,
@@ -116,12 +88,7 @@ impl ClusterConfig {
             expected,
             heartbeat_period: Duration::from_millis(40),
             miss_limit: 3,
-            hello_retry: Duration::from_millis(20),
-            hello_retry_max: Duration::from_millis(320),
-            join_deadline: Duration::from_secs(10),
             form_timeout: Duration::from_secs(10),
-            quorum: QuorumPolicy::MajorityOfLastView,
-            merge_beacon_period: Duration::from_millis(100),
             key: 0xC1A5_7E2E_5EED_0001,
         }
     }
@@ -143,26 +110,6 @@ impl ClusterConfig {
         if self.miss_limit == 0 {
             return Err(ClusterError::Config(
                 "miss_limit of zero would suspect every peer instantly".into(),
-            ));
-        }
-        if self.hello_retry.is_zero() {
-            return Err(ClusterError::Config(
-                "zero hello_retry would busy-spin the rendezvous".into(),
-            ));
-        }
-        if self.hello_retry_max < self.hello_retry {
-            return Err(ClusterError::Config(
-                "hello_retry_max below hello_retry inverts the backoff".into(),
-            ));
-        }
-        if self.join_deadline.is_zero() {
-            return Err(ClusterError::Config(
-                "zero join_deadline fails every join immediately".into(),
-            ));
-        }
-        if self.merge_beacon_period.is_zero() {
-            return Err(ClusterError::Config(
-                "zero merge_beacon_period would flood the control plane".into(),
             ));
         }
         let idx = |name: &str| self.stack.iter().position(|l| *l == name);
@@ -221,25 +168,7 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_partition_knobs_are_refused() {
-        let mut cfg = ClusterConfig::new(3);
-        cfg.hello_retry = Duration::ZERO;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ClusterConfig::new(3);
-        cfg.hello_retry_max = cfg.hello_retry / 2;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ClusterConfig::new(3);
-        cfg.join_deadline = Duration::ZERO;
-        assert!(cfg.validate().is_err());
-        let mut cfg = ClusterConfig::new(3);
-        cfg.merge_beacon_period = Duration::ZERO;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn quorum_defaults_to_majority_and_join_failed_displays_attempts() {
-        let cfg = ClusterConfig::new(5);
-        assert_eq!(cfg.quorum, QuorumPolicy::MajorityOfLastView);
+    fn join_failed_displays_attempts() {
         let e = ClusterError::JoinFailed { attempts: 17 };
         assert!(format!("{e}").contains("17"));
     }

@@ -27,14 +27,14 @@
 //!   and learns it has been passed by.
 //! * **State transfer** — the seed's snapshot rides the `Welcome`;
 //!   joiners surface it as [`ClusterEvent::Snapshot`] before `Formed`.
-//! * **Primary partition** ([`QuorumPolicy`]) — suspicion only reaches
+//! * **Primary partition** — suspicion only reaches
 //!   the stack while a component holds a strict majority of the last
 //!   installed view. A minority component *stalls* instead (egress
 //!   parks, ingress quarantines, heartbeats go quiet) and reports
 //!   [`ClusterEvent::MinorityPartition`] — so at most one side of a
 //!   split keeps installing views.
 //! * **Partition healing** — acting coordinators beacon their absent
-//!   and suspected members every `merge_beacon_period`. When beacons
+//!   and suspected members every 100 ms. When beacons
 //!   cross a healed link, seniority by `(epoch, endpoint)` decides
 //!   direction: the junior side sends a `MergeRequest`, the senior
 //!   coordinator runs a gmp merge flush, and `MergeGrant`s (with a
@@ -83,7 +83,7 @@ pub mod metrics;
 pub mod rendezvous;
 pub mod wire;
 
-pub use config::{ClusterConfig, ClusterError, QuorumPolicy};
+pub use config::{ClusterConfig, ClusterError};
 pub use detector::Detector;
 pub use invariant::VsyncChecker;
 pub use member::{ClusterEvent, ClusterNode, StateProvider};

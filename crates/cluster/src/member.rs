@@ -17,7 +17,7 @@
 //!   [`ClusterNode::form`], so the application reads at its own pace
 //!   without stalling a shard.
 
-use crate::config::{ClusterConfig, ClusterError, QuorumPolicy};
+use crate::config::{ClusterConfig, ClusterError};
 use crate::detector::Detector;
 use crate::metrics::ClusterMetrics;
 use crate::rendezvous::{JoinerRendezvous, SeedRendezvous};
@@ -32,6 +32,15 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// First interval between a joiner's Hello retries; each retry doubles
+/// it (with seed-derived jitter) up to [`HELLO_RETRY_MAX`].
+const HELLO_RETRY: Duration = Duration::from_millis(20);
+/// Cap on the Hello retry backoff.
+const HELLO_RETRY_MAX: Duration = Duration::from_millis(320);
+/// Interval between merge beacons while a coordinator has absent or
+/// unreachable members to rediscover (partition healing).
+const MERGE_BEACON_PERIOD_NS: u64 = 100_000_000;
 
 /// Supplies the application snapshot shipped to joiners in the Welcome.
 ///
@@ -142,7 +151,7 @@ impl ClusterNode {
         cfg.validate()?;
         let metrics = Arc::new(ClusterMetrics::default());
         let deadline = std::time::Instant::now() + cfg.form_timeout;
-        let poll_pause = (cfg.hello_retry / 4).max(Duration::from_micros(200));
+        let poll_pause = (HELLO_RETRY / 4).max(Duration::from_micros(200));
 
         // --- Rendezvous (caller's thread, blocking) -------------------
         let am_seed = ep == seed;
@@ -186,16 +195,15 @@ impl ClusterNode {
                 ep,
                 seed,
                 cfg.key,
-                cfg.hello_retry.as_nanos() as u64,
-                cfg.hello_retry_max.as_nanos() as u64,
+                HELLO_RETRY.as_nanos() as u64,
+                HELLO_RETRY_MAX.as_nanos() as u64,
             )
             .with_resume_hint(have);
-            let join_deadline = std::time::Instant::now() + cfg.join_deadline;
             let got = loop {
                 if let Some(got) = rdv.poll(control.as_mut(), Time(now_ns())) {
                     break got;
                 }
-                if std::time::Instant::now() >= join_deadline {
+                if std::time::Instant::now() >= deadline {
                     metrics
                         .bad_frames
                         .fetch_add(rdv.bad_frames, Ordering::Relaxed);
@@ -267,7 +275,6 @@ impl ClusterNode {
         let waker = Arc::new(Waker::new());
         let now = Time(now_ns());
         let period_ns = cfg.heartbeat_period.as_nanos() as u64;
-        let beacon_period_ns = cfg.merge_beacon_period.as_nanos() as u64;
         let driver = Driver {
             me: ep,
             key: cfg.key,
@@ -284,7 +291,7 @@ impl ClusterNode {
             waker: Arc::clone(&waker),
             heartbeat_at: Time(now.0 + period_ns),
             sweep_at: Time(now.0 + period_ns / 2),
-            beacon_at: Time(now.0 + beacon_period_ns),
+            beacon_at: Time(now.0 + MERGE_BEACON_PERIOD_NS),
             obs,
             obs_shard,
             tag,
@@ -293,8 +300,6 @@ impl ClusterNode {
             fenced: false,
             suspicion_at: None,
             state,
-            quorum: cfg.quorum,
-            beacon_period_ns,
             stalled: false,
             serving: Arc::clone(&serving),
             suspected_eps: Vec::new(),
@@ -484,10 +489,6 @@ struct Driver<E> {
     suspicion_at: Option<u64>,
     /// Application state provider, re-snapshotted for merge grants.
     state: Option<Box<dyn StateProvider>>,
-    /// Whether to stall a component that lost quorum.
-    quorum: QuorumPolicy,
-    /// Interval between merge beacons while members are missing.
-    beacon_period_ns: u64,
     /// This component lacks quorum: egress parks, ingress quarantines.
     stalled: bool,
     /// Published `!stalled && !fenced` for cheap service-plane queries.
@@ -549,7 +550,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
             if now >= self.beacon_at {
                 busy = true;
                 self.beacon();
-                self.beacon_at = Time(now.0 + self.beacon_period_ns);
+                self.beacon_at = Time(now.0 + MERGE_BEACON_PERIOD_NS);
             }
 
             // Stack deliveries out to the application.
@@ -646,7 +647,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
         // the primary view sequence.
         let live = self.live_members().len();
         let needed = self.view.members.len() / 2 + 1;
-        if self.quorum == QuorumPolicy::MajorityOfLastView && live < needed {
+        if live < needed {
             self.enter_stall(live, needed);
             return;
         }
@@ -849,7 +850,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
             }
         }
         let needed = self.view.members.len() / 2 + 1;
-        if self.quorum == QuorumPolicy::MajorityOfLastView && merged.len() < needed {
+        if merged.len() < needed {
             return;
         }
         self.merging = true;

@@ -7,7 +7,8 @@
 //! split → minority-stall → heal → merge partition schedule underneath
 //! the load, and then replays the whole execution — every replica's
 //! commit log, every client's completions — through the
-//! [`KvLinearizabilityChecker`].
+//! [`KvLinearizabilityChecker`]. In every round the majority must still
+//! commit a write while the minority is stalled.
 //!
 //! With `--crash` the replicas are formed *durably* on fault-injecting
 //! [`MemDisk`]s ([`StorageFaults::lossy`]: short writes, fsync
@@ -15,16 +16,19 @@
 //! crash/restart cycles runs under the load: a non-seed replica is
 //! killed without warning, its disk torn mid-write, and the replica is
 //! restarted on a reincarnated endpoint — recovering from its own
-//! checkpoint + WAL tail and rejoining through the merge path. Every
-//! recovery feeds the checker's recovery invariants (no acked write
-//! lost, recovered commit index monotonic), and the run ends with a
+//! checkpoint + WAL tail and rejoining through the merge path — and must
+//! commit a write once it serves again. Every recovery feeds the
+//! checker's recovery invariants (no acked write lost, recovered commit
+//! index monotonic), and the run ends with a
 //! final crash of every replica plus a double-recovery determinism
 //! check: replaying the same log twice must yield byte-identical state.
 //!
 //! Emits `BENCH_kv_e2e.json` (ops/sec, p50/p99 latency, and in crash
 //! mode the durability counters) and exits nonzero if the checker finds
-//! a violation — which makes this binary double as the CI
-//! linearizability *and* crash-recovery gate.
+//! a violation, no client operation committed, or any step of the
+//! schedule does not happen in time — which makes this binary the KV
+//! service's one fault drill: the CI linearizability *and*
+//! crash-recovery gate, and the `kv_chaos` test.
 //!
 //! ```text
 //! kv_load [--replicas N] [--sim-clients N] [--tcp-clients N]
@@ -281,12 +285,31 @@ fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// Submits one `Set` of `key` to the replica in `slot` and panics unless
+/// it commits; the completion feeds the checker attributed to `slot`.
+fn must_commit(what: &str, fronts: &Fronts, slot: usize, key: &str, checker: &Checker) {
+    let front = fronts.read().expect("front table poisoned")[slot].clone();
+    let op = KvOp::Set(key.as_bytes().to_vec(), what.as_bytes().to_vec());
+    let r = front.submit_timeout(&op, Duration::from_secs(5));
+    assert!(!matches!(r, KvResult::Err(_)), "{what}: got {r:?}");
+    checker
+        .lock()
+        .expect("checker poisoned")
+        .on_response_at(slot as u32, op, r);
+}
+
 /// The seeded chaos schedule: split both planes with the seed (the
 /// total-order coordinator) in the majority, hold until the minority
-/// stalls, heal, and hold until every replica serves again. Runs
-/// exactly `rounds` rounds; the clients keep the load up until it is
-/// done (see `sched_done`).
-fn run_chaos(control: &LoopbackHub, data: &LoopbackHub, fronts: &Fronts, rounds: u32) -> u32 {
+/// stalls, commit one write through the seed, heal, and hold until
+/// every replica serves again. Runs exactly `rounds` rounds; the
+/// clients keep the load up until it is done (see `sched_done`).
+fn run_chaos(
+    control: &LoopbackHub,
+    data: &LoopbackHub,
+    fronts: &Fronts,
+    checker: &Checker,
+    rounds: u32,
+) -> u32 {
     let n = fronts.read().expect("front table poisoned").len();
     let minority_len = (n - 1) / 2; // strictly less than quorum
     let majority: Vec<u32> = (0..(n - minority_len) as u32).collect();
@@ -307,6 +330,13 @@ fn run_chaos(control: &LoopbackHub, data: &LoopbackHub, fronts: &Fronts, rounds:
             "minority replicas to stall",
             Duration::from_secs(20),
             || minority.iter().all(|&id| !serving(id as usize)),
+        );
+        must_commit(
+            "the majority commits during the split",
+            fronts,
+            0,
+            "during-partition",
+            checker,
         );
         // Let the load run against the degraded group for a while.
         std::thread::sleep(Duration::from_millis(250));
@@ -394,7 +424,6 @@ fn run_crash(
             let mut cfg = KvConfig::new(n);
             // A loaded 1-core box can stretch the merge well past the
             // default 10s form deadline.
-            cfg.cluster.join_deadline = Duration::from_secs(30);
             cfg.cluster.form_timeout = Duration::from_secs(30);
             let wal = Wal::on_mem_disk(&disks[t], &format!("r{t}"), cfg.wal);
             match KvReplica::form_durable(
@@ -434,6 +463,13 @@ fn run_crash(
             "restarted replica to rejoin and serve",
             Duration::from_secs(60),
             || fronts.read().expect("front table poisoned")[t].is_serving(),
+        );
+        must_commit(
+            "the restarted replica commits",
+            fronts,
+            t,
+            "after-recovery",
+            checker,
         );
     }
     cycles
@@ -540,11 +576,12 @@ fn main() {
         let control = control.clone();
         let data = data.clone();
         let fronts = Arc::clone(&fronts);
+        let checker = Arc::clone(&checker);
         let done = Arc::clone(&sched_done);
         let rounds = args.chaos_rounds;
         std::thread::spawn(move || {
             let _done = DoneGuard(done);
-            run_chaos(&control, &data, &fronts, rounds)
+            run_chaos(&control, &data, &fronts, &checker, rounds)
         })
     });
     let crash = args.crash.then(|| {
@@ -762,6 +799,10 @@ fn main() {
         l.shutdown();
     }
 
+    if ok_ops == 0 {
+        println!("kv_load: FAILED: no client operation committed");
+        std::process::exit(1);
+    }
     if violations.is_empty() {
         println!("kv_load: linearizability check PASSED");
     } else {

@@ -8,7 +8,7 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct KvConfig {
     /// The underlying cluster member configuration (stack, engine,
-    /// heartbeats, quorum policy, …).
+    /// heartbeats, form timeout, …).
     pub cluster: ClusterConfig,
     /// Worker threads in the TCP listener's pool; each parks on accepted
     /// connections pulled from a shared queue.

@@ -149,7 +149,6 @@ fn crash_and_restart(
     let reborn = old_ep.reincarnate();
     let (c, d) = (control.attach(reborn), data.attach(reborn));
     let mut cfg = KvConfig::new(REPLICAS);
-    cfg.cluster.join_deadline = Duration::from_secs(30);
     cfg.cluster.form_timeout = Duration::from_secs(30);
     let wal = open_wal(disks, victim_slots, VICTIM, &cfg);
     let (replica, report) =

@@ -68,7 +68,7 @@ pub use fault::{
     Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
 };
 pub use group::{Action, BypassError, CoreEvent, CoreLayer, Delivery, GroupCore, LayerTags};
-pub use metrics::{RuntimeStats, ShardMetrics, ShardSnapshot, TransportHealth};
+pub use metrics::{RuntimeStats, ShardMetrics, ShardSnapshot};
 pub use node::{GroupHandle, GroupSender, Node, RuntimeConfig, RuntimeError};
 pub use obs::NodeObs;
 pub use timer::DeadlineQueue;

@@ -8,7 +8,6 @@
 //! program's instruction count, generic-path events add one dispatch per
 //! layer crossed.
 
-use crate::fault::{FaultCounts, PartitionStatus};
 use ensemble_util::Counters;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,27 +162,11 @@ impl ShardSnapshot {
     }
 }
 
-/// Health of the node's transport fabric at snapshot time: injected
-/// fault totals plus the live partition picture. Only populated when the
-/// node runs over a [`crate::transport::LoopbackHub`] (or another source
-/// registered via [`crate::Node::set_transport_health_source`]); real
-/// sockets report `None`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TransportHealth {
-    /// Cumulative injected-fault counters (drops, dups, reorders,
-    /// partition and link-matrix drops).
-    pub faults: FaultCounts,
-    /// The active partition layout and remaining script steps.
-    pub partition: PartitionStatus,
-}
-
 /// A whole-node snapshot: one entry per shard.
 #[derive(Clone, Debug, Default)]
 pub struct RuntimeStats {
     /// Per-shard counters, indexed by shard id.
     pub shards: Vec<ShardSnapshot>,
-    /// Transport fabric health, when a source is registered.
-    pub transport: Option<TransportHealth>,
 }
 
 impl RuntimeStats {
@@ -299,10 +282,7 @@ mod tests {
             retransmits: 2,
             ..ShardSnapshot::default()
         };
-        let stats = RuntimeStats {
-            shards: vec![a, b],
-            transport: None,
-        };
+        let stats = RuntimeStats { shards: vec![a, b] };
         let t = stats.totals();
         assert_eq!(t.msgs_in, 12);
         assert_eq!(t.retransmits, 2);
@@ -334,10 +314,7 @@ mod tests {
         let s = m.snapshot(0);
         assert_eq!(s.defer_batched, 64);
         assert_eq!(s.defer_flushes, 2);
-        let stats = RuntimeStats {
-            shards: vec![s, s],
-            transport: None,
-        };
+        let stats = RuntimeStats { shards: vec![s, s] };
         let t = stats.totals();
         assert_eq!(t.defer_batched, 128);
         assert_eq!(t.defer_flushes, 4);
@@ -358,10 +335,7 @@ mod tests {
         assert_eq!(s.spurious_wakeups, 4);
         assert_eq!(s.transport_send_errors, 2);
         assert_eq!(s.transport_recv_errors, 1);
-        let stats = RuntimeStats {
-            shards: vec![s, s],
-            transport: None,
-        };
+        let stats = RuntimeStats { shards: vec![s, s] };
         let t = stats.totals();
         assert_eq!(t.spurious_wakeups, 8);
         assert_eq!(t.transport_send_errors, 4);
@@ -388,7 +362,6 @@ mod tests {
                 delivery_flushes: 8,
                 ..ShardSnapshot::default()
             }],
-            transport: None,
         };
         let text = format!("{stats}");
         assert!(text.contains("qdepth cmd=6 dlv=7"), "got: {text}");

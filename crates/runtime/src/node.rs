@@ -21,7 +21,7 @@
 //! notes on [`GroupHandle`].
 
 use crate::group::{Action, CoreEvent, Delivery, GroupCore, LayerTags};
-use crate::metrics::{RuntimeStats, ShardMetrics, TransportHealth};
+use crate::metrics::{RuntimeStats, ShardMetrics};
 use crate::obs::NodeObs;
 use crate::timer::DeadlineQueue;
 use crate::transport::{Transport, Waker};
@@ -352,7 +352,6 @@ pub struct Node {
     next_shard: usize,
     cfg: RuntimeConfig,
     obs: Arc<NodeObs>,
-    health: Option<Arc<dyn Fn() -> TransportHealth + Send + Sync>>,
 }
 
 impl Node {
@@ -390,7 +389,6 @@ impl Node {
             next_shard: 0,
             cfg,
             obs,
-            health: None,
         }
     }
 
@@ -471,17 +469,6 @@ impl Node {
         }
     }
 
-    /// Registers the source [`Node::stats`] polls for transport health
-    /// (fault totals + partition layout). Typically
-    /// `node.set_transport_health_source(move || hub.health())` when the
-    /// node runs over a [`crate::transport::LoopbackHub`].
-    pub fn set_transport_health_source<F>(&mut self, source: F)
-    where
-        F: Fn() -> TransportHealth + Send + Sync + 'static,
-    {
-        self.health = Some(Arc::new(source));
-    }
-
     /// Snapshots every shard's counters.
     pub fn stats(&self) -> RuntimeStats {
         RuntimeStats {
@@ -491,7 +478,6 @@ impl Node {
                 .enumerate()
                 .map(|(i, s)| s.metrics.snapshot(i))
                 .collect(),
-            transport: self.health.as_ref().map(|h| h()),
         }
     }
 

@@ -20,9 +20,6 @@
 //! * `ensemble_delivery_flushes_total{shard}` — delivery batches handed to
 //!   application queues (deliveries ÷ this = the batch a consumer wakes to)
 //! * `ensemble_stall_drops_total{shard}` — ingress quarantined while stalled
-//! * `ensemble_transport_faults_total{kind}` — injected faults (loopback hub)
-//! * `ensemble_partition_active` / `ensemble_partition_components` /
-//!   `ensemble_partition_dead_links` / `ensemble_partition_pending_steps`
 //! * `ensemble_model_cost_total{counter}` — the Table 2(a) vocabulary
 //! * `ensemble_cast_to_deliver_ns{quantile}` — sender command drain to the
 //!   receiving core producing the delivery (before the hand-off)
@@ -131,36 +128,6 @@ impl NodeObs {
             );
             reg.set_int("ensemble_stall_drops_total", &only, s.stall_drops);
         }
-        if let Some(health) = &stats.transport {
-            let f = &health.faults;
-            for (kind, v) in [
-                ("dropped", f.dropped),
-                ("duplicated", f.duplicated),
-                ("reordered", f.reordered),
-                ("backpressure", f.backpressure_drops),
-                ("partition", f.partition_drops),
-                ("link", f.link_drops),
-            ] {
-                reg.set_int("ensemble_transport_faults_total", &[("kind", kind)], v);
-            }
-            let p = &health.partition;
-            reg.set_int("ensemble_partition_active", &[], p.is_partitioned() as u64);
-            reg.set_int(
-                "ensemble_partition_components",
-                &[],
-                p.components.len() as u64,
-            );
-            reg.set_int(
-                "ensemble_partition_dead_links",
-                &[],
-                p.dead_links.len() as u64,
-            );
-            reg.set_int(
-                "ensemble_partition_pending_steps",
-                &[],
-                p.pending_steps as u64,
-            );
-        }
         let cost = stats.totals().model_cost;
         for (counter, v) in [
             ("instructions", cost.instructions),
@@ -225,7 +192,6 @@ mod tests {
                 delivery_flushes: 5,
                 ..ShardSnapshot::default()
             }],
-            transport: None,
         };
         let text = obs.metrics_text(&stats);
         for series in [
@@ -246,45 +212,6 @@ mod tests {
             "ensemble_transport_errors_total{shard=\"0\",kind=\"recv\"}",
             "ensemble_stall_drops_total{shard=\"0\"} 3",
             "ensemble_trace_events_total",
-        ] {
-            assert!(text.contains(series), "missing {series} in:\n{text}");
-        }
-        assert!(
-            !text.contains("ensemble_transport_faults_total"),
-            "fault series need a registered health source"
-        );
-    }
-
-    #[test]
-    fn exposition_renders_transport_health_when_present() {
-        use crate::fault::{FaultCounts, PartitionStatus};
-        use crate::metrics::TransportHealth;
-        let obs = NodeObs::new(true, 1, 64);
-        let stats = RuntimeStats {
-            shards: vec![],
-            transport: Some(TransportHealth {
-                faults: FaultCounts {
-                    dropped: 2,
-                    partition_drops: 5,
-                    link_drops: 1,
-                    ..FaultCounts::default()
-                },
-                partition: PartitionStatus {
-                    components: vec![vec![0, 1], vec![2]],
-                    dead_links: vec![(3, 4)],
-                    pending_steps: 7,
-                },
-            }),
-        };
-        let text = obs.metrics_text(&stats);
-        for series in [
-            "ensemble_transport_faults_total{kind=\"dropped\"} 2",
-            "ensemble_transport_faults_total{kind=\"partition\"} 5",
-            "ensemble_transport_faults_total{kind=\"link\"} 1",
-            "ensemble_partition_active 1",
-            "ensemble_partition_components 2",
-            "ensemble_partition_dead_links 1",
-            "ensemble_partition_pending_steps 7",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }

@@ -410,19 +410,6 @@ impl LoopbackHub {
     pub fn partition_status(&self) -> PartitionStatus {
         self.locked().plane.status()
     }
-
-    /// Fault totals and partition layout in one snapshot, the shape
-    /// [`crate::RuntimeStats`] carries. Hand
-    /// `move || hub.health()` to
-    /// [`crate::Node::set_transport_health_source`] to surface it from
-    /// [`crate::Node::stats`] and the metrics exposition.
-    pub fn health(&self) -> crate::metrics::TransportHealth {
-        let inner = self.locked();
-        crate::metrics::TransportHealth {
-            faults: inner.plane.counts(),
-            partition: inner.plane.status(),
-        }
-    }
 }
 
 /// One endpoint's view of a [`LoopbackHub`].

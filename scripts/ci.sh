@@ -63,11 +63,11 @@ echo "==> cluster: demo — scripted 4/2 split, minority stall, heal, view merge
 cargo run --release -p ensemble-cluster --example cluster_demo -- --partition
 
 echo "==> kv: chaos linearizability + TCP client plane (release)"
-# chaos_load_stays_linearizable drives 100 concurrent clients through
-# seeded split/stall/heal/merge rounds and replays every commit and
-# response against the linearizability checker; tcp_plane exercises
-# pipelining, redirect-away-from-stalled, per-request timeouts, and the
-# event-driven request path (sub-tick depth-1 latency, back-pressure at
+# chaos_load_stays_linearizable runs the kv_load fault drill in its
+# chaos shape (100 simulated clients, no TCP, two seeded
+# split/stall/heal/merge rounds) and fails unless it exits 0;
+# tcp_plane exercises pipelining, redirect-away-from-stalled,
+# per-request timeouts, and the event-driven request path (sub-tick depth-1 latency, back-pressure at
 # the pipeline bound, no wake-up while idle) over real sockets.
 cargo test --release -p ensemble-kv --test kv_chaos
 cargo test --release -p ensemble-kv --test tcp_plane
@@ -79,17 +79,12 @@ echo "==> kv: crash recovery through the real replica path (release)"
 # a strict prefix and catches up by snapshot.
 cargo test --release -p ensemble-kv --test recovery
 
-echo "==> kv: demo — replicated KV through a partition round, linearizability replay"
-# kv_demo exits nonzero if the majority cannot commit during the
-# partition, a replica never resumes serving after the heal, or the
-# checker finds a violation; --crash swaps the partition for a
-# crash-stop + WAL recovery episode and also replays the recovery
-# invariants.
-cargo run --release -p ensemble-kv --example kv_demo
-cargo run --release -p ensemble-kv --example kv_demo -- --tcp
-cargo run --release -p ensemble-kv --example kv_demo -- --crash
-
 echo "==> kv: load generator emits and validates BENCH_kv_e2e.json"
+# The same drill with TCP clients beside the simulated ones. kv_load
+# exits nonzero unless the minority stalls and the majority commits in
+# every split, the healed group serves, every replica serves after the
+# load, the commit logs quiesce, some operation committed and the
+# checker finds no violation.
 KV_LOAD_OUT=$(cargo run --release -p ensemble-kv --bin kv_load -- \
   --replicas 3 --sim-clients 100 --tcp-clients 2 --ops 20 \
   --seed 42 --chaos --chaos-rounds 2 --out BENCH_kv_e2e.json)
@@ -112,7 +107,8 @@ for series in \
 done
 
 echo "==> kv: seeded crash/restart gate emits and validates BENCH_kv_crash.json"
-# Eight crash/restart cycles under load on fault-injecting disks; the
+# Eight crash/restart cycles under load on fault-injecting disks; each
+# restarted replica must commit a write once it serves, and the
 # validator fails unless every restart recovered from the WAL, the
 # injected faults demonstrably fired (torn tails, absorbed storage
 # errors), and the recovery invariants held (zero violations).
