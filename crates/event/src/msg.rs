@@ -33,6 +33,16 @@ impl Msg {
         }
     }
 
+    /// A fresh application message with room for `depth` headers: a
+    /// stack of that many layers pushes its frames without regrowing the
+    /// vector, and `frag` keeps that room in every piece's copy.
+    pub fn with_depth(payload: Payload, depth: usize) -> Msg {
+        Msg {
+            frames: Vec::with_capacity(depth),
+            payload,
+        }
+    }
+
     /// A headerless, payloadless control message (layers then push their
     /// control headers onto it).
     pub fn control() -> Msg {

@@ -806,10 +806,47 @@ fn main() {
     if violations.is_empty() {
         println!("kv_load: linearizability check PASSED");
     } else {
-        println!("kv_load: linearizability check FAILED:");
-        for v in violations.iter().take(20) {
-            println!("  {v}");
-        }
+        print!("{}", failure_report(&violations));
         std::process::exit(1);
+    }
+}
+
+/// The checker's verdict on a failed run: the total, the first 20
+/// violations, and how many more there were.
+fn failure_report(violations: &[String]) -> String {
+    const SHOWN: usize = 20;
+    let mut out = format!(
+        "kv_load: linearizability check FAILED: {} violations\n",
+        violations.len()
+    );
+    for v in violations.iter().take(SHOWN) {
+        out += &format!("  {v}\n");
+    }
+    if violations.len() > SHOWN {
+        out += &format!("  … and {} more\n", violations.len() - SHOWN);
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::failure_report;
+
+    #[test]
+    fn a_failure_report_counts_every_violation_and_shows_twenty() {
+        let violations: Vec<String> = (0..23)
+            .map(|ci| format!("commit index {ci} diverges"))
+            .collect();
+        let report = failure_report(&violations);
+        let lines: Vec<&str> = report.lines().collect();
+        assert_eq!(
+            lines[0],
+            "kv_load: linearizability check FAILED: 23 violations"
+        );
+        assert_eq!(lines[20], "  commit index 19 diverges");
+        assert_eq!(lines[21], "  … and 3 more");
+        assert_eq!(lines.len(), 22);
+        let few = failure_report(&violations[..2]);
+        assert_eq!(few.lines().count(), 3, "no remainder line: {few}");
     }
 }

@@ -42,30 +42,38 @@ impl Frag {
         self.partials.len()
     }
 
-    fn fragment(&mut self, msg: Msg) -> Vec<Msg> {
+    /// Hands `msg` to `emit` whole, or as numbered pieces in order.
+    fn fragment(&mut self, msg: Msg, mut emit: impl FnMut(Msg)) {
         if msg.payload().len() <= self.max {
             let mut m = msg;
             m.push_frame(Frame::Frag(FragHdr::Whole));
-            return vec![m];
+            return emit(m);
         }
-        let (frames, payload) = msg.into_parts();
+        let (mut frames, payload) = msg.into_parts();
         let pieces = payload.split_into(self.max);
         let total = pieces.len() as u16;
         let msg_id = self.next_msg_id;
         self.next_msg_id = self.next_msg_id.wrapping_add(1);
-        pieces
-            .into_iter()
-            .enumerate()
-            .map(|(i, piece)| {
-                let mut m = Msg::from_parts(frames.clone(), piece);
-                m.push_frame(Frame::Frag(FragHdr::Piece {
-                    msg_id,
-                    idx: i as u16,
-                    total,
-                }));
-                m
-            })
-            .collect()
+        let last = pieces.len() - 1;
+        for (i, piece) in pieces.into_iter().enumerate() {
+            // Each piece's copy keeps the room the message was built
+            // with, so the layers below push without regrowing it; the
+            // last piece takes the original.
+            let frames = if i == last {
+                std::mem::take(&mut frames)
+            } else {
+                let mut copy = Vec::with_capacity(frames.capacity());
+                copy.extend_from_slice(&frames);
+                copy
+            };
+            let mut m = Msg::from_parts(frames, piece);
+            m.push_frame(Frame::Frag(FragHdr::Piece {
+                msg_id,
+                idx: i as u16,
+                total,
+            }));
+            emit(m);
+        }
     }
 
     /// Processes an arriving piece; returns the whole message when complete.
@@ -135,15 +143,9 @@ impl Layer for Frag {
 
     fn dn(&mut self, _now: Time, ev: DnEvent, out: &mut Effects) {
         match ev {
-            DnEvent::Cast(msg) => {
-                for m in self.fragment(msg) {
-                    out.dn(DnEvent::Cast(m));
-                }
-            }
+            DnEvent::Cast(msg) => self.fragment(msg, |m| out.dn(DnEvent::Cast(m))),
             DnEvent::Send { dst, msg } => {
-                for m in self.fragment(msg) {
-                    out.dn(DnEvent::Send { dst, msg: m });
-                }
+                self.fragment(msg, |m| out.dn(DnEvent::Send { dst, msg: m }))
             }
             other => out.dn(other),
         }

@@ -223,10 +223,12 @@ impl Layer for Mnak {
                 out.dn(ev);
             }
             DnEvent::Stable(vec) => {
-                // Prune everything below the stability floor.
+                // Prune everything below the stability floor, in place.
                 for (i, floor) in vec.iter().enumerate() {
                     if let Some(o) = self.origins.get_mut(i) {
-                        o.store = o.store.split_off(&floor.0);
+                        while o.store.first_key_value().is_some_and(|(&s, _)| s < floor.0) {
+                            o.store.pop_first();
+                        }
                     }
                 }
                 out.dn(ev);

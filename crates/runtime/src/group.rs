@@ -6,7 +6,9 @@
 //! application deliveries. It performs no I/O and reads no clock, so the
 //! same code is driven by the shard workers here (wall clock), by the
 //! simulator in `ensemble::sim` (virtual clock), and by unit tests feeding
-//! it events directly.
+//! it events directly. A caller done with an action list may hand it back
+//! ([`GroupCore::recycle_actions`]); the shard does, so a stream of calls
+//! refills one list, as the IMP engine refills one boundary.
 //!
 //! ## Bypass routing
 //!
@@ -307,6 +309,10 @@ pub struct GroupCore {
     tracing: bool,
     events: Vec<CoreEvent>,
     event_ord: u64,
+    /// An emptied action list handed back by the caller
+    /// ([`GroupCore::recycle_actions`]): the next call fills it instead
+    /// of growing a fresh one.
+    spare: Vec<Action>,
 }
 
 impl GroupCore {
@@ -347,6 +353,7 @@ impl GroupCore {
             tracing: false,
             events: Vec::new(),
             event_ord: 0,
+            spare: Vec::new(),
         };
         let mut out = Vec::new();
         core.route(now, boundary, &mut out);
@@ -382,7 +389,7 @@ impl GroupCore {
     /// Unstalling without a view change replays parked messages into the
     /// current view.
     pub fn set_stalled(&mut self, now: Time, on: bool) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive || self.stalled == on {
             return out;
         }
@@ -401,6 +408,17 @@ impl GroupCore {
         out
     }
 
+    /// Hands back an action list this core returned, once the caller has
+    /// carried it out: the next call that returns actions reuses its
+    /// buffer (the larger, if a spare is already held). Optional — a
+    /// caller that keeps its lists costs only the allocation.
+    pub fn recycle_actions(&mut self, mut actions: Vec<Action>) {
+        if actions.capacity() > self.spare.capacity() {
+            actions.clear();
+            self.spare = actions;
+        }
+    }
+
     /// Takes and resets the stalled-ingress drop count.
     pub fn take_stall_drops(&mut self) -> u64 {
         std::mem::take(&mut self.stall_drops)
@@ -414,7 +432,7 @@ impl GroupCore {
     /// back. Clears any quorum stall and replays parked messages into
     /// the merged view.
     pub fn install_external_view(&mut self, now: Time, vs: ViewState) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive || vs.view_id.ltime <= self.vs.view_id.ltime {
             return out;
         }
@@ -426,7 +444,7 @@ impl GroupCore {
     /// Asks the stack to admit `members` (partition healing): `gmp`
     /// flushes the current view and announces the grown view.
     pub fn merge(&mut self, now: Time, members: Vec<Endpoint>) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if self.alive {
             self.trace(
                 now,
@@ -588,7 +606,7 @@ impl GroupCore {
     /// An application multicast of a payload the caller already holds (the
     /// shard wraps the buffer its handle copied): no copy here.
     pub fn cast_payload(&mut self, now: Time, payload: Payload) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive {
             return out;
         }
@@ -626,7 +644,7 @@ impl GroupCore {
                 0,
             );
         }
-        let ev = DnEvent::Cast(Msg::data(payload));
+        let ev = DnEvent::Cast(self.message(payload));
         let b = self.inject_dn(now, ev);
         self.route(now, b, &mut out);
         out
@@ -640,7 +658,7 @@ impl GroupCore {
 
     /// [`GroupCore::send`] for a payload the caller already built.
     pub fn send_payload(&mut self, now: Time, dst: Rank, payload: Payload) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive || dst.index() >= self.vs.nmembers() {
             return out;
         }
@@ -675,7 +693,7 @@ impl GroupCore {
         }
         let ev = DnEvent::Send {
             dst,
-            msg: Msg::data(payload),
+            msg: self.message(payload),
         };
         let b = self.inject_dn(now, ev);
         self.route(now, b, &mut out);
@@ -687,7 +705,7 @@ impl GroupCore {
     /// only view a rank means anything in; an endpoint that view lacks
     /// is dropped, and if none is left nothing is injected.
     pub fn suspect(&mut self, now: Time, members: Vec<Endpoint>) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         let ranks: Vec<Rank> = members.iter().filter_map(|&m| self.vs.rank_of(m)).collect();
         if self.alive && !ranks.is_empty() {
             self.trace(
@@ -706,7 +724,7 @@ impl GroupCore {
 
     /// Gracefully leaves the group.
     pub fn leave(&mut self, now: Time) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if self.alive {
             self.trace(
                 now,
@@ -724,7 +742,7 @@ impl GroupCore {
 
     /// A packet arrived from the transport.
     pub fn deliver_packet(&mut self, now: Time, pkt: Packet) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive {
             return out;
         }
@@ -813,7 +831,7 @@ impl GroupCore {
 
     /// Fires a layer timer requested by generation `generation`.
     pub fn fire_timer(&mut self, now: Time, layer: usize, generation: u64) -> Vec<Action> {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.spare);
         if !self.alive || generation != self.generation {
             return out; // Stale timer from a replaced stack.
         }
@@ -834,6 +852,12 @@ impl GroupCore {
             out.retain(|a| !matches!(a, Action::Transmit(_)));
         }
         out
+    }
+
+    /// An application message whose frame vector has room for a header
+    /// from every layer of the stack it enters, so it never regrows.
+    fn message(&self, payload: Payload) -> Msg {
+        Msg::with_depth(payload, self.engine.layer_count())
     }
 
     fn inject_dn(&mut self, now: Time, ev: DnEvent) -> Boundary {
@@ -1044,7 +1068,7 @@ impl GroupCore {
                 _ => {}
             }
         }
-        for ev in b.app {
+        for ev in b.app.drain(..) {
             match ev {
                 UpEvent::Cast { origin, msg } => {
                     let oid = self.vs.endpoint_of(origin).id();
@@ -1107,6 +1131,9 @@ impl GroupCore {
                 _ => {}
             }
         }
+        // Emptied, the boundary's vectors serve the engine's next call
+        // (after a view change, the new engine's).
+        self.engine.recycle_boundary(b);
     }
 
     /// Installs a new view: fresh stack, new generation, bypass dropped.
@@ -1164,6 +1191,7 @@ impl GroupCore {
                 Parked::Cast(payload) => {
                     let mut acts = self.cast_payload(now, payload);
                     out.append(&mut acts);
+                    self.recycle_actions(acts);
                 }
                 Parked::Send(dst_ep, payload) => {
                     let Some(dst) = self.vs.rank_of(dst_ep) else {
@@ -1171,6 +1199,7 @@ impl GroupCore {
                     };
                     let mut acts = self.send_payload(now, dst, payload);
                     out.append(&mut acts);
+                    self.recycle_actions(acts);
                 }
             }
         }
@@ -1212,6 +1241,18 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn a_handed_back_action_list_is_refilled() {
+        let (mut c0, _) = core(0, 2);
+        let first = c0.cast(Time(1), b"one");
+        assert_eq!(transmits(&first).len(), 1);
+        let buf = first.as_ptr();
+        c0.recycle_actions(first);
+        let second = c0.cast(Time(2), b"two");
+        assert_eq!(second.as_ptr(), buf, "the list handed back was reused");
+        assert_eq!(transmits(&second).len(), 1);
     }
 
     #[test]

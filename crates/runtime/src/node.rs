@@ -514,7 +514,6 @@ fn worker_loop(
     // Layer timers as (group index, layer, generation).
     let mut timers: DeadlineQueue<(usize, usize, u64)> = DeadlineQueue::new();
     let mut fired: Vec<(Time, (usize, usize, u64))> = Vec::new();
-    let mut actions: Vec<Action> = Vec::new();
     let mut events: Vec<CoreEvent> = Vec::new();
     let obs_on = obs.enabled();
     // True when the previous park was ended by a wake: if this iteration
@@ -575,33 +574,28 @@ fn worker_loop(
                 metrics.cmd_depth.fetch_sub(1, Ordering::Relaxed);
                 busy = true;
                 let now = Time(now_ns());
-                actions.clear();
-                match cmd {
-                    Command::Cast(p) => {
-                        actions = groups[gidx].core.cast_payload(now, Payload::from_vec(p))
-                    }
-                    Command::Send(dst, p) => {
-                        actions = groups[gidx]
-                            .core
-                            .send_payload(now, dst, Payload::from_vec(p))
-                    }
-                    Command::Suspect(members) => actions = groups[gidx].core.suspect(now, members),
-                    Command::Merge(members) => actions = groups[gidx].core.merge(now, members),
-                    Command::InstallView(vs) => {
-                        actions = groups[gidx].core.install_external_view(now, vs)
-                    }
-                    Command::Stall(on) => actions = groups[gidx].core.set_stalled(now, on),
+                let core = &mut groups[gidx].core;
+                let acts = match cmd {
+                    Command::Cast(p) => core.cast_payload(now, Payload::from_vec(p)),
+                    Command::Send(dst, p) => core.send_payload(now, dst, Payload::from_vec(p)),
+                    Command::Suspect(members) => core.suspect(now, members),
+                    Command::Merge(members) => core.merge(now, members),
+                    Command::InstallView(vs) => core.install_external_view(now, vs),
+                    Command::Stall(on) => core.set_stalled(now, on),
                     Command::InstallBypass(reply) => {
-                        let r = groups[gidx]
-                            .core
-                            .install_bypass()
-                            .map_err(|e| e.to_string());
+                        let r = core.install_bypass().map_err(|e| e.to_string());
                         let _ = reply.send(r);
+                        Vec::new()
                     }
-                    Command::DropBypass => groups[gidx].core.drop_bypass(),
-                    Command::SetDeliveryWaker(w) => groups[gidx].delivery_waker = Some(w),
-                }
-                let acts = std::mem::take(&mut actions);
+                    Command::DropBypass => {
+                        core.drop_bypass();
+                        Vec::new()
+                    }
+                    Command::SetDeliveryWaker(w) => {
+                        groups[gidx].delivery_waker = Some(w);
+                        Vec::new()
+                    }
+                };
                 let mut ctx = RouteCtx {
                     timers: &mut timers,
                     metrics: &metrics,
@@ -789,10 +783,17 @@ struct RouteCtx<'a> {
 }
 
 /// Applies one batch of actions for group `gidx`; deliveries join the
-/// group's held batch for [`hand_off`].
-fn route_actions(groups: &mut [GroupSlot], gidx: usize, actions: Vec<Action>, ctx: &mut RouteCtx) {
+/// group's held batch for [`hand_off`]. Packets are handed to the
+/// transport by value and the emptied list goes back to the group's core
+/// for its next call.
+fn route_actions(
+    groups: &mut [GroupSlot],
+    gidx: usize,
+    mut actions: Vec<Action>,
+    ctx: &mut RouteCtx,
+) {
     let g = &mut groups[gidx];
-    for a in actions {
+    for a in actions.drain(..) {
         match a {
             Action::Transmit(pkt) => {
                 ctx.metrics.msgs_out.fetch_add(1, Ordering::Relaxed);
@@ -814,7 +815,7 @@ fn route_actions(groups: &mut [GroupSlot], gidx: usize, actions: Vec<Action>, ct
                         },
                     );
                 }
-                let _ = g.transport.send_at(&pkt, ctx.origin_ns);
+                let _ = g.transport.send_owned_at(pkt, ctx.origin_ns);
             }
             Action::Timer {
                 layer,
@@ -829,6 +830,7 @@ fn route_actions(groups: &mut [GroupSlot], gidx: usize, actions: Vec<Action>, ct
             }
         }
     }
+    g.core.recycle_actions(actions);
 }
 
 /// Hands a group's held deliveries to its application queue, in order:

@@ -18,15 +18,11 @@
 use crate::fault::{
     Fate, FaultCounts, FaultPlan, FaultPlane, PartitionOp, PartitionScript, PartitionStatus,
 };
-use ensemble_transport::{
-    datagram_len, decode_datagram, decode_datagram_owned, encode_datagram, write_datagram, Dest,
-    Packet, WireError,
-};
+use ensemble_transport::{datagram_len, decode_datagram, write_datagram, Dest, Packet, WireError};
 use ensemble_util::Endpoint;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io;
-use std::ops::Deref;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -116,6 +112,11 @@ impl TransportIoErrors {
 /// non-blocking on both paths. Loss is allowed at any point — the layer
 /// stacks (mnak, pt2pt) recover — but a delivered datagram must arrive
 /// intact and at the right endpoint.
+///
+/// The shard gives every packet it transmits to
+/// [`Transport::send_owned_at`]; `send` and `send_at` lend one. A driver
+/// that wraps another should forward all three, or the packets it is
+/// given reach the inner driver lent, and the hub copies what it is lent.
 pub trait Transport: Send {
     /// The endpoint this transport receives for.
     fn local_ep(&self) -> Endpoint;
@@ -136,6 +137,17 @@ pub trait Transport: Send {
     fn send_at(&mut self, pkt: &Packet, origin_ns: u64) -> io::Result<()> {
         let _ = origin_ns;
         self.send(pkt)
+    }
+
+    /// Like [`Transport::send_at`], for a packet the caller is done with:
+    /// the shard hands every transmission over this way. A driver that
+    /// moves packets in memory (the loopback hub) passes the packet on as
+    /// it is, so its bytes are neither copied into an envelope nor slid
+    /// out of one at the receiver; the default lends it to `send_at`,
+    /// which is all a driver that writes an envelope to a socket (UDP
+    /// here) needs.
+    fn send_owned_at(&mut self, pkt: Packet, origin_ns: u64) -> io::Result<()> {
+        self.send_at(&pkt, origin_ns)
     }
 
     /// Polls one packet with its origin stamp, when the driver carries
@@ -166,28 +178,30 @@ pub trait Transport: Send {
 }
 
 /// Datagrams of at most this many bytes (envelope included) travel
-/// inside the hub's queue slot; larger ones are moved as a vector.
+/// inside the hub's queue slot; larger packets travel as they are.
 const INLINE_DATAGRAM: usize = 48;
 
-/// One encoded datagram in a hub queue slot. A small one lives in the
-/// slot itself, so it is neither allocated by the sending shard nor freed
-/// by the receiving one; a larger one is a vector the receiver takes over.
+/// One datagram in a hub queue slot. A small one is encoded into the slot
+/// itself, so it is neither allocated by the sending shard nor freed by
+/// the receiving one; a larger one is the sender's packet, which the
+/// receiver takes over without an envelope around it.
 #[derive(Clone)]
 enum Frame {
     Inline { len: u8, buf: [u8; INLINE_DATAGRAM] },
-    Heap(Vec<u8>),
+    Packet(Packet),
 }
 
 impl Frame {
-    /// Encodes `pkt` into a slot when it fits, else into a vector.
-    fn encode(pkt: &Packet) -> Frame {
-        let len = datagram_len(pkt);
+    /// Encodes `pkt` into a slot when its datagram fits, else keeps the
+    /// packet, copying it only if it was lent.
+    fn new(pkt: Cow<'_, Packet>) -> Frame {
+        let len = datagram_len(&pkt);
         if len > INLINE_DATAGRAM {
-            return Frame::Heap(encode_datagram(pkt));
+            return Frame::Packet(pkt.into_owned());
         }
         let mut buf = [0; INLINE_DATAGRAM];
         let mut at = 0;
-        write_datagram(pkt, |b| {
+        write_datagram(&pkt, |b| {
             buf[at..at + b.len()].copy_from_slice(b);
             at += b.len();
         });
@@ -197,23 +211,12 @@ impl Frame {
         }
     }
 
-    /// Decodes the datagram: a vector becomes the packet's bytes in
-    /// place, a slot's body is copied out.
+    /// The packet: a slot's body is decoded and copied out, a packet is
+    /// handed over as it is.
     fn into_packet(self) -> Result<Packet, WireError> {
         match self {
-            Frame::Inline { .. } => decode_datagram(&self),
-            Frame::Heap(buf) => decode_datagram_owned(buf),
-        }
-    }
-}
-
-impl Deref for Frame {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            Frame::Inline { len, buf } => &buf[..usize::from(*len)],
-            Frame::Heap(buf) => buf,
+            Frame::Inline { len, buf } => decode_datagram(&buf[..usize::from(len)]),
+            Frame::Packet(pkt) => Ok(pkt),
         }
     }
 }
@@ -269,9 +272,9 @@ impl HubPeer {
     }
 }
 
-/// Puts one encoded datagram to each of `recipients` in turn — the plane's
-/// dice are drawn in that order — lending it to all but the last, which
-/// gets the buffer itself.
+/// Puts one datagram to each of `recipients` in turn — the plane's dice
+/// are drawn in that order — lending it to all but the last, which gets
+/// the frame itself.
 fn fan_out<'a>(
     mut recipients: impl Iterator<Item = &'a mut HubPeer>,
     plane: &mut FaultPlane,
@@ -419,22 +422,17 @@ pub struct LoopbackTransport {
     rx: Receiver<(u64, Frame)>,
 }
 
-impl Transport for LoopbackTransport {
-    fn local_ep(&self) -> Endpoint {
-        self.ep
-    }
-
-    fn send(&mut self, pkt: &Packet) -> io::Result<()> {
-        self.send_at(pkt, ensemble_obs::now_ns())
-    }
-
-    fn send_at(&mut self, pkt: &Packet, origin_ns: u64) -> io::Result<()> {
-        let frame = Frame::encode(pkt);
+impl LoopbackTransport {
+    /// The hub's one send path: a lent packet is copied only where a
+    /// copy is kept, a given one is moved to its last recipient.
+    fn post(&mut self, pkt: Cow<'_, Packet>, origin_ns: u64) {
+        let dst = pkt.dst;
+        let frame = Frame::new(pkt);
         let src = self.ep.id();
         let mut inner = self.hub.locked();
         let HubInner { peers, plane } = &mut *inner;
         plane.advance(origin_ns);
-        match pkt.dst {
+        match dst {
             Dest::Cast => {
                 let me = self.ep.to_wire();
                 let others = peers.iter_mut().filter(|(&dst, _)| dst != me);
@@ -445,6 +443,25 @@ impl Transport for LoopbackTransport {
                 fan_out(peer.into_iter(), plane, src, origin_ns, frame);
             }
         }
+    }
+}
+
+impl Transport for LoopbackTransport {
+    fn local_ep(&self) -> Endpoint {
+        self.ep
+    }
+
+    fn send(&mut self, pkt: &Packet) -> io::Result<()> {
+        self.send_at(pkt, ensemble_obs::now_ns())
+    }
+
+    fn send_at(&mut self, pkt: &Packet, origin_ns: u64) -> io::Result<()> {
+        self.post(Cow::Borrowed(pkt), origin_ns);
+        Ok(())
+    }
+
+    fn send_owned_at(&mut self, pkt: Packet, origin_ns: u64) -> io::Result<()> {
+        self.post(Cow::Owned(pkt), origin_ns);
         Ok(())
     }
 
@@ -493,7 +510,7 @@ impl Transport for LoopbackTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ensemble_transport::decode_datagram;
+    use ensemble_transport::encode_datagram;
 
     fn cast(src: u32, body: &[u8]) -> Packet {
         Packet::cast(Endpoint::new(src), body.to_vec())
@@ -613,22 +630,27 @@ mod tests {
 
     #[test]
     fn split_blocks_cross_component_traffic_both_ways() {
-        let hub = LoopbackHub::new(11);
-        let mut a = hub.attach(Endpoint::new(0));
-        let mut b = hub.attach(Endpoint::new(1));
-        let mut c = hub.attach(Endpoint::new(2));
-        hub.split(vec![vec![0, 1], vec![2]]);
-        a.send(&cast(0, b"in")).unwrap();
-        c.send(&cast(2, b"out")).unwrap();
-        assert_eq!(b.try_recv().unwrap().unwrap().bytes, b"in");
-        assert!(b.try_recv().unwrap().is_none(), "c is cut off from b");
-        assert!(c.try_recv().unwrap().is_none(), "a is cut off from c");
-        assert_eq!(hub.fault_counts().partition_drops, 3);
-        assert!(hub.partition_status().is_partitioned());
-        hub.heal();
-        a.send(&cast(0, b"again")).unwrap();
-        assert_eq!(c.try_recv().unwrap().unwrap().bytes, b"again");
-        assert!(!hub.partition_status().is_partitioned());
+        // Small datagrams lent, and packets past the slot given.
+        for given in [false, true] {
+            let pad = if given { INLINE_DATAGRAM } else { 0 };
+            let body = |s: &[u8]| [s, &vec![0; pad]].concat();
+            let hub = LoopbackHub::new(11);
+            let mut a = hub.attach(Endpoint::new(0));
+            let mut b = hub.attach(Endpoint::new(1));
+            let mut c = hub.attach(Endpoint::new(2));
+            hub.split(vec![vec![0, 1], vec![2]]);
+            post(&mut a, &cast(0, &body(b"in")), given);
+            post(&mut c, &cast(2, &body(b"out")), given);
+            assert_eq!(b.try_recv().unwrap().unwrap().bytes, body(b"in"));
+            assert!(b.try_recv().unwrap().is_none(), "c is cut off from b");
+            assert!(c.try_recv().unwrap().is_none(), "a is cut off from c");
+            assert_eq!(hub.fault_counts().partition_drops, 3);
+            assert!(hub.partition_status().is_partitioned());
+            hub.heal();
+            post(&mut a, &cast(0, &body(b"again")), given);
+            assert_eq!(c.try_recv().unwrap().unwrap().bytes, body(b"again"));
+            assert!(!hub.partition_status().is_partitioned());
+        }
     }
 
     #[test]
@@ -684,17 +706,20 @@ mod tests {
     #[test]
     fn holdback_does_not_leak_across_a_later_split() {
         // Force every datagram into holdback, then split before the
-        // flush: the held datagram must be re-checked and dropped.
-        let hub = LoopbackHub::with_faults(2, FaultPlan::lossy(0.0, 0.0, 1.0));
-        let mut a = hub.attach(Endpoint::new(0));
-        let mut b = hub.attach(Endpoint::new(1));
-        a.send(&cast(0, b"held")).unwrap();
-        hub.split(vec![vec![0], vec![1]]);
-        assert!(
-            b.try_recv().unwrap().is_none(),
-            "flush re-checks the matrix"
-        );
-        assert_eq!(hub.fault_counts().partition_drops, 1);
+        // flush: the held datagram must be re-checked and dropped, whether
+        // it sits in the slot or is a packet given to the hub.
+        for (body, given) in [(&b"held"[..], false), (&[7; INLINE_DATAGRAM][..], true)] {
+            let hub = LoopbackHub::with_faults(2, FaultPlan::lossy(0.0, 0.0, 1.0));
+            let mut a = hub.attach(Endpoint::new(0));
+            let mut b = hub.attach(Endpoint::new(1));
+            post(&mut a, &cast(0, body), given);
+            hub.split(vec![vec![0], vec![1]]);
+            assert!(
+                b.try_recv().unwrap().is_none(),
+                "flush re-checks the matrix"
+            );
+            assert_eq!(hub.fault_counts().partition_drops, 1);
+        }
     }
 
     #[test]
@@ -760,7 +785,7 @@ mod tests {
             // the hold-back list and consult the wall clock.
             let rx = &peers[dst as usize].rx;
             let copies = std::iter::from_fn(|| rx.try_recv().ok())
-                .filter(|(_, frame)| decode_datagram(frame).unwrap().bytes == body)
+                .filter(|(_, frame)| frame.clone().into_packet().unwrap().bytes == body)
                 .count();
             let key = Endpoint::new(dst).to_wire();
             let is_held = hub.locked().peers[&key].held.iter().any(|h| h.1 == now);
@@ -809,37 +834,71 @@ mod tests {
     fn the_slot_writer_writes_the_bytes_encode_datagram_does() {
         for len in 24..=INLINE_DATAGRAM + 1 {
             for pkt in sized(len) {
-                let frame = Frame::encode(&pkt);
-                assert_eq!(*frame, encode_datagram(&pkt)[..], "{len}-byte datagram");
-                let inline = matches!(frame, Frame::Inline { .. });
-                assert_eq!(inline, len <= INLINE_DATAGRAM, "{len}-byte datagram");
+                let frame = Frame::new(Cow::Borrowed(&pkt));
+                match &frame {
+                    Frame::Inline { len: n, buf } => {
+                        assert!(len <= INLINE_DATAGRAM, "{len}-byte datagram inline");
+                        assert_eq!(buf[..usize::from(*n)], encode_datagram(&pkt)[..]);
+                    }
+                    Frame::Packet(kept) => {
+                        assert!(len > INLINE_DATAGRAM, "{len}-byte datagram kept whole");
+                        assert_eq!(kept, &pkt);
+                    }
+                }
                 assert_eq!(frame.into_packet().unwrap(), pkt);
             }
+        }
+    }
+
+    /// Sends `pkt` from `t`, lent (`send_at`) or given (`send_owned_at`).
+    fn post(t: &mut LoopbackTransport, pkt: &Packet, given: bool) {
+        let now = ensemble_obs::now_ns();
+        if given {
+            t.send_owned_at(pkt.clone(), now).unwrap();
+        } else {
+            t.send_at(pkt, now).unwrap();
         }
     }
 
     #[test]
     fn datagrams_at_and_past_the_inline_limit_roundtrip_under_every_kept_fate() {
         // Once, Twice (two copies) and Late (held, then released by the
-        // receiver's idle poll).
-        for (dup, late, copies) in [(0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 1)] {
-            let hub = LoopbackHub::with_faults(6, FaultPlan::lossy(0.0, dup, late));
-            let mut a = hub.attach(Endpoint::new(0));
-            let mut b = hub.attach(Endpoint::new(1));
-            for len in [INLINE_DATAGRAM, INLINE_DATAGRAM + 1] {
-                for pkt in sized(len) {
-                    a.send(&pkt).unwrap();
-                    for _ in 0..copies {
-                        let got = b.try_recv().unwrap();
-                        assert_eq!(got.as_ref(), Some(&pkt), "{len} B, dup {dup}, late {late}");
+        // receiver's idle poll), for packets lent and packets given.
+        for given in [false, true] {
+            for (dup, late, copies) in [(0.0, 0.0, 1), (1.0, 0.0, 2), (0.0, 1.0, 1)] {
+                let hub = LoopbackHub::with_faults(6, FaultPlan::lossy(0.0, dup, late));
+                let mut a = hub.attach(Endpoint::new(0));
+                let mut b = hub.attach(Endpoint::new(1));
+                for len in [INLINE_DATAGRAM, INLINE_DATAGRAM + 1] {
+                    for pkt in sized(len) {
+                        post(&mut a, &pkt, given);
+                        for _ in 0..copies {
+                            let got = b.try_recv().unwrap();
+                            let case = format!("{len} B, dup {dup}, late {late}, given {given}");
+                            assert_eq!(got.as_ref(), Some(&pkt), "{case}");
+                        }
+                        assert!(b.try_recv().unwrap().is_none(), "{len} B: {copies} copies");
                     }
-                    assert!(b.try_recv().unwrap().is_none(), "{len} B: {copies} copies");
                 }
+                let counts = hub.fault_counts();
+                let fated = |p: f64| if p > 0.0 { 4 } else { 0 };
+                assert_eq!(counts.duplicated, fated(dup));
+                assert_eq!(counts.reordered, fated(late));
             }
-            let counts = hub.fault_counts();
-            let fated = |p: f64| if p > 0.0 { 4 } else { 0 };
-            assert_eq!(counts.duplicated, fated(dup));
-            assert_eq!(counts.reordered, fated(late));
+        }
+    }
+
+    #[test]
+    fn a_given_cast_reaches_every_other_member_intact() {
+        // The earlier recipients get copies, the last one the packet.
+        let hub = LoopbackHub::new(1);
+        let mut peers: Vec<_> = (0..4).map(|i| hub.attach(Endpoint::new(i))).collect();
+        let [pkt, _] = sized(INLINE_DATAGRAM + 100);
+        post(&mut peers[0], &pkt, true);
+        assert!(peers[0].try_recv().unwrap().is_none(), "no self-delivery");
+        for (i, peer) in peers.iter_mut().enumerate().skip(1) {
+            assert_eq!(peer.try_recv().unwrap().as_ref(), Some(&pkt), "peer {i}");
+            assert!(peer.try_recv().unwrap().is_none());
         }
     }
 

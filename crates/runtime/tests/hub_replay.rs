@@ -1,9 +1,10 @@
-//! The hub hands the encoded datagram to its last recipient by move and
-//! copies it for the others: that must not change who gets what. One seed
-//! under a lossy plan, 500 casts and 100 point packets of distinct bodies
-//! on one thread; the per-recipient arrival order and the fault counts
-//! are compared with `data/hub_replay.txt`, recorded from the hub as it
-//! was when every recipient got its own copy (ISSUE 22's parent).
+//! The hub hands a datagram to its last recipient by move and copies it
+//! for the others, and a sender may lend it a packet or give it one: none
+//! of that may change who gets what. One seed under a lossy plan, 500
+//! casts and 100 point packets of distinct bodies on one thread, sent
+//! lent and then given; the per-recipient arrival order and the fault
+//! counts are compared with `data/hub_replay.txt`, recorded from the hub
+//! as it was when every recipient got its own copy.
 
 use ensemble_runtime::fault::FaultPlan;
 use ensemble_runtime::{LoopbackHub, LoopbackTransport, Transport};
@@ -44,16 +45,20 @@ fn drain(me: u32, peer: &mut LoopbackTransport, seen: &mut Vec<u16>) {
     }
 }
 
-#[test]
-fn moved_datagrams_reach_the_recipients_the_copied_ones_did() {
+/// Sends every datagram, lent (`send_at`) or given (`send_owned_at`),
+/// and renders who got what, in order, and the fault counts.
+fn replay(given: bool) -> String {
     let hub = LoopbackHub::with_faults(0x22, FaultPlan::lossy(0.2, 0.3, 0.3));
     let mut peers: Vec<_> = (0..PEERS).map(|i| hub.attach(Endpoint::new(i))).collect();
     let mut seen = vec![Vec::new(); PEERS as usize];
     for i in 0..DATAGRAMS {
         let pkt = datagram(i);
-        peers[pkt.src.id() as usize]
-            .send_at(&pkt, u64::from(i))
-            .unwrap();
+        let from = &mut peers[pkt.src.id() as usize];
+        if given {
+            from.send_owned_at(pkt, u64::from(i)).unwrap();
+        } else {
+            from.send_at(&pkt, u64::from(i)).unwrap();
+        }
         if i % 8 == 7 {
             for (me, peer) in peers.iter_mut().enumerate() {
                 drain(me as u32, peer, &mut seen[me]);
@@ -70,5 +75,17 @@ fn moved_datagrams_reach_the_recipients_the_copied_ones_did() {
         writeln!(got, "peer {me}: {}", order.join(" ")).unwrap();
     }
     writeln!(got, "{:?}", hub.fault_counts()).unwrap();
-    assert_eq!(got, include_str!("data/hub_replay.txt"));
+    got
+}
+
+#[test]
+fn moved_datagrams_reach_the_recipients_the_copied_ones_did() {
+    assert_eq!(replay(false), include_str!("data/hub_replay.txt"));
+}
+
+#[test]
+fn given_packets_draw_the_fates_lent_ones_do() {
+    // The same seed draws the same fate per recipient whether the hub
+    // was lent a packet or given it.
+    assert_eq!(replay(true), include_str!("data/hub_replay.txt"));
 }

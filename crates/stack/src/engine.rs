@@ -48,6 +48,13 @@ impl Boundary {
         self.timers.extend(other.timers);
     }
 
+    /// Empties every vector, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.app.clear();
+        self.wire.clear();
+        self.timers.clear();
+    }
+
     /// Whether nothing crossed the boundary.
     pub fn is_empty(&self) -> bool {
         self.app.is_empty() && self.wire.is_empty() && self.timers.is_empty()
@@ -74,4 +81,11 @@ pub trait Engine {
 
     /// Runs every layer's `init` hook, collecting initial timers.
     fn init(&mut self, now: Time) -> Boundary;
+
+    /// Takes back a boundary this engine returned, once its caller is
+    /// done with it, so the next call can fill its vectors instead of
+    /// growing new ones. The default drops it.
+    fn recycle_boundary(&mut self, boundary: Boundary) {
+        let _ = boundary;
+    }
 }

@@ -6,9 +6,11 @@
 //! outputs are collected in one reusable [`Effects`], drained in place
 //! and enqueued with their destination layer index. Once both have grown,
 //! a boundary crossing allocates nothing of the engine's own — this is
-//! what makes IMP measurably faster than FUNC in Table 1. (What a layer
-//! allocates inside its handler, and the [`Boundary`] each `inject_*`
-//! returns, are not the engine's.)
+//! what makes IMP measurably faster than FUNC in Table 1. The
+//! [`Boundary`] each `inject_*` returns is filled into the one its caller
+//! last handed back ([`Engine::recycle_boundary`]), so a caller that
+//! hands them back allocates none either. (What a layer allocates inside
+//! its handler is not the engine's.)
 
 use crate::engine::{Boundary, Engine};
 use ensemble_event::{DnEvent, Effects, UpEvent};
@@ -28,6 +30,8 @@ pub struct ImpEngine {
     layers: Vec<Box<dyn Layer>>,
     queue: VecDeque<Item>,
     fx: Effects,
+    /// The boundary last handed back, emptied: the next call fills it.
+    spare: Boundary,
 }
 
 impl ImpEngine {
@@ -38,6 +42,7 @@ impl ImpEngine {
             layers,
             queue: VecDeque::with_capacity(64),
             fx: Effects::new(),
+            spare: Boundary::default(),
         }
     }
 
@@ -65,21 +70,20 @@ impl ImpEngine {
         }
     }
 
-    fn run(&mut self, now: Time) -> Boundary {
-        let mut out = Boundary::default();
+    /// Runs the queue to quiescence, adding what crosses to `out`.
+    fn run(&mut self, now: Time, out: &mut Boundary) {
         while let Some(item) = self.queue.pop_front() {
             match item {
                 Item::Up(idx, ev) => {
                     self.layers[idx].up(now, ev, &mut self.fx);
-                    self.route_effects(idx, &mut out);
+                    self.route_effects(idx, out);
                 }
                 Item::Dn(idx, ev) => {
                     self.layers[idx].dn(now, ev, &mut self.fx);
-                    self.route_effects(idx, &mut out);
+                    self.route_effects(idx, out);
                 }
             }
         }
-        out
     }
 }
 
@@ -90,32 +94,39 @@ impl Engine for ImpEngine {
 
     fn inject_dn(&mut self, now: Time, ev: DnEvent) -> Boundary {
         self.queue.push_back(Item::Dn(0, ev));
-        self.run(now)
+        let mut out = std::mem::take(&mut self.spare);
+        self.run(now, &mut out);
+        out
     }
 
     fn inject_up(&mut self, now: Time, ev: UpEvent) -> Boundary {
         self.queue.push_back(Item::Up(self.layers.len() - 1, ev));
-        self.run(now)
+        let mut out = std::mem::take(&mut self.spare);
+        self.run(now, &mut out);
+        out
     }
 
     fn fire_timer(&mut self, now: Time, layer: usize) -> Boundary {
-        let mut out = Boundary::default();
+        let mut out = std::mem::take(&mut self.spare);
         self.layers[layer].timer(now, &mut self.fx);
         self.route_effects(layer, &mut out);
-        let rest = self.run(now);
-        out.merge(rest);
+        self.run(now, &mut out);
         out
     }
 
     fn init(&mut self, now: Time) -> Boundary {
-        let mut out = Boundary::default();
+        let mut out = std::mem::take(&mut self.spare);
         for idx in 0..self.layers.len() {
             self.layers[idx].init(now, &mut self.fx);
             self.route_effects(idx, &mut out);
         }
-        let rest = self.run(now);
-        out.merge(rest);
+        self.run(now, &mut out);
         out
+    }
+
+    fn recycle_boundary(&mut self, mut boundary: Boundary) {
+        boundary.clear();
+        self.spare = boundary;
     }
 }
 
@@ -226,6 +237,23 @@ mod tests {
         let out = e.fire_timer(deadline, layer);
         assert_eq!(out.wire.len(), 1, "retransmitted through lower layers");
         assert!(!out.timers.is_empty(), "re-armed");
+    }
+
+    #[test]
+    fn a_handed_back_boundary_is_refilled() {
+        let mut e = engine();
+        let cast = |e: &mut ImpEngine| {
+            e.inject_dn(
+                Time::ZERO,
+                DnEvent::Cast(Msg::data(Payload::from_slice(b"x"))),
+            )
+        };
+        let first = cast(&mut e);
+        let wire = first.wire.as_ptr();
+        e.recycle_boundary(first);
+        let second = cast(&mut e);
+        assert_eq!(second.wire.as_ptr(), wire, "the wire vector was reused");
+        assert_eq!(second.wire.len(), 1, "and holds only the second cast");
     }
 
     #[test]

@@ -69,19 +69,6 @@ pub fn decode_datagram(buf: &[u8]) -> Result<Packet, WireError> {
     })
 }
 
-/// Decodes a datagram the caller owns: the envelope is stripped in place
-/// and `buf`, now holding only the body, becomes the packet's bytes.
-pub fn decode_datagram_owned(mut buf: Vec<u8>) -> Result<Packet, WireError> {
-    let (src, dst, body) = parse_envelope(&buf)?;
-    // `parse_envelope` accepts nothing after the body: it is the tail.
-    buf.drain(..buf.len() - body.len());
-    Ok(Packet {
-        src,
-        dst,
-        bytes: buf,
-    })
-}
-
 /// Checks the envelope and returns source, destination and body.
 fn parse_envelope(buf: &[u8]) -> Result<(Endpoint, Dest, &[u8]), WireError> {
     let mut r = WireReader::new(buf);
@@ -108,12 +95,11 @@ fn parse_envelope(buf: &[u8]) -> Result<(Endpoint, Dest, &[u8]), WireError> {
 mod tests {
     use super::*;
 
-    /// Encodes `p` and checks that both decoders give it back.
+    /// Encodes `p` and checks that decoding gives it back.
     fn roundtrip(p: Packet) {
         let d = encode_datagram(&p);
         assert_eq!(d.len(), datagram_len(&p));
         assert_eq!(decode_datagram(&d).unwrap(), p);
-        assert_eq!(decode_datagram_owned(d).unwrap(), p);
     }
 
     #[test]
@@ -157,7 +143,6 @@ mod tests {
         let d = encode_datagram(&p);
         for cut in 1..d.len() {
             assert!(decode_datagram(&d[..cut]).is_err(), "cut at {cut}");
-            assert!(decode_datagram_owned(d[..cut].to_vec()).is_err());
         }
     }
 

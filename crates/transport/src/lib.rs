@@ -26,8 +26,7 @@ pub mod wire;
 
 pub use compressed::{stack_id, CompressedHdr, COMPRESSED_BASE_LEN, MAX_FIELDS};
 pub use datagram::{
-    datagram_len, decode_datagram, decode_datagram_owned, encode_datagram, write_datagram,
-    DATAGRAM_OVERHEAD,
+    datagram_len, decode_datagram, encode_datagram, write_datagram, DATAGRAM_OVERHEAD,
 };
 pub use generic::{marshal, unmarshal, unmarshal_owned};
 pub use packet::{Dest, Packet};
