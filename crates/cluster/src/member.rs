@@ -23,7 +23,7 @@ use crate::metrics::ClusterMetrics;
 use crate::rendezvous::{JoinerRendezvous, SeedRendezvous};
 use crate::wire::{decode, encode, Envelope, Frame};
 use ensemble_event::ViewState;
-use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, Tag};
+use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, RingWriter, Tag};
 use ensemble_runtime::{Delivery, GroupHandle, GroupSender, Node, NodeObs, Transport, Waker};
 use ensemble_transport::Packet;
 use ensemble_util::{Endpoint, GroupId, Rank, Time, ViewId};
@@ -242,14 +242,10 @@ impl ClusterNode {
 
         // --- Start the driver -----------------------------------------
         let obs = node.obs_arc();
-        let obs_shard = node.aux_obs_shard();
-        let tag = obs.recorder.register("cluster");
+        let mut trace = Trace::new(obs.aux_writer());
         if !am_seed && !snapshot_in.is_empty() {
             metrics.state_transfers.fetch_add(1, Ordering::Relaxed);
-            record(
-                &obs,
-                obs_shard,
-                tag,
+            trace.record(
                 ep,
                 EventKind::StateTransfer,
                 Direction::Up,
@@ -257,10 +253,7 @@ impl ClusterNode {
             );
             let _ = events.send(ClusterEvent::Snapshot(snapshot_in).into());
         } else if am_seed && !snapshot_out.is_empty() {
-            record(
-                &obs,
-                obs_shard,
-                tag,
+            trace.record(
                 ep,
                 EventKind::StateTransfer,
                 Direction::Dn,
@@ -293,8 +286,7 @@ impl ClusterNode {
             sweep_at: Time(now.0 + period_ns / 2),
             beacon_at: Time(now.0 + MERGE_BEACON_PERIOD_NS),
             obs,
-            obs_shard,
-            tag,
+            trace,
             epoch: start_ltime,
             hb_seq: 0,
             fenced: false,
@@ -378,20 +370,15 @@ impl ClusterNode {
     /// grants, minority stalls). The partition demo prints the healing
     /// episode from here.
     pub fn trace_events(&self) -> Vec<ensemble_obs::TraceEvent> {
-        self.node.obs_arc().drain()
+        self.node.obs().drain()
     }
 
-    /// The underlying runtime observability handle, so a service layered
-    /// on this member (e.g. the KV replica) records its spans into the
-    /// same flight recorder [`ClusterNode::trace_events`] drains.
-    pub fn obs_arc(&self) -> Arc<NodeObs> {
-        self.node.obs_arc()
-    }
-
-    /// The obs shard index reserved for threads outside the runtime's
-    /// worker pool (pair with [`ClusterNode::obs_arc`]).
-    pub fn aux_obs_shard(&self) -> usize {
-        self.node.aux_obs_shard()
+    /// A writer of this member's flight recorder, so one thread of a
+    /// service layered on it (e.g. the KV replica's apply loop) records
+    /// its spans where [`ClusterNode::trace_events`] drains. `None` when
+    /// obs is off or the service ring's writer was taken before.
+    pub fn trace_writer(&self) -> Option<RingWriter> {
+        self.node.obs().aux_writer()
     }
 
     /// Runtime + cluster metrics in Prometheus text exposition format
@@ -425,31 +412,33 @@ impl Drop for ClusterNode {
     }
 }
 
-fn record(
-    obs: &NodeObs,
-    shard: usize,
-    tag: Tag,
-    ep: Endpoint,
-    kind: EventKind,
-    dir: Direction,
-    aux: u64,
-) {
-    if !obs.enabled() {
-        return;
+/// The cluster driver's own flight-recorder ring (`None` when obs is
+/// off), under the `cluster` pseudo-layer.
+struct Trace(Option<(RingWriter, Tag)>);
+
+impl Trace {
+    fn new(writer: Option<RingWriter>) -> Trace {
+        Trace(writer.map(|w| {
+            let tag = w.register("cluster");
+            (w, tag)
+        }))
     }
-    obs.recorder.record(
-        shard,
-        &Event {
+
+    fn record(&mut self, ep: Endpoint, kind: EventKind, dir: Direction, aux: u64) {
+        let Some((w, tag)) = &mut self.0 else {
+            return;
+        };
+        w.record(&Event {
             t_ns: now_ns(),
-            layer: tag,
+            layer: *tag,
             kind,
             dir,
             group: ep.id(),
             seqno: 0,
             ccp: CcpFailure::None,
             aux,
-        },
-    );
+        });
+    }
 }
 
 struct Driver<E> {
@@ -477,8 +466,7 @@ struct Driver<E> {
     /// When to beacon absent and suspected members next.
     beacon_at: Time,
     obs: Arc<NodeObs>,
-    obs_shard: usize,
-    tag: Tag,
+    trace: Trace,
     epoch: u64,
     hb_seq: u64,
     /// Set when a newer epoch fenced us: stop heartbeating, the group
@@ -607,15 +595,8 @@ impl<E: From<ClusterEvent>> Driver<E> {
         self.metrics
             .heartbeats_sent
             .fetch_add(peers.len() as u64, Ordering::Relaxed);
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
-            self.me,
-            EventKind::Heartbeat,
-            Direction::Dn,
-            seq,
-        );
+        self.trace
+            .record(self.me, EventKind::Heartbeat, Direction::Dn, seq);
     }
 
     fn sweep(&mut self, now: Time) {
@@ -625,15 +606,8 @@ impl<E: From<ClusterEvent>> Driver<E> {
         }
         for &ep in &newly {
             self.metrics.suspicions.fetch_add(1, Ordering::Relaxed);
-            record(
-                &self.obs,
-                self.obs_shard,
-                self.tag,
-                ep,
-                EventKind::Suspect,
-                Direction::None,
-                now.0,
-            );
+            self.trace
+                .record(ep, EventKind::Suspect, Direction::None, now.0);
             if !self.suspected_eps.contains(&ep) {
                 self.suspected_eps.push(ep);
             }
@@ -654,10 +628,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
         if self.am_acting_coord() {
             // The acting coordinator's gmp will open the flush: this is
             // where the new view is first proposed.
-            record(
-                &self.obs,
-                self.obs_shard,
-                self.tag,
+            self.trace.record(
                 self.me,
                 EventKind::ViewPropose,
                 Direction::Dn,
@@ -703,10 +674,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
         let _ = self.handle.stall(true);
         self.publish_serving();
         self.metrics.minority_stalls.fetch_add(1, Ordering::Relaxed);
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
+        self.trace.record(
             self.me,
             EventKind::MinorityStall,
             Direction::Dn,
@@ -744,10 +712,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
         self.metrics
             .merge_beacons
             .fetch_add(targets.len() as u64, Ordering::Relaxed);
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
+        self.trace.record(
             self.me,
             EventKind::MergeBeacon,
             Direction::Dn,
@@ -780,15 +745,8 @@ impl<E: From<ClusterEvent>> Driver<E> {
         if !foreign {
             return;
         }
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
-            src,
-            EventKind::MergeBeacon,
-            Direction::Up,
-            their_epoch,
-        );
+        self.trace
+            .record(src, EventKind::MergeBeacon, Direction::Up, their_epoch);
         let live = self.live_members();
         if (!their_stalled, their_epoch, src) > (!self.stalled, self.epoch, self.me) {
             self.metrics.merge_requests.fetch_add(1, Ordering::Relaxed);
@@ -858,10 +816,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
             self.stalled = false;
             let _ = self.handle.stall(false);
             self.publish_serving();
-            record(
-                &self.obs,
-                self.obs_shard,
-                self.tag,
+            self.trace.record(
                 self.me,
                 EventKind::MinorityStall,
                 Direction::Up,
@@ -871,10 +826,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
                 let _ = self.handle.suspect(self.suspected_eps.clone());
             }
         }
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
+        self.trace.record(
             self.me,
             EventKind::ViewPropose,
             Direction::Dn,
@@ -911,15 +863,8 @@ impl<E: From<ClusterEvent>> Driver<E> {
         self.metrics
             .merge_grants_installed
             .fetch_add(1, Ordering::Relaxed);
-        record(
-            &self.obs,
-            self.obs_shard,
-            self.tag,
-            self.me,
-            EventKind::MergeGrant,
-            Direction::Up,
-            view_ltime,
-        );
+        self.trace
+            .record(self.me, EventKind::MergeGrant, Direction::Up, view_ltime);
         if self.stalled {
             self.stalled = false;
             let _ = self.handle.stall(false);
@@ -927,10 +872,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
         }
         if !snapshot.is_empty() {
             self.metrics.state_transfers.fetch_add(1, Ordering::Relaxed);
-            record(
-                &self.obs,
-                self.obs_shard,
-                self.tag,
+            self.trace.record(
                 self.me,
                 EventKind::StateTransfer,
                 Direction::Up,
@@ -975,15 +917,8 @@ impl<E: From<ClusterEvent>> Driver<E> {
                         self.metrics
                             .heartbeats_received
                             .fetch_add(1, Ordering::Relaxed);
-                        record(
-                            &self.obs,
-                            self.obs_shard,
-                            self.tag,
-                            env.src,
-                            EventKind::Heartbeat,
-                            Direction::Up,
-                            env.epoch,
-                        );
+                        self.trace
+                            .record(env.src, EventKind::Heartbeat, Direction::Up, env.epoch);
                     }
                 }
             }
@@ -1074,10 +1009,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
             }
             self.detector.reset(&self.peers(), now);
             self.metrics.views_installed.fetch_add(1, Ordering::Relaxed);
-            record(
-                &self.obs,
-                self.obs_shard,
-                self.tag,
+            self.trace.record(
                 self.me,
                 EventKind::ViewInstall,
                 Direction::None,
@@ -1147,10 +1079,7 @@ impl<E: From<ClusterEvent>> Driver<E> {
                         .state_transfers
                         .fetch_add(shipped, Ordering::Relaxed);
                 }
-                record(
-                    &self.obs,
-                    self.obs_shard,
-                    self.tag,
+                self.trace.record(
                     self.me,
                     EventKind::MergeGrant,
                     Direction::Dn,

@@ -23,7 +23,9 @@
 
 use ensemble_event::ViewState;
 use ensemble_layers::{LayerConfig, StackError};
-use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Histogram, Recorder, Summary, Tag};
+use ensemble_obs::{
+    CcpFailure, Direction, Event, EventKind, Histogram, Recorder, RingWriter, Summary, Tag,
+};
 use ensemble_runtime::{
     Action, CoreEvent, DeadlineQueue, Delivery, Fate, FaultPlane, GroupCore, LayerTags,
 };
@@ -50,6 +52,8 @@ pub const VIA_LATENCY: Duration = Duration::from_micros(10);
 /// events.
 struct SimObs {
     recorder: Recorder,
+    /// The recorder's one ring, written by the simulation alone.
+    writer: RingWriter,
     wire: Tag,
     /// Per-process resolvers for the cores' layer indices.
     tags: Vec<LayerTags>,
@@ -66,24 +70,21 @@ struct SimObs {
 
 impl SimObs {
     /// Records a `wire` event: `PacketOut` going down, `PacketIn` coming up.
-    fn wire(&self, t: Time, kind: EventKind, ep: Endpoint, len: usize) {
+    fn wire(&mut self, t: Time, kind: EventKind, ep: Endpoint, len: usize) {
         let dir = match kind {
             EventKind::PacketOut => Direction::Dn,
             _ => Direction::Up,
         };
-        self.recorder.record(
-            0,
-            &Event {
-                t_ns: t.nanos(),
-                layer: self.wire,
-                kind,
-                dir,
-                group: ep.id(),
-                seqno: 0,
-                ccp: CcpFailure::None,
-                aux: len as u64,
-            },
-        );
+        self.writer.record(&Event {
+            t_ns: t.nanos(),
+            layer: self.wire,
+            kind,
+            dir,
+            group: ep.id(),
+            seqno: 0,
+            ccp: CcpFailure::None,
+            aux: len as u64,
+        });
     }
 }
 
@@ -199,6 +200,7 @@ impl Simulation {
     /// latency accumulates into [`Simulation::cast_latency`].
     pub fn enable_obs(&mut self, capacity: usize) {
         let recorder = Recorder::new(1, capacity);
+        let writer = recorder.writer(0).expect("a new recorder's one ring");
         let n = self.procs.len();
         for p in &mut self.procs {
             p.core.set_tracing(true);
@@ -206,8 +208,11 @@ impl Simulation {
         let names = self.procs.iter().map(|p| p.core.layer_names());
         self.obs = Some(SimObs {
             wire: recorder.register("wire"),
-            tags: names.map(|n| LayerTags::new(n, &recorder)).collect(),
+            tags: names
+                .map(|n| LayerTags::new(n, |name| recorder.register(name)))
+                .collect(),
             recorder,
+            writer,
             buf: Vec::new(),
             cast_latency: Histogram::new(),
             cast_times: vec![Vec::new(); n],
@@ -355,7 +360,7 @@ impl Simulation {
         }
         let actions = input(&mut p.core, self.now);
         if let Some(o) = &mut self.obs {
-            o.tags[idx].fold(&mut p.core, &o.recorder, 0, &mut o.buf);
+            o.tags[idx].fold(&mut p.core, &mut o.writer, &mut o.buf);
         }
         self.apply(idx, actions);
     }
@@ -366,7 +371,7 @@ impl Simulation {
         for action in actions {
             match action {
                 Action::Transmit(pkt) => {
-                    if let Some(o) = &self.obs {
+                    if let Some(o) = &mut self.obs {
                         o.wire(self.now, EventKind::PacketOut, pkt.src, pkt.size());
                     }
                     self.transmit(pkt);
@@ -488,7 +493,7 @@ impl Simulation {
                 if self.plane.link_blocked(src, dst.id()) {
                     return true;
                 }
-                if let (Some(o), true) = (&self.obs, self.procs[idx].live()) {
+                if let (Some(o), true) = (&mut self.obs, self.procs[idx].live()) {
                     o.wire(self.now, EventKind::PacketIn, dst, packet.size());
                 }
                 self.drive(idx, |core, now| core.deliver_packet(now, packet));

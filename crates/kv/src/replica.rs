@@ -22,8 +22,8 @@ use crate::store::KvStore;
 use crate::wal::{RecoveryReport, Wal};
 use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, StateProvider};
 use ensemble_event::ViewState;
-use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, Tag};
-use ensemble_runtime::{Delivery, GroupSender, NodeObs, Transport};
+use ensemble_obs::{now_ns, CcpFailure, Direction, Event, EventKind, RingWriter, Tag};
+use ensemble_runtime::{Delivery, GroupSender, Transport};
 use ensemble_util::Endpoint;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,10 +46,10 @@ enum Inbox {
     Snapshot(Sender<Vec<u8>>),
     /// Reply with a copy of the commit log.
     Log(Sender<Vec<(u64, KvOp)>>),
-    /// The node's flight recorder and the shard for threads outside its
-    /// worker pool, sent once `form` returns: KV tracing starts here, and
-    /// what the thread handled during `form` is not traced.
-    Obs(Arc<NodeObs>, usize),
+    /// This thread's own writer of the node's flight recorder, sent once
+    /// `form` returns: KV tracing starts here, and what the thread
+    /// handled during `form` is not traced.
+    Obs(RingWriter),
     /// Stop applying. A `crash` drops the WAL with its unsynced tail;
     /// otherwise the WAL is flushed first. Later events are ignored,
     /// but state requests are answered until the inbox disconnects.
@@ -327,7 +327,7 @@ impl KvReplica {
             await_ack: VecDeque::new(),
             snapshot_seen: false,
             formed_seen: false,
-            trace: None,
+            trace: KvTrace::default(),
         };
         let (inbox, apply) = apply
             .spawn()
@@ -349,7 +349,9 @@ impl KvReplica {
                 return Err(e);
             }
         };
-        let _ = inbox.send(Inbox::Obs(node.obs_arc(), node.aux_obs_shard()));
+        if let Some(w) = node.trace_writer() {
+            let _ = inbox.send(Inbox::Obs(w));
+        }
         let front = ReplicaFront {
             id: ep.id(),
             sender: node.sender(),
@@ -476,9 +478,9 @@ struct ApplyLoop {
     snapshot_seen: bool,
     /// The Formed event was observed.
     formed_seen: bool,
-    /// The flight recorder, its shard for this thread and the `kv` tag,
-    /// once [`Inbox::Obs`] has arrived.
-    trace: Option<(Arc<NodeObs>, usize, Tag)>,
+    /// This thread's flight-recorder ring, once [`Inbox::Obs`] has
+    /// arrived (never, when obs is off).
+    trace: KvTrace,
 }
 
 impl ApplyLoop {
@@ -526,11 +528,12 @@ impl ApplyLoop {
                 Inbox::Log(reply) => {
                     let _ = reply.send(self.log.clone());
                 }
-                Inbox::Obs(obs, shard) => {
-                    let tag = obs.recorder.register("kv");
-                    self.trace = Some((obs, shard, tag));
+                Inbox::Obs(w) => {
+                    let tag = w.register("kv");
+                    self.trace = KvTrace(Some((w, tag)));
                     if self.wal.is_some() {
-                        self.record(EventKind::Recovery, self.recovered_ci);
+                        self.trace
+                            .record(self.my_id, EventKind::Recovery, self.recovered_ci);
                     }
                 }
                 Inbox::Stop { crash } => {
@@ -611,7 +614,8 @@ impl ApplyLoop {
             self.metrics
                 .undecodable_casts
                 .fetch_add(1, Ordering::Relaxed);
-            self.record(EventKind::KvUndecodable, bytes.len() as u64);
+            self.trace
+                .record(self.my_id, EventKind::KvUndecodable, bytes.len() as u64);
             return;
         };
         let n = ops.len() as u64;
@@ -635,13 +639,13 @@ impl ApplyLoop {
             if durable >= last_ci {
                 // Group-commit boundary: everything up to `last_ci`
                 // just became durable.
-                self.record(EventKind::WalAppend, last_ci);
+                self.trace.record(self.my_id, EventKind::WalAppend, last_ci);
             }
         }
         let mine = submitter == self.my_id;
         for (ci, ((token, op), result)) in (first_ci..).zip(ops.into_iter().zip(results)) {
             self.log.push((ci, op));
-            self.record(EventKind::KvCommit, ci);
+            self.trace.record(self.my_id, EventKind::KvCommit, ci);
             if mine {
                 self.await_ack.push_back((ci, token, result));
             }
@@ -678,7 +682,7 @@ impl ApplyLoop {
             if let Some(done) = pending.remove(&token) {
                 done(result);
                 self.metrics.responses.fetch_add(1, Ordering::Relaxed);
-                self.record(EventKind::KvResponse, ci);
+                self.trace.record(self.my_id, EventKind::KvResponse, ci);
             }
         }
     }
@@ -693,31 +697,32 @@ impl ApplyLoop {
             self.metrics
                 .checkpoint_bytes
                 .fetch_add(bytes as u64, Ordering::Relaxed);
-            self.record(EventKind::Checkpoint, self.store.commit_index());
+            self.trace
+                .record(self.my_id, EventKind::Checkpoint, self.store.commit_index());
             self.drain_acks();
         }
     }
+}
 
-    fn record(&self, kind: EventKind, aux: u64) {
-        let Some((obs, shard, tag)) = &self.trace else {
+/// The apply loop's own flight-recorder ring and its `kv` tag.
+#[derive(Default)]
+struct KvTrace(Option<(RingWriter, Tag)>);
+
+impl KvTrace {
+    fn record(&mut self, group: u32, kind: EventKind, aux: u64) {
+        let Some((w, tag)) = &mut self.0 else {
             return;
         };
-        if !obs.enabled() {
-            return;
-        }
-        obs.recorder.record(
-            *shard,
-            &Event {
-                t_ns: now_ns(),
-                layer: *tag,
-                kind,
-                dir: Direction::Up,
-                group: self.my_id,
-                seqno: 0,
-                ccp: CcpFailure::None,
-                aux,
-            },
-        );
+        w.record(&Event {
+            t_ns: now_ns(),
+            layer: *tag,
+            kind,
+            dir: Direction::Up,
+            group,
+            seqno: 0,
+            ccp: CcpFailure::None,
+            aux,
+        });
     }
 }
 
@@ -781,7 +786,7 @@ mod tests {
             recovered_ci: 0,
             snapshot_seen: false,
             formed_seen: false,
-            trace: None,
+            trace: KvTrace::default(),
         }
     }
 
@@ -966,5 +971,64 @@ mod tests {
             "a second answer"
         );
         assert_eq!(front.metrics().responses.load(Ordering::Relaxed), 31);
+    }
+
+    #[test]
+    fn a_loaded_replica_records_every_cluster_and_kv_event_it_attempts() {
+        const CLIENTS: usize = 4;
+        const PER_CLIENT: usize = 50;
+        let (replicas, _control, _data) = group(0x0B5E);
+        let fronts: Vec<ReplicaFront> = replicas.iter().map(|r| r.front()).collect();
+        // The cluster driver heartbeats on its own ring while four
+        // clients keep the apply loop busy on another.
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let front = fronts[0].clone();
+                std::thread::spawn(move || {
+                    for op in sets(PER_CLIENT) {
+                        let r = front.submit_timeout(&op, Duration::from_secs(20));
+                        assert!(matches!(r, KvResult::Applied { .. }), "client {c}: {r:?}");
+                    }
+                })
+            })
+            .collect();
+        for c in clients {
+            c.join().unwrap();
+        }
+        let ops = (CLIENTS * PER_CLIENT) as u64;
+        for (i, r) in replicas.iter().enumerate() {
+            let (mut commits, mut responses, mut beats) = (0, 0, 0);
+            // Each counter ticks just before its event is recorded: poll
+            // until the drained events catch up with the counters. An
+            // event lost on the way leaves a gap that never closes.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            loop {
+                for e in r.node().trace_events() {
+                    match (e.kind, e.dir) {
+                        (EventKind::KvCommit, _) => commits += 1,
+                        (EventKind::KvResponse, _) => responses += 1,
+                        (EventKind::Heartbeat, Direction::Up) => beats += 1,
+                        _ => {}
+                    }
+                }
+                let heard = r
+                    .node()
+                    .metrics()
+                    .heartbeats_received
+                    .load(Ordering::Relaxed);
+                let answered = r.metrics().responses.load(Ordering::Relaxed);
+                if commits == ops && responses == answered && beats == heard && heard > 0 {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "replica {i} recorded {commits} of {ops} commits, {responses} of \
+                     {answered} responses, {beats} of {heard} heartbeats"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let mine = if i == 0 { ops } else { 0 };
+            assert_eq!(responses, mine, "replica {i} answers only its own clients");
+        }
     }
 }

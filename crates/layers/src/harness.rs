@@ -5,16 +5,15 @@
 //! requested timers so tests can fire them deterministically.
 //!
 //! With [`Harness::trace_into`], every handler invocation additionally
-//! records a [`ensemble_obs::EventKind::HandlerRun`] span into a shared
-//! flight recorder: the event is stamped with the harness's *virtual*
+//! records a [`ensemble_obs::EventKind::HandlerRun`] span into a flight
+//! recorder ring through its writer: the event is stamped with the harness's *virtual*
 //! time, attributed to the layer by its [`Layer::name`], and carries the
 //! wall-clock handler duration in `aux` (nanoseconds).
 
 use crate::layer::Layer;
 use ensemble_event::{DnEvent, Effects, Msg, Payload, UpEvent};
-use ensemble_obs::{now_ns, Direction, Event, EventKind, Recorder, Tag};
+use ensemble_obs::{now_ns, Direction, Event, EventKind, RingWriter, Tag};
 use ensemble_util::{Rank, Time};
-use std::sync::Arc;
 
 /// Drives one layer instance and records its outputs.
 pub struct Harness<L> {
@@ -25,7 +24,7 @@ pub struct Harness<L> {
     /// Timer deadlines the layer has requested (sorted, pending).
     pub timers: Vec<Time>,
     /// When set, handler invocations record spans here.
-    obs: Option<(Arc<Recorder>, Tag)>,
+    obs: Option<(RingWriter, Tag)>,
 }
 
 /// The effects of one handler invocation, split by direction.
@@ -70,27 +69,24 @@ impl<L: Layer> Harness<L> {
     }
 
     /// Starts recording one [`EventKind::HandlerRun`] span per handler
-    /// invocation into shard 0 of `rec`, attributed to the layer's name.
-    pub fn trace_into(&mut self, rec: Arc<Recorder>) {
-        let tag = rec.register(self.layer.name());
-        self.obs = Some((rec, tag));
+    /// invocation through `w`, attributed to the layer's name.
+    pub fn trace_into(&mut self, w: RingWriter) {
+        let tag = w.register(self.layer.name());
+        self.obs = Some((w, tag));
     }
 
-    fn span(&self, dir: Direction, started_ns: u64) {
-        if let Some((rec, tag)) = &self.obs {
-            rec.record(
-                0,
-                &Event {
-                    t_ns: self.now.0,
-                    layer: *tag,
-                    kind: EventKind::HandlerRun,
-                    dir,
-                    group: 0,
-                    seqno: 0,
-                    ccp: ensemble_obs::CcpFailure::None,
-                    aux: now_ns().saturating_sub(started_ns),
-                },
-            );
+    fn span(&mut self, dir: Direction, started_ns: u64) {
+        if let Some((w, tag)) = &mut self.obs {
+            w.record(&Event {
+                t_ns: self.now.0,
+                layer: *tag,
+                kind: EventKind::HandlerRun,
+                dir,
+                group: 0,
+                seqno: 0,
+                ccp: ensemble_obs::CcpFailure::None,
+                aux: now_ns().saturating_sub(started_ns),
+            });
         }
     }
 
@@ -197,9 +193,9 @@ mod tests {
 
     #[test]
     fn traced_harness_records_named_handler_spans() {
-        let rec = Arc::new(Recorder::new(1, 64));
+        let rec = ensemble_obs::Recorder::new(1, 64);
         let mut h = Harness::new(Bottom::new(&ViewState::initial(3), &LayerConfig::default()));
-        h.trace_into(Arc::clone(&rec));
+        h.trace_into(rec.writer(0).unwrap());
         h.now = Time(5);
         let _ = h.dn(cast(b"m"));
         let _ = h.dn(send(2, b"m"));

@@ -2,9 +2,16 @@
 //!
 //! A [`Histogram`] has 64 buckets: bucket 0 holds the value 0, bucket
 //! `i ≥ 1` holds values in `[2^(i-1), 2^i - 1]` (the top bucket absorbs
-//! everything above). Recording is a few relaxed atomic increments, so
-//! shard workers record concurrently while any thread reads quantiles.
-//! Quantile answers are the midpoint of the answering bucket, clamped to
+//! everything above). Any thread may read quantiles at any time.
+//!
+//! [`Histogram::record`] is a few relaxed atomic read-modify-writes, so
+//! any number of threads may record into one histogram. A hot path with
+//! one writer thread uses [`Histogram::record_unshared`] instead: plain
+//! loads and stores, no locked instruction and no cache line shared
+//! with another writer. The runtime gives each shard worker its own
+//! histograms that way and merges them when read ([`Histogram::merged`]):
+//! bucket counts add, so the merge answers exactly what one histogram
+//! fed every sample would. Quantile answers are the midpoint of the answering bucket, clamped to
 //! the observed maximum — a relative error bounded by the bucket width
 //! (≤ 2×), which is plenty for latency distributions spanning decades.
 
@@ -72,6 +79,42 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Records one sample with plain loads and stores. Only for a
+    /// histogram whose one writer is the calling thread: a second thread
+    /// writing at the same time can lose samples (never tear a reader's
+    /// view of a word). Readers may read concurrently as usual.
+    pub fn record_unshared(&self, v: u64) {
+        // Wraps like `fetch_add` does.
+        let bump = |a: &AtomicU64, by: u64| {
+            a.store(
+                a.load(Ordering::Relaxed).wrapping_add(by),
+                Ordering::Relaxed,
+            )
+        };
+        bump(&self.buckets[Self::bucket_index(v)], 1);
+        bump(&self.count, 1);
+        bump(&self.sum, v);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.store(v, Ordering::Relaxed);
+        }
+    }
+
+    /// One histogram holding every sample of `parts`: buckets, count and
+    /// sum add, max is the largest. Its summary equals that of one
+    /// histogram fed all the samples.
+    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a Histogram>) -> Histogram {
+        let out = Histogram::new();
+        for h in parts {
+            for (dst, src) in out.buckets.iter().zip(&h.buckets) {
+                dst.fetch_add(src.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            out.count.fetch_add(h.count(), Ordering::Relaxed);
+            out.sum.fetch_add(h.sum(), Ordering::Relaxed);
+            out.max.fetch_max(h.max(), Ordering::Relaxed);
+        }
+        out
     }
 
     /// Samples recorded so far.
@@ -267,6 +310,36 @@ mod tests {
         let h = Histogram::new();
         h.record(1025); // bucket 11 spans 1024..=2047; midpoint 1535.
         assert_eq!(h.p50(), 1025, "midpoint clamped to the one sample's max");
+    }
+
+    #[test]
+    fn a_merge_of_two_summarizes_like_one_fed_every_sample() {
+        let (a, b, all) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for i in 0..1000u64 {
+            let v = i * i % 70_001;
+            if i % 3 == 0 {
+                a.record_unshared(v);
+            } else {
+                b.record(v);
+            }
+            all.record(v);
+        }
+        let m = Histogram::merged([&a, &b]);
+        assert_eq!(m.summary(), all.summary());
+        for i in 0..BUCKETS {
+            assert_eq!(m.bucket(i), all.bucket(i), "bucket {i}");
+        }
+        assert_eq!(Histogram::merged([]).summary(), Summary::default());
+    }
+
+    #[test]
+    fn unshared_recording_matches_shared_recording() {
+        let (shared, unshared) = (Histogram::new(), Histogram::new());
+        for v in [0, 7, 7, 1 << 40, 3, 1_000_000] {
+            shared.record(v);
+            unshared.record_unshared(v);
+        }
+        assert_eq!(shared.summary(), unshared.summary());
     }
 
     #[test]

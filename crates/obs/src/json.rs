@@ -481,19 +481,16 @@ mod tests {
         use crate::trace::{CcpFailure, Direction, Event, EventKind, Recorder};
         let r = Recorder::new(1, 16);
         let tag = r.register("mnak");
-        r.record(
-            0,
-            &Event {
-                t_ns: 7,
-                layer: tag,
-                kind: EventKind::Cast,
-                dir: Direction::Dn,
-                group: 3,
-                seqno: 41,
-                ccp: CcpFailure::None,
-                aux: 9,
-            },
-        );
+        r.writer(0).unwrap().record(&Event {
+            t_ns: 7,
+            layer: tag,
+            kind: EventKind::Cast,
+            dir: Direction::Dn,
+            group: 3,
+            seqno: 41,
+            ccp: CcpFailure::None,
+            aux: 9,
+        });
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &r.drain()).unwrap();
         let text = String::from_utf8(buf).unwrap();

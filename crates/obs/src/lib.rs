@@ -7,9 +7,10 @@
 //! runtime) shares this one crate for its evidence trail:
 //!
 //! * [`Recorder`] — a fixed-capacity **flight recorder** of structured
-//!   [`TraceEvent`]s. One ring per shard; the shard's worker writes
-//!   lock-free (a claim flag plus per-slot sequence words — no mutex on
-//!   the hot path), any thread drains. When the ring wraps, the oldest
+//!   [`TraceEvent`]s. One ring per writer thread; that thread holds the
+//!   ring's one [`RingWriter`] and writes with plain stores under
+//!   per-slot sequence words (no claim, lock or read-modify-write), any
+//!   thread drains. When the ring wraps, the oldest
 //!   events are overwritten first, exactly like an aircraft flight
 //!   recorder.
 //! * [`Histogram`] — log-bucketed (power-of-two) latency histograms,
@@ -48,4 +49,4 @@ pub use clock::now_ns;
 pub use hist::{Histogram, HistogramVec, Summary};
 pub use json::{write_jsonl, Json, JsonError};
 pub use registry::Registry;
-pub use trace::{CcpFailure, Direction, Event, EventKind, Recorder, Tag, TraceEvent};
+pub use trace::{CcpFailure, Direction, Event, EventKind, Recorder, RingWriter, Tag, TraceEvent};

@@ -1,20 +1,22 @@
-//! The flight recorder: a fixed-capacity ring of structured trace events.
+//! The flight recorder: fixed-capacity rings of structured trace events.
 //!
-//! One ring per shard. The shard's worker records events lock-free; any
-//! thread drains. Each slot is guarded by a sequence word (seqlock
-//! discipline): the writer marks the slot odd, stores the four payload
-//! words as plain atomic stores, then marks it even with the slot's
-//! generation. A drain validates the sequence word before *and* after
-//! copying, so a torn read (the writer overwrote the slot mid-copy) is
-//! detected and skipped rather than surfaced. A per-ring claim flag makes
-//! even misuse (two threads writing one ring) safe: the loser drops its
-//! event and bumps a counter instead of corrupting a slot.
+//! A [`Recorder`] declares its rings up front; each ring has exactly one
+//! writer, a [`RingWriter`] the recorder hands out once
+//! ([`Recorder::writer`]). The handle is `Send` but not `Clone`, so one
+//! thread at a time writes a ring, by type — which is what lets a write
+//! take no claim, lock or read-modify-write. Any thread drains. Each slot
+//! is guarded by a sequence word (seqlock discipline): the writer marks
+//! the slot odd, stores the four payload words as plain atomic stores,
+//! then marks it even with the slot's generation. A drain validates the
+//! sequence word before *and* after copying, so a torn read (the writer
+//! overwrote the slot mid-copy) is detected and skipped rather than
+//! surfaced. A ring's memory is allocated when its writer is taken.
 //!
 //! When a ring wraps, the oldest events are overwritten first; the drain
 //! accounts for them in [`Recorder::overwritten`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// What a trace event describes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -307,10 +309,6 @@ struct Ring {
     read: AtomicU64,
     /// Events lost to ring wrap (overwritten before any drain saw them).
     lost: AtomicU64,
-    /// Claim flag: one writer at a time; losers drop (counted below).
-    writing: AtomicBool,
-    /// Events dropped because two threads raced to write one ring.
-    contended: AtomicU64,
 }
 
 impl Ring {
@@ -327,32 +325,11 @@ impl Ring {
             head: AtomicU64::new(0),
             read: AtomicU64::new(0),
             lost: AtomicU64::new(0),
-            writing: AtomicBool::new(false),
-            contended: AtomicU64::new(0),
         }
     }
 
     fn capacity(&self) -> u64 {
         self.mask + 1
-    }
-
-    /// Writes one encoded event. Lock-free; on (misuse-only) writer
-    /// contention the event is dropped and counted, never torn.
-    fn push(&self, w: [u64; WORDS]) {
-        if self.writing.swap(true, Ordering::Acquire) {
-            self.contended.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let pos = self.head.load(Ordering::Relaxed);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        // Seqlock write: odd while writing, then the slot's generation.
-        slot.seq.store(2 * pos + 1, Ordering::Release);
-        for (dst, src) in slot.w.iter().zip(w) {
-            dst.store(src, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * pos + 2, Ordering::Release);
-        self.head.store(pos + 1, Ordering::Release);
-        self.writing.store(false, Ordering::Release);
     }
 
     /// Claims and reads every event recorded since the previous drain.
@@ -375,13 +352,35 @@ impl Ring {
                 continue;
             }
             let w: [u64; WORDS] = std::array::from_fn(|i| slot.w[i].load(Ordering::Relaxed));
-            let after = slot.seq.load(Ordering::Acquire);
+            // The payload loads complete before the second sequence read.
+            fence(Ordering::Acquire);
+            let after = slot.seq.load(Ordering::Relaxed);
             if after != before {
                 self.lost.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             out.push(w);
         }
+    }
+}
+
+/// Interned layer names, shared by a recorder and its writers.
+#[derive(Default)]
+struct Names(Mutex<Vec<&'static str>>);
+
+impl Names {
+    fn register(&self, name: &'static str) -> Tag {
+        let mut names = self.0.lock().expect("recorder names poisoned");
+        if let Some(i) = names.iter().position(|n| *n == name) {
+            return Tag(i as u16);
+        }
+        assert!(names.len() < u16::MAX as usize, "too many layer names");
+        names.push(name);
+        Tag((names.len() - 1) as u16)
+    }
+
+    fn snapshot(&self) -> Vec<&'static str> {
+        self.0.lock().expect("recorder names poisoned").clone()
     }
 }
 
@@ -409,58 +408,112 @@ fn decode(w: [u64; WORDS], names: &[&'static str]) -> TraceEvent {
     }
 }
 
-/// A multi-shard flight recorder.
+/// The one writer of one ring of a [`Recorder`].
 ///
-/// `shards` rings of `capacity` slots each (rounded up to a power of
-/// two). Each ring expects a single writer — its shard's worker thread —
-/// and that writer records without taking any lock. [`Recorder::drain`]
-/// may be called from any thread at any time.
+/// `Send`, not `Clone`, and handed out once per ring, so its thread is
+/// the ring's only writer: a write is four plain stores between two
+/// sequence-word stores, with no claim to take.
+pub struct RingWriter {
+    ring: Arc<Ring>,
+    names: Arc<Names>,
+    /// The next write position (the writer's own copy of the ring head).
+    pos: u64,
+}
+
+impl RingWriter {
+    /// Registers a layer (or pseudo-layer) name with the recorder this
+    /// writer belongs to. Takes a lock: resolve tags at setup.
+    pub fn register(&self, name: &'static str) -> Tag {
+        self.names.register(name)
+    }
+
+    /// Records one event. Never waits, never drops; when the ring is
+    /// full the oldest event is overwritten.
+    pub fn record(&mut self, ev: &Event) {
+        let pos = self.pos;
+        let slot = &self.ring.slots[(pos & self.ring.mask) as usize];
+        // Seqlock write: odd while writing, then the slot's generation.
+        slot.seq.store(2 * pos + 1, Ordering::Relaxed);
+        // The odd mark is visible before any payload store.
+        fence(Ordering::Release);
+        for (dst, src) in slot.w.iter().zip(encode(ev)) {
+            dst.store(src, Ordering::Relaxed);
+        }
+        slot.seq.store(2 * pos + 2, Ordering::Release);
+        self.pos = pos + 1;
+        self.ring.head.store(pos + 1, Ordering::Release);
+    }
+}
+
+/// A flight recorder of several rings, one writer each.
+///
+/// Ring `i` is allocated with its declared capacity (rounded up to a
+/// power of two) when [`Recorder::writer`] hands out its writer.
+/// [`Recorder::drain`] may be called from any thread at any time.
 pub struct Recorder {
-    rings: Vec<Ring>,
-    names: Mutex<Vec<&'static str>>,
+    /// Each ring's capacity, and the ring once its writer was taken.
+    rings: Mutex<Vec<(usize, Option<Arc<Ring>>)>>,
+    names: Arc<Names>,
 }
 
 impl Recorder {
-    /// A recorder with `shards` rings of `capacity` events each.
-    pub fn new(shards: usize, capacity: usize) -> Recorder {
+    /// A recorder with `rings` rings of `capacity` events each.
+    pub fn new(rings: usize, capacity: usize) -> Recorder {
+        Recorder::with_capacities(vec![capacity; rings.max(1)])
+    }
+
+    /// A recorder with one ring per entry of `capacities`, of that many
+    /// events each.
+    pub fn with_capacities(capacities: impl IntoIterator<Item = usize>) -> Recorder {
         Recorder {
-            rings: (0..shards.max(1)).map(|_| Ring::new(capacity)).collect(),
-            names: Mutex::new(Vec::new()),
+            rings: Mutex::new(capacities.into_iter().map(|c| (c, None)).collect()),
+            names: Arc::default(),
         }
     }
 
-    /// Number of rings (shards).
-    pub fn shards(&self) -> usize {
-        self.rings.len()
+    fn rings(&self) -> std::sync::MutexGuard<'_, Vec<(usize, Option<Arc<Ring>>)>> {
+        self.rings.lock().expect("recorder rings poisoned")
+    }
+
+    /// The writer of ring `ring`, allocating the ring. `None` when the
+    /// ring does not exist or its writer was handed out before.
+    pub fn writer(&self, ring: usize) -> Option<RingWriter> {
+        let mut rings = self.rings();
+        let (capacity, slot) = rings.get_mut(ring)?;
+        if slot.is_some() {
+            return None;
+        }
+        let ring = Arc::new(Ring::new(*capacity));
+        *slot = Some(Arc::clone(&ring));
+        Some(RingWriter {
+            ring,
+            names: Arc::clone(&self.names),
+            pos: 0,
+        })
     }
 
     /// Registers a layer (or pseudo-layer) name, returning its [`Tag`].
     /// Idempotent; takes a lock, so resolve tags at setup, not per event.
     pub fn register(&self, name: &'static str) -> Tag {
-        let mut names = self.names.lock().expect("recorder names poisoned");
-        if let Some(i) = names.iter().position(|n| *n == name) {
-            return Tag(i as u16);
-        }
-        assert!(names.len() < u16::MAX as usize, "too many layer names");
-        names.push(name);
-        Tag((names.len() - 1) as u16)
+        self.names.register(name)
     }
 
     /// The name a tag was registered under.
     pub fn name_of(&self, tag: Tag) -> &'static str {
         self.names
-            .lock()
-            .expect("recorder names poisoned")
+            .snapshot()
             .get(tag.0 as usize)
             .copied()
             .unwrap_or("?")
     }
 
-    /// Records one event on `shard`'s ring (clamped to the last ring).
-    /// Lock-free; the designated writer never waits.
-    pub fn record(&self, shard: usize, ev: &Event) {
-        let ring = &self.rings[shard.min(self.rings.len() - 1)];
-        ring.push(encode(ev));
+    /// Sums `f` over every allocated ring.
+    fn sum(&self, f: impl Fn(&Ring) -> u64) -> u64 {
+        self.rings()
+            .iter()
+            .filter_map(|(_, r)| r.as_deref())
+            .map(f)
+            .sum()
     }
 
     /// Drains every ring: all events recorded since the previous drain,
@@ -468,10 +521,12 @@ impl Recorder {
     /// Concurrent drains receive disjoint events.
     pub fn drain(&self) -> Vec<TraceEvent> {
         let mut raw = Vec::new();
-        for ring in &self.rings {
-            ring.drain_into(&mut raw);
+        for (_, ring) in self.rings().iter() {
+            if let Some(ring) = ring {
+                ring.drain_into(&mut raw);
+            }
         }
-        let names = self.names.lock().expect("recorder names poisoned").clone();
+        let names = self.names.snapshot();
         let mut out: Vec<TraceEvent> = raw.into_iter().map(|w| decode(w, &names)).collect();
         out.sort_by_key(|e| e.t_ns);
         out
@@ -479,27 +534,12 @@ impl Recorder {
 
     /// Total events ever recorded (including ones later overwritten).
     pub fn recorded(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.head.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|r| r.head.load(Ordering::Relaxed))
     }
 
     /// Events lost to ring wrap (overwritten before a drain saw them).
     pub fn overwritten(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.lost.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Events dropped because two threads raced to write one ring
-    /// (always zero when the one-writer-per-ring contract is honoured).
-    pub fn contended(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.contended.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|r| r.lost.load(Ordering::Relaxed))
     }
 }
 
@@ -523,6 +563,7 @@ mod tests {
     #[test]
     fn cluster_kinds_roundtrip_through_the_packed_encoding() {
         let r = Recorder::new(1, 16);
+        let mut w = r.writer(0).unwrap();
         let tag = r.register("cluster");
         for (kind, name) in [
             (EventKind::Heartbeat, "heartbeat"),
@@ -530,19 +571,16 @@ mod tests {
             (EventKind::StateTransfer, "state_transfer"),
         ] {
             assert_eq!(kind.name(), name);
-            r.record(
-                0,
-                &Event {
-                    t_ns: 1,
-                    layer: tag,
-                    kind,
-                    dir: Direction::None,
-                    group: 0,
-                    seqno: 0,
-                    ccp: CcpFailure::None,
-                    aux: 0,
-                },
-            );
+            w.record(&Event {
+                t_ns: 1,
+                layer: tag,
+                kind,
+                dir: Direction::None,
+                group: 0,
+                seqno: 0,
+                ccp: CcpFailure::None,
+                aux: 0,
+            });
             assert_eq!(r.drain()[0].kind, kind, "{name} survives the ring");
         }
     }
@@ -550,7 +588,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_every_field() {
         let r = Recorder::new(1, 16);
-        let tag = r.register("mnak");
+        let mut w = r.writer(0).unwrap();
+        let tag = w.register("mnak");
         let e = Event {
             t_ns: 123_456_789,
             layer: tag,
@@ -561,7 +600,7 @@ mod tests {
             ccp: CcpFailure::OutOfOrder,
             aux: 999,
         };
-        r.record(0, &e);
+        w.record(&e);
         let got = r.drain();
         assert_eq!(got.len(), 1);
         let g = got[0];
@@ -587,9 +626,10 @@ mod tests {
     #[test]
     fn wrap_drops_oldest_first() {
         let r = Recorder::new(1, 8);
+        let mut w = r.writer(0).unwrap();
         let tag = r.register("x");
         for i in 0..20u64 {
-            r.record(0, &ev(tag, i));
+            w.record(&ev(tag, i));
         }
         let got = r.drain();
         // Capacity 8: only the newest 8 survive, oldest-first.
@@ -603,11 +643,12 @@ mod tests {
     #[test]
     fn drain_is_incremental() {
         let r = Recorder::new(1, 64);
+        let mut w = r.writer(0).unwrap();
         let tag = r.register("x");
-        r.record(0, &ev(tag, 1));
+        w.record(&ev(tag, 1));
         assert_eq!(r.drain().len(), 1);
         assert_eq!(r.drain().len(), 0);
-        r.record(0, &ev(tag, 2));
+        w.record(&ev(tag, 2));
         let again = r.drain();
         assert_eq!(again.len(), 1);
         assert_eq!(again[0].seqno, 2);
@@ -616,6 +657,7 @@ mod tests {
     #[test]
     fn multi_shard_drain_merges_by_timestamp() {
         let r = Recorder::new(2, 16);
+        let (mut w0, mut w1) = (r.writer(0).unwrap(), r.writer(1).unwrap());
         let tag = r.register("x");
         let mk = |t: u64, s: u64| Event {
             t_ns: t,
@@ -627,11 +669,26 @@ mod tests {
             ccp: CcpFailure::None,
             aux: 0,
         };
-        r.record(0, &mk(30, 0));
-        r.record(1, &mk(10, 1));
-        r.record(0, &mk(50, 2));
-        r.record(1, &mk(40, 3));
+        w0.record(&mk(30, 0));
+        w1.record(&mk(10, 1));
+        w0.record(&mk(50, 2));
+        w1.record(&mk(40, 3));
         let ts: Vec<u64> = r.drain().iter().map(|e| e.t_ns).collect();
         assert_eq!(ts, vec![10, 30, 40, 50]);
+    }
+
+    #[test]
+    fn a_ring_hands_out_one_writer_and_allocates_with_it() {
+        let r = Recorder::with_capacities([16, 8]);
+        assert_eq!(r.recorded(), 0, "no ring allocated, nothing to count");
+        let mut w = r.writer(1).expect("first writer of ring 1");
+        assert!(r.writer(1).is_none(), "a second writer is refused");
+        assert!(r.writer(2).is_none(), "ring 2 does not exist");
+        let tag = w.register("x");
+        w.record(&ev(tag, 1));
+        drop(w);
+        assert!(r.writer(1).is_none(), "not even after the first is dropped");
+        assert_eq!(r.drain().len(), 1, "a dropped writer's events stay");
+        assert!(r.writer(0).is_some(), "ring 0 still has its one writer");
     }
 }

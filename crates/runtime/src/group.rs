@@ -59,7 +59,7 @@
 use ensemble_event::{DnEvent, Msg, Payload, UpEvent, ViewState};
 use ensemble_ir::models::{Case, ModelCtx};
 use ensemble_layers::{make_stack, LayerConfig, StackError};
-use ensemble_obs::{CcpFailure, Direction, Event, EventKind, Recorder, Tag};
+use ensemble_obs::{CcpFailure, Direction, Event, EventKind, RingWriter, Tag};
 use ensemble_stack::{check_stack, Boundary, CompatError, Engine, EngineKind};
 use ensemble_synth::{synthesize, BypassOutput, DeferCertificate, StackBypass};
 use ensemble_transport::{marshal, unmarshal_owned, Dest, Packet};
@@ -140,13 +140,14 @@ pub struct LayerTags {
 }
 
 impl LayerTags {
-    /// Registers the pseudo-layers and `names` (top first) with `recorder`.
-    pub fn new(names: &[&'static str], recorder: &Recorder) -> LayerTags {
+    /// Registers the pseudo-layers and `names` (top first) through
+    /// `register` (a recorder's, or one of its writers').
+    pub fn new(names: &[&'static str], register: impl Fn(&'static str) -> Tag) -> LayerTags {
         LayerTags {
-            app: recorder.register("app"),
-            bypass: recorder.register("bypass"),
-            engine: recorder.register("engine"),
-            layers: names.iter().map(|n| recorder.register(n)).collect(),
+            app: register("app"),
+            bypass: register("bypass"),
+            engine: register("engine"),
+            layers: names.iter().map(|n| register(n)).collect(),
         }
     }
 
@@ -160,34 +161,26 @@ impl LayerTags {
         }
     }
 
-    /// Drains `core`'s buffered events (via the scratch `buf`) into
-    /// `recorder`'s ring `shard`, stamped as the core's caller stamped
-    /// them. A view install may have switched stacks, so layer tags are
-    /// re-resolved from that event on.
-    pub fn fold(
-        &mut self,
-        core: &mut GroupCore,
-        recorder: &Recorder,
-        shard: usize,
-        buf: &mut Vec<CoreEvent>,
-    ) {
+    /// Drains `core`'s buffered events (via the scratch `buf`) into the
+    /// ring `w` writes, stamped as the core's caller stamped them. A view
+    /// install may have switched stacks, so layer tags are re-resolved
+    /// from that event on.
+    pub fn fold(&mut self, core: &mut GroupCore, w: &mut RingWriter, buf: &mut Vec<CoreEvent>) {
         core.take_events(buf);
+        let group = core.endpoint().id();
         for e in buf.drain(..) {
-            recorder.record(
-                shard,
-                &Event {
-                    t_ns: e.t.0,
-                    layer: self.resolve(e.layer),
-                    kind: e.kind,
-                    dir: e.dir,
-                    group: core.endpoint().id(),
-                    seqno: e.seqno,
-                    ccp: e.ccp,
-                    aux: e.aux,
-                },
-            );
+            w.record(&Event {
+                t_ns: e.t.0,
+                layer: self.resolve(e.layer),
+                kind: e.kind,
+                dir: e.dir,
+                group,
+                seqno: e.seqno,
+                ccp: e.ccp,
+                aux: e.aux,
+            });
             if e.kind == EventKind::ViewInstall {
-                *self = LayerTags::new(core.layer_names(), recorder);
+                *self = LayerTags::new(core.layer_names(), |n| w.register(n));
             }
         }
     }
@@ -1811,8 +1804,9 @@ mod tests {
     #[test]
     fn stack_switch_waits_for_the_next_view_and_the_trace_follows_it() {
         let (mut c, _) = vsync_core(0, 3);
-        let recorder = Recorder::new(1, 64);
-        let mut tags = LayerTags::new(c.layer_names(), &recorder);
+        let recorder = ensemble_obs::Recorder::new(1, 64);
+        let mut w = recorder.writer(0).unwrap();
+        let mut tags = LayerTags::new(c.layer_names(), |n| w.register(n));
         c.set_tracing(true);
         assert!(
             c.switch_stack_on_next_view(&["top", "total", "mnak", "bottom"])
@@ -1832,7 +1826,7 @@ mod tests {
         c.install_external_view(Time::ZERO, c.view().next_view(&[]));
         assert_eq!(c.layer_names(), signed, "a switch happens once");
 
-        tags.fold(&mut c, &recorder, 0, &mut Vec::new());
+        tags.fold(&mut c, &mut w, &mut Vec::new());
         let fired: Vec<&str> = recorder
             .drain()
             .iter()

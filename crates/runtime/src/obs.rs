@@ -2,10 +2,14 @@
 //! the metrics exposition.
 //!
 //! One [`NodeObs`] per [`crate::Node`], shared with every shard worker.
-//! The recorder has one ring per shard (each worker is that ring's only
-//! writer); the histograms are concurrent, so workers record while any
-//! thread reads. Everything is gated on one `enabled` flag checked before
-//! any work on the hot path — a disabled node pays one branch per event.
+//! The recorder has one ring per shard, whose [`RingWriter`] the shard's
+//! worker holds, and [`AUX_RINGS`] auxiliary rings for threads outside
+//! the pool ([`NodeObs::aux_writer`]). Each worker also owns its latency
+//! histograms and records into them with plain stores; readers merge
+//! the shards' histograms, so a series reads as if one histogram had
+//! been fed every sample. Everything is gated on one `enabled` flag
+//! checked before any work on the hot path — a disabled node pays one
+//! branch per event.
 //!
 //! [`NodeObs::metrics_text`] folds a [`RuntimeStats`] snapshot and the
 //! node's histograms into Prometheus text exposition. The series names
@@ -26,30 +30,34 @@
 //! * `ensemble_handler_ns{quantile}` — per-event handling time
 //! * `ensemble_timer_lateness_ns{quantile}` — how late a layer timer fired
 //! * `ensemble_layer_handler_ns{layer,quantile}` — per-layer spans
-//! * `ensemble_trace_events_total` (+ `_overwritten_`, `_contended_`)
+//! * `ensemble_trace_events_total` (+ `_overwritten_`)
 
 use crate::metrics::RuntimeStats;
-use ensemble_obs::{Histogram, HistogramVec, Recorder, Registry, TraceEvent};
+use ensemble_obs::{Histogram, HistogramVec, Recorder, Registry, RingWriter, TraceEvent};
+
+/// Auxiliary rings per node, after the shard rings: one for the cluster
+/// driver, one for a service on top of it (the KV apply loop). Each has
+/// half a shard ring's capacity, and is allocated only when its writer
+/// is taken.
+pub const AUX_RINGS: usize = 2;
+
+/// The latency histograms of one shard worker. Only that worker writes
+/// them ([`Histogram::record_unshared`]); aligned apart so no two
+/// workers' histograms share a cache line.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct ShardHistograms {
+    pub(crate) cast_to_deliver_ns: Histogram,
+    pub(crate) handler_ns: Histogram,
+    pub(crate) timer_lateness_ns: Histogram,
+}
 
 /// Observability state shared by a node and its shard workers.
 pub struct NodeObs {
     enabled: bool,
-    /// The flight recorder: one ring per shard.
+    /// The flight recorder: one ring per shard, then the auxiliary ones.
     pub recorder: Recorder,
-    /// Cast→deliver latency: sender-side command drain to the receiving
-    /// core producing the delivery, in obs-clock nanoseconds. It stops
-    /// before the shard hands the turn's batch to the application queue,
-    /// so it excludes the rest of that turn and the consumer's wake-up.
-    /// Only populated by transports that carry origin stamps (the loopback
-    /// hub).
-    pub cast_to_deliver_ns: Histogram,
-    /// Time spent handling one event (command, packet, or timer),
-    /// including routing its actions.
-    pub handler_ns: Histogram,
-    /// How late a layer timer fired past its deadline. The shard's
-    /// [`crate::DeadlineQueue`] never pops an entry before its deadline,
-    /// so no early fire is folded in here as a zero.
-    pub timer_lateness_ns: Histogram,
+    shards: Vec<ShardHistograms>,
     /// Per-layer handler time, keyed by layer name (timer fires here;
     /// the layer harness contributes finer spans in unit tests).
     pub layer_handler_ns: HistogramVec,
@@ -60,15 +68,15 @@ pub struct NodeObs {
 
 impl NodeObs {
     pub(crate) fn new(enabled: bool, shards: usize, ring_capacity: usize) -> NodeObs {
-        // A disabled node still owns a (tiny) recorder so the API needs
-        // no Option plumbing; nothing is ever recorded into it.
-        let capacity = if enabled { ring_capacity } else { 8 };
+        // A disabled node hands out no writer, so none of its rings is
+        // ever allocated.
+        let shards = shards.max(1);
+        let rings = std::iter::repeat_n(ring_capacity, shards);
+        let aux = std::iter::repeat_n(ring_capacity / 2, AUX_RINGS);
         NodeObs {
             enabled,
-            recorder: Recorder::new(shards.max(1), capacity),
-            cast_to_deliver_ns: Histogram::new(),
-            handler_ns: Histogram::new(),
-            timer_lateness_ns: Histogram::new(),
+            recorder: Recorder::with_capacities(rings.chain(aux)),
+            shards: (0..shards).map(|_| ShardHistograms::default()).collect(),
             layer_handler_ns: HistogramVec::new(),
             view_change_ns: Histogram::new(),
         }
@@ -77,6 +85,56 @@ impl NodeObs {
     /// Whether tracing and histogram recording are on.
     pub fn enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Shard `shard`'s ring writer (`None` when obs is off) and
+    /// histograms, for its worker alone.
+    pub(crate) fn shard(&self, shard: usize) -> (Option<RingWriter>, &ShardHistograms) {
+        let writer = self.enabled.then(|| {
+            let w = self.recorder.writer(shard);
+            w.expect("one worker per shard ring")
+        });
+        (writer, &self.shards[shard])
+    }
+
+    /// The writer of the next free auxiliary ring, for one thread outside
+    /// the worker pool (a cluster driver, a service's apply loop). `None`
+    /// when obs is off or all [`AUX_RINGS`] are taken.
+    pub fn aux_writer(&self) -> Option<RingWriter> {
+        if !self.enabled {
+            return None;
+        }
+        let first = self.shards.len();
+        (first..first + AUX_RINGS).find_map(|i| self.recorder.writer(i))
+    }
+
+    fn merged(&self, pick: impl Fn(&ShardHistograms) -> &Histogram) -> Histogram {
+        Histogram::merged(self.shards.iter().map(pick))
+    }
+
+    /// Cast→deliver latency over every shard: sender-side command drain
+    /// to the receiving core producing the delivery, in obs-clock
+    /// nanoseconds. It stops before the shard hands the turn's batch to
+    /// the application queue, so it excludes the rest of that turn and
+    /// the consumer's wake-up. Only populated by transports that carry
+    /// origin stamps (the loopback hub).
+    pub fn cast_to_deliver_ns(&self) -> Histogram {
+        self.merged(|s| &s.cast_to_deliver_ns)
+    }
+
+    /// Time spent handling one event (command, packet, or timer) over
+    /// every shard: from the end of the worker's previous handler in the
+    /// same loop step (or the step's start) to the end of this one,
+    /// including routing its actions.
+    pub fn handler_ns(&self) -> Histogram {
+        self.merged(|s| &s.handler_ns)
+    }
+
+    /// How late a layer timer fired past its deadline, over every shard.
+    /// The shard's [`crate::DeadlineQueue`] never pops an entry before
+    /// its deadline, so no early fire is folded in here as a zero.
+    pub fn timer_lateness_ns(&self) -> Histogram {
+        self.merged(|s| &s.timer_lateness_ns)
     }
 
     /// Drains all new trace events, merged across shards by timestamp.
@@ -141,13 +199,13 @@ impl NodeObs {
         reg.histogram(
             "ensemble_cast_to_deliver_ns",
             &[],
-            &self.cast_to_deliver_ns.summary(),
+            &self.cast_to_deliver_ns().summary(),
         );
-        reg.histogram("ensemble_handler_ns", &[], &self.handler_ns.summary());
+        reg.histogram("ensemble_handler_ns", &[], &self.handler_ns().summary());
         reg.histogram(
             "ensemble_timer_lateness_ns",
             &[],
-            &self.timer_lateness_ns.summary(),
+            &self.timer_lateness_ns().summary(),
         );
         for (layer, summary) in self.layer_handler_ns.summaries() {
             reg.histogram("ensemble_layer_handler_ns", &[("layer", layer)], &summary);
@@ -163,11 +221,6 @@ impl NodeObs {
             &[],
             self.recorder.overwritten(),
         );
-        reg.set_int(
-            "ensemble_trace_contended_total",
-            &[],
-            self.recorder.contended(),
-        );
         reg.render()
     }
 }
@@ -180,7 +233,7 @@ mod tests {
     #[test]
     fn exposition_contains_every_required_series() {
         let obs = NodeObs::new(true, 2, 64);
-        obs.cast_to_deliver_ns.record(1500);
+        obs.shards[1].cast_to_deliver_ns.record_unshared(1500);
         obs.layer_handler_ns.get("mnak").record(300);
         let stats = RuntimeStats {
             shards: vec![ShardSnapshot {
@@ -215,6 +268,31 @@ mod tests {
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn shard_histograms_merge_into_one_series() {
+        let obs = NodeObs::new(true, 2, 64);
+        for (shard, samples) in [(0, [100, 200, 300]), (1, [4000, 5000, 6000])] {
+            for v in samples {
+                obs.shards[shard].handler_ns.record_unshared(v);
+            }
+        }
+        let text = obs.metrics_text(&RuntimeStats::default());
+        assert!(text.contains("ensemble_handler_ns_count 6"), "{text}");
+        assert!(text.contains("ensemble_handler_ns_sum 15600"), "{text}");
+        assert!(
+            text.contains("ensemble_handler_ns{quantile=\"1\"} 6000"),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn aux_writers_are_handed_out_once_each_and_only_when_enabled() {
+        let obs = NodeObs::new(true, 2, 64);
+        let taken: Vec<_> = std::iter::from_fn(|| obs.aux_writer()).collect();
+        assert_eq!(taken.len(), AUX_RINGS);
+        assert!(NodeObs::new(false, 2, 64).aux_writer().is_none());
     }
 
     #[test]

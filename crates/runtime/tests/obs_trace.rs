@@ -91,7 +91,7 @@ fn flight_recorder_traces_a_live_group_end_to_end() {
 
     // Latency flowed: the loopback hub carries origin stamps, so the full
     // cast→deliver path is measured and its tail is nonzero.
-    let lat = node.obs().cast_to_deliver_ns.summary();
+    let lat = node.obs().cast_to_deliver_ns().summary();
     assert!(
         lat.count >= u64::from(2 * CASTS),
         "each delivered cast contributes a latency sample (got {})",
@@ -117,6 +117,68 @@ fn flight_recorder_traces_a_live_group_end_to_end() {
     assert!(totals.model_cost.data_refs > 0, "data_refs must be counted");
 
     node.shutdown();
+}
+
+/// The value of the unlabelled series `name` in an exposition.
+fn series(text: &str, name: &str) -> u64 {
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+    line.unwrap_or_else(|| panic!("no {name} in:\n{text}"))
+        .parse()
+        .expect("an integer sample")
+}
+
+#[test]
+fn handler_time_counts_every_event_both_shards_handled() {
+    let hub = LoopbackHub::new(0x0B50_0004);
+    let vs = ViewState::initial(2);
+    let mut node = Node::new(RuntimeConfig {
+        workers: 2,
+        ..RuntimeConfig::default()
+    });
+    // Round-robin placement: one member per shard.
+    let handles: Vec<_> = (0..2)
+        .map(|r| {
+            let h = node.join(
+                STACK_4,
+                vs.for_rank(Rank(r)),
+                EngineKind::Imp,
+                LayerConfig::fast(),
+                Box::new(hub.attach(vs.members[r as usize])),
+            );
+            h.expect("join")
+        })
+        .collect();
+    for i in 0..CASTS {
+        for h in &handles {
+            h.cast(&i.to_le_bytes()).expect("cast");
+        }
+    }
+    for h in &handles {
+        assert_eq!(collect_casts(h, CASTS as usize), CASTS as usize);
+    }
+    // Stopped workers handle nothing more: the counts hold still.
+    node.shutdown();
+    let stats = node.stats();
+    assert_eq!(stats.shards.len(), 2);
+    let commands = 2 * u64::from(CASTS);
+    let packets: u64 = stats.shards.iter().map(|s| s.msgs_in).sum();
+    let timers: u64 = stats.shards.iter().map(|s| s.timers_fired).sum();
+    assert!(
+        stats.shards.iter().all(|s| s.msgs_in > 0),
+        "both shards ran"
+    );
+    let text = node.metrics_text();
+    assert_eq!(
+        series(&text, "ensemble_handler_ns_count"),
+        commands + packets + timers,
+        "one handler_ns sample per command ({commands}), packet ({packets}) and timer ({timers})"
+    );
+    assert_eq!(
+        series(&text, "ensemble_cast_to_deliver_ns_count"),
+        node.obs().cast_to_deliver_ns().count()
+    );
 }
 
 #[test]
@@ -214,7 +276,7 @@ fn disabled_obs_records_nothing() {
     }
     assert_eq!(collect_casts(&b, 50), 50);
     assert!(node.obs().drain().is_empty(), "tracing off records nothing");
-    assert_eq!(node.obs().cast_to_deliver_ns.count(), 0);
+    assert_eq!(node.obs().cast_to_deliver_ns().count(), 0);
     // The exposition still renders (counters live in ShardMetrics).
     assert!(node.metrics_text().contains("ensemble_msgs_total"));
     node.shutdown();

@@ -168,6 +168,14 @@ grep -Eq '^ensemble_timers_fired_total\{[^}]*\} [1-9]' <<<"$PINGPONG_OUT" || {
   echo "udp_pingpong fired no layer timer" >&2
   exit 1
 }
+# Handler time and the flight recorder are merged from the shards when
+# read: a merge that lost a shard's samples would read zero here.
+for series in ensemble_handler_ns_count ensemble_trace_events_total; do
+  grep -Eq "^$series [1-9]" <<<"$PINGPONG_OUT" || {
+    echo "udp_pingpong exposition has no $series samples" >&2
+    exit 1
+  }
+done
 
 echo "==> bench: table2a emits and validates BENCH_table2a.json"
 TABLE2A_OUT=$(cargo run --release -p ensemble-bench --bin table2a)

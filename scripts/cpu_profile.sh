@@ -14,8 +14,10 @@
 # Prints the run's own cpu_us_per_op, the share of samples in the
 # allocator, in futex waits and wakes (the interrupted frame is libc's
 # `syscall`, which Rust's std uses for futexes, or a futex or lock
-# helper), reading the clock (clock_gettime, the vDSO) and everything
-# else ("code"), then the functions on the most stacks (inclusive
+# helper), reading the clock (clock_gettime, the vDSO), recording
+# observability (an `ensemble_obs::` frame or `LayerTags::fold` on the
+# stack; with LTO much of it is inlined into its callers and counts as
+# code) and everything else ("code"), then the functions on the most stacks (inclusive
 # share; libc frames and those on every stack are left out — libc has
 # only its dynamic symbols here). Release builds inline much: a
 # function's share includes what was inlined into it. A diagnostic, not
@@ -200,22 +202,24 @@ awk -v top="$top" '
   FILENAME ~ /syms$/ && $1 == "S" { s = ++nseg[$2]; soff[$2, s] = hex($3); sva[$2, s] = hex($4); ssz[$2, s] = hex($5); next }
   FILENAME ~ /syms$/ { split($0, y, "\t"); i = ++nsym[y[2]]; yaddr[y[2], i] = hex(y[3]); yname[y[2], i] = y[4]
     if (y[2] ~ /\/libc\.so/) libc[y[4]] = 1; next }
-  { n++; delete seen
+  { n++; delete seen; obs = 0
     for (i = 2; i <= NF; i++) {
       f = name($i, i > 2)
       if (i == 2) leaf = f
+      if (f ~ /ensemble_obs::|LayerTags::fold/) obs = 1
       if (f in seen || libc[f] || f ~ /libc\.so/) continue
       seen[f] = 1; incl[f]++
     }
     if ($1 == "A") cat["allocator"]++
     else if (leaf ~ /futex|^syscall$|lll_lock/) cat["futex"]++
     else if (leaf ~ /clock_gettime|\[vdso\]/) cat["clock"]++
+    else if (obs) cat["obs"]++
     else cat["code"]++ }
   END {
     if (n == 0) { print "no samples in the window"; exit 1 }
     printf "%d samples\n%7s  %s\n", n, "share", "where"
-    split("allocator futex clock code", order, " ")
-    for (k = 1; k <= 4; k++) printf "%6.1f%%  %s\n", 100 * cat[order[k]] / n, order[k]
+    split("allocator futex clock obs code", order, " ")
+    for (k = 1; k <= 5; k++) printf "%6.1f%%  %s\n", 100 * cat[order[k]] / n, order[k]
     printf "%7s  %s\n", "incl", "function (top " top " by stacks it is on)"
     for (f in incl) if (incl[f] < 0.995 * n) printf "%6.1f%%  %s\n", 100 * incl[f] / n, f | "sort -k1,1nr | head -n " top
   }
