@@ -656,14 +656,14 @@ fn main() {
     );
 
     // Quiesce: parked minority casts replay after the merge; wait until
-    // every replica's commit count stops moving before snapshotting logs.
-    let mut last: Vec<usize> = Vec::new();
+    // every replica's commit index stops moving before snapshotting logs.
+    let mut last: Vec<u64> = Vec::new();
     wait_for("commit logs to quiesce", Duration::from_secs(30), || {
-        let now: Vec<usize> = replicas
+        let now: Vec<u64> = replicas
             .lock()
             .expect("replica table poisoned")
             .iter()
-            .map(|r| r.as_ref().map(|r| r.commit_log().len()).unwrap_or(0))
+            .map(|r| r.as_ref().map_or(0, |r| r.commit_index()))
             .collect();
         let stable = now == last;
         last = now;

@@ -22,8 +22,7 @@
 //! growing, jittered backoff so a restarting cluster is not hammered by
 //! synchronized reconnect storms.
 
-use crate::proto::{decode_response, encode_request, put_frame, FrameBuf, KvError, KvOp, KvResult};
-use std::collections::HashMap;
+use crate::proto::{decode_response, put_request, FrameBuf, KvError, KvOp, KvResult};
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -35,7 +34,10 @@ const BACKOFF: Duration = Duration::from_millis(10);
 pub struct KvClient {
     addrs: Vec<SocketAddr>,
     cur: usize,
-    stream: Option<TcpStream>,
+    /// The live connection and its receive framing.
+    stream: Option<(TcpStream, FrameBuf)>,
+    /// Request frames encoded for the next write, kept between batches.
+    out: Vec<u8>,
     next_req: u64,
     /// Per-batch commit deadline (also the per-request deadline for
     /// single-operation calls).
@@ -57,6 +59,7 @@ impl KvClient {
             addrs,
             cur: 0,
             stream: None,
+            out: Vec::new(),
             next_req: 0,
             timeout,
             redirects: 0,
@@ -177,31 +180,29 @@ impl KvClient {
     ) -> Result<(), KvError> {
         // Own the stream for the batch: an early error return drops the
         // (now useless) connection, success puts it back.
-        let mut stream = match self.stream.take() {
-            Some(s) => s,
-            None => self.connect()?,
+        let (mut stream, mut frames) = match self.stream.take() {
+            Some(conn) => conn,
+            None => (self.connect()?, FrameBuf::new()),
         };
-        // Assign req ids and pipeline every frame, in one write, before
-        // reading.
-        let mut wanted: HashMap<u64, usize> = HashMap::new();
-        let mut batch = Vec::new();
-        for &i in todo {
-            let req_id = self.next_req;
-            self.next_req += 1;
-            wanted.insert(req_id, i);
-            put_frame(&mut batch, &encode_request(req_id, &ops[i]));
+        // Number the requests `base..` and pipeline every frame, in one
+        // write, before reading.
+        let base = self.next_req;
+        self.next_req += todo.len() as u64;
+        self.out.clear();
+        for (req_id, &i) in (base..).zip(todo) {
+            put_request(&mut self.out, req_id, &ops[i]);
         }
-        stream.write_all(&batch).map_err(|_| KvError::Closed)?;
+        stream.write_all(&self.out).map_err(|_| KvError::Closed)?;
         // Collect completions (any order) until done or deadline: each
         // read blocks for what is left of the batch's time, no less.
         let deadline = Instant::now() + self.timeout;
-        let mut frames = FrameBuf::new();
-        while !wanted.is_empty() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
+        let mut left = todo.len();
+        while left > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if wait.is_zero() {
                 return Err(KvError::Timeout);
             }
-            let _ = stream.set_read_timeout(Some(left));
+            let _ = stream.set_read_timeout(Some(wait));
             match frames.fill(&mut stream) {
                 Ok(0) => return Err(KvError::Closed),
                 Ok(_) => {}
@@ -218,7 +219,8 @@ impl KvClient {
                 let Some((req_id, result)) = decode_response(payload) else {
                     return Err(KvError::Malformed);
                 };
-                let Some(i) = wanted.remove(&req_id) else {
+                let slot = req_id.checked_sub(base).and_then(|k| todo.get(k as usize));
+                let Some(&i) = slot.filter(|&&i| results[i].is_none()) else {
                     continue; // A stale completion from before a redirect.
                 };
                 match result {
@@ -227,9 +229,10 @@ impl KvClient {
                     KvResult::Err(KvError::NotServing) => return Err(KvError::NotServing),
                     r => results[i] = Some(r),
                 }
+                left -= 1;
             }
         }
-        self.stream = Some(stream);
+        self.stream = Some((stream, frames));
         Ok(())
     }
 

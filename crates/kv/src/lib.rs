@@ -12,7 +12,7 @@
 //! The pieces, bottom-up:
 //!
 //! * [`proto`] — the wire protocol (and the replicated cast payload);
-//! * [`KvStore`] — the state machine: sorted map + commit index;
+//! * [`KvStore`] — the state machine: hash map + commit index;
 //! * [`KvReplica`] — a cluster member plus the apply loop; clients
 //!   reach it through the cloneable [`ReplicaFront`];
 //! * [`KvListener`] / [`KvClient`] — the TCP plane: thread-pooled

@@ -34,8 +34,14 @@
 //! That is a property of the current server, bounded by the read size
 //! and by `pipeline_depth`, and not a promise: a client that needs two
 //! operations to be adjacent must not rely on having written them
-//! together. A cast is decoded completely before any of it is applied
-//! ([`decode_cast_batch`]): every replica applies all of its ops or none.
+//! together. A cast is checked completely before any of it is applied
+//! ([`CastView::parse`]): every replica applies all of its ops or none.
+//!
+//! On the request path an operation stays in this encoding: the
+//! listener checks a request frame where it lies ([`parse_request`]) and
+//! copies the op's bytes into the cast, and the replica applies and logs
+//! each op from a borrowed view of the delivered cast ([`OpRef`]). The
+//! owned [`KvOp`] is for clients, tests and the checker.
 
 use std::io::{Read, Write};
 
@@ -50,36 +56,38 @@ pub const ERR_MALFORMED: u8 = 3;
 pub const ERR_CLOSED: u8 = 4;
 pub const ERR_UNAVAILABLE: u8 = 5;
 
-/// One key-value operation, as replicated through the total order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KvOp {
+/// One key-value operation, as replicated through the total order,
+/// over `B`, what holds each key and value: [`KvOp`] owns them,
+/// [`OpRef`] borrows them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op<B> {
     /// Read `key` (ordered like a write so reads respect commit order).
-    Get(Vec<u8>),
+    Get(B),
     /// Bind `key` to `value`.
-    Set(Vec<u8>, Vec<u8>),
+    Set(B, B),
     /// Remove `key`.
-    Del(Vec<u8>),
+    Del(B),
     /// Compare-and-swap: bind `key` to `new` iff its current value is
     /// `expect` (`None` = iff the key is absent).
     Cas {
         /// The key to swap.
-        key: Vec<u8>,
+        key: B,
         /// Required current value (`None`: key must be absent).
-        expect: Option<Vec<u8>>,
+        expect: Option<B>,
         /// Value installed when the comparison holds.
-        new: Vec<u8>,
+        new: B,
     },
 }
 
-impl KvOp {
-    /// The key this operation touches.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            KvOp::Get(k) | KvOp::Del(k) | KvOp::Set(k, _) => k,
-            KvOp::Cas { key, .. } => key,
-        }
-    }
-}
+/// An operation that owns its bytes: the form clients, tests and the
+/// checker hold.
+pub type KvOp = Op<Vec<u8>>;
+
+/// An operation read in place: its keys and values borrow the buffer it
+/// was decoded from ([`decode_op_ref`]), so reading one allocates
+/// nothing. The replica applies, logs and forwards operations in this
+/// form.
+pub type OpRef<'a> = Op<&'a [u8]>;
 
 /// What a replica answers, as decided at a commit index.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -192,70 +200,105 @@ fn take_u8(buf: &[u8], at: &mut usize) -> Option<u8> {
     Some(b)
 }
 
-fn take_bytes(buf: &[u8], at: &mut usize) -> Option<Vec<u8>> {
+fn take_bytes<'a>(buf: &'a [u8], at: &mut usize) -> Option<&'a [u8]> {
     let len = take_u32(buf, at)? as usize;
-    let b = buf.get(*at..*at + len)?;
+    let b = buf.get(*at..at.checked_add(len)?)?;
     *at += len;
-    Some(b.to_vec())
+    Some(b)
 }
 
-/// Appends the encoding of `KvOp::Set(key, value)` to `out` without
-/// owning either: the store's snapshot writes one per binding.
-pub(crate) fn encode_set(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
-    out.push(0x02);
-    put_bytes(out, key);
-    put_bytes(out, value);
-}
+impl<B: AsRef<[u8]>> Op<B> {
+    /// This operation, borrowing its bytes.
+    pub fn view(&self) -> OpRef<'_> {
+        match self {
+            Op::Get(k) => Op::Get(k.as_ref()),
+            Op::Set(k, v) => Op::Set(k.as_ref(), v.as_ref()),
+            Op::Del(k) => Op::Del(k.as_ref()),
+            Op::Cas { key, expect, new } => Op::Cas {
+                key: key.as_ref(),
+                expect: expect.as_ref().map(AsRef::as_ref),
+                new: new.as_ref(),
+            },
+        }
+    }
 
-/// Length of [`encode_set`]'s output: tag plus two length prefixes.
-pub(crate) fn encoded_set_len(key: &[u8], value: &[u8]) -> usize {
-    9 + key.len() + value.len()
-}
+    /// The key this operation touches.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            Op::Get(k) | Op::Del(k) | Op::Set(k, _) => k.as_ref(),
+            Op::Cas { key, .. } => key.as_ref(),
+        }
+    }
 
-/// Length of [`encode_op`]'s output, so a caller can size its buffer once.
-pub(crate) fn encoded_op_len(op: &KvOp) -> usize {
-    match op {
-        KvOp::Get(k) | KvOp::Del(k) => 5 + k.len(),
-        KvOp::Set(k, v) => encoded_set_len(k, v),
-        KvOp::Cas { key, expect, new } => {
-            10 + key.len() + new.len() + expect.as_ref().map_or(0, |e| 4 + e.len())
+    /// An owned copy.
+    pub fn to_op(&self) -> KvOp {
+        match self.view() {
+            Op::Get(k) => Op::Get(k.to_vec()),
+            Op::Set(k, v) => Op::Set(k.to_vec(), v.to_vec()),
+            Op::Del(k) => Op::Del(k.to_vec()),
+            Op::Cas { key, expect, new } => Op::Cas {
+                key: key.to_vec(),
+                expect: expect.map(<[u8]>::to_vec),
+                new: new.to_vec(),
+            },
+        }
+    }
+
+    /// Length of [`Op::encode`]'s output, so a caller can size its
+    /// buffer once.
+    pub fn encoded_len(&self) -> usize {
+        match self.view() {
+            Op::Get(k) | Op::Del(k) => 5 + k.len(),
+            Op::Set(k, v) => 9 + k.len() + v.len(),
+            Op::Cas { key, expect, new } => {
+                10 + key.len() + new.len() + expect.map_or(0, |e| 4 + e.len())
+            }
+        }
+    }
+
+    /// Appends the wire encoding (`op` in the module docs) to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self.view() {
+            Op::Get(k) => {
+                out.push(0x01);
+                put_bytes(out, k);
+            }
+            Op::Set(k, v) => {
+                out.push(0x02);
+                put_bytes(out, k);
+                put_bytes(out, v);
+            }
+            Op::Del(k) => {
+                out.push(0x03);
+                put_bytes(out, k);
+            }
+            Op::Cas { key, expect, new } => {
+                out.push(0x04);
+                put_bytes(out, key);
+                match expect {
+                    None => out.push(0x00),
+                    Some(e) => {
+                        out.push(0x01);
+                        put_bytes(out, e);
+                    }
+                }
+                put_bytes(out, new);
+            }
         }
     }
 }
 
 /// Appends the encoding of `op` to `out`.
 pub fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
-    match op {
-        KvOp::Get(k) => {
-            out.push(0x01);
-            put_bytes(out, k);
-        }
-        KvOp::Set(k, v) => encode_set(out, k, v),
-        KvOp::Del(k) => {
-            out.push(0x03);
-            put_bytes(out, k);
-        }
-        KvOp::Cas { key, expect, new } => {
-            out.push(0x04);
-            put_bytes(out, key);
-            match expect {
-                None => out.push(0x00),
-                Some(e) => {
-                    out.push(0x01);
-                    put_bytes(out, e);
-                }
-            }
-            put_bytes(out, new);
-        }
-    }
+    op.encode(out)
 }
 
-/// Decodes one `op` from `buf` at `*at`, advancing the cursor.
-pub fn decode_op(buf: &[u8], at: &mut usize) -> Option<KvOp> {
+/// Reads one `op` from `buf` at `*at` in place, advancing the cursor.
+pub fn decode_op_ref<'a>(buf: &'a [u8], at: &mut usize) -> Option<OpRef<'a>> {
     match take_u8(buf, at)? {
-        0x01 => Some(KvOp::Get(take_bytes(buf, at)?)),
-        0x02 => Some(KvOp::Set(take_bytes(buf, at)?, take_bytes(buf, at)?)),
-        0x03 => Some(KvOp::Del(take_bytes(buf, at)?)),
+        0x01 => Some(Op::Get(take_bytes(buf, at)?)),
+        0x02 => Some(Op::Set(take_bytes(buf, at)?, take_bytes(buf, at)?)),
+        0x03 => Some(Op::Del(take_bytes(buf, at)?)),
         0x04 => {
             let key = take_bytes(buf, at)?;
             let expect = match take_u8(buf, at)? {
@@ -263,7 +306,7 @@ pub fn decode_op(buf: &[u8], at: &mut usize) -> Option<KvOp> {
                 0x01 => Some(take_bytes(buf, at)?),
                 _ => return None,
             };
-            Some(KvOp::Cas {
+            Some(Op::Cas {
                 key,
                 expect,
                 new: take_bytes(buf, at)?,
@@ -273,28 +316,43 @@ pub fn decode_op(buf: &[u8], at: &mut usize) -> Option<KvOp> {
     }
 }
 
+/// Appends the request payload (without the frame length prefix).
+fn encode_request_into(out: &mut Vec<u8>, req_id: u64, op: &KvOp) {
+    out.extend_from_slice(&req_id.to_le_bytes());
+    encode_op(out, op);
+}
+
 /// Encodes a request payload (without the frame length prefix).
 pub fn encode_request(req_id: u64, op: &KvOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    out.extend_from_slice(&req_id.to_le_bytes());
-    encode_op(&mut out, op);
+    let mut out = Vec::with_capacity(8 + op.encoded_len());
+    encode_request_into(&mut out, req_id, op);
     out
+}
+
+/// Appends one request frame — length prefix and payload — to `out`.
+pub fn put_request(out: &mut Vec<u8>, req_id: u64, op: &KvOp) {
+    put_frame_with(out, |out| encode_request_into(out, req_id, op));
+}
+
+/// Reads a request payload in place: its `req_id` and the bytes of the
+/// one `op` it carries, checked to decode with nothing after them.
+pub fn parse_request(buf: &[u8]) -> Option<(u64, &[u8])> {
+    let mut at = 0;
+    let req_id = take_u64(buf, &mut at)?;
+    decode_op_ref(buf, &mut at)?;
+    (at == buf.len()).then(|| (req_id, &buf[8..]))
 }
 
 /// Decodes a request payload.
 pub fn decode_request(buf: &[u8]) -> Option<(u64, KvOp)> {
     let mut at = 0;
     let req_id = take_u64(buf, &mut at)?;
-    let op = decode_op(buf, &mut at)?;
-    if at != buf.len() {
-        return None;
-    }
-    Some((req_id, op))
+    let op = decode_op_ref(buf, &mut at)?;
+    (at == buf.len()).then(|| (req_id, op.to_op()))
 }
 
-/// Encodes a response payload (without the frame length prefix).
-pub fn encode_response(req_id: u64, result: &KvResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
+/// Appends the response payload (without the frame length prefix).
+fn encode_response_into(out: &mut Vec<u8>, req_id: u64, result: &KvResult) {
     out.extend_from_slice(&req_id.to_le_bytes());
     match result {
         KvResult::Value { ci, value } => {
@@ -304,7 +362,7 @@ pub fn encode_response(req_id: u64, result: &KvResult) -> Vec<u8> {
                 None => out.push(0x00),
                 Some(v) => {
                     out.push(0x01);
-                    put_bytes(&mut out, v);
+                    put_bytes(out, v);
                 }
             }
         }
@@ -322,7 +380,18 @@ pub fn encode_response(req_id: u64, result: &KvResult) -> Vec<u8> {
             out.push(e.code());
         }
     }
+}
+
+/// Encodes a response payload (without the frame length prefix).
+pub fn encode_response(req_id: u64, result: &KvResult) -> Vec<u8> {
+    let mut out = Vec::with_capacity(16);
+    encode_response_into(&mut out, req_id, result);
     out
+}
+
+/// Appends one response frame — length prefix and payload — to `out`.
+pub fn put_response(out: &mut Vec<u8>, req_id: u64, result: &KvResult) {
+    put_frame_with(out, |out| encode_response_into(out, req_id, result));
 }
 
 /// Decodes a response payload.
@@ -334,7 +403,7 @@ pub fn decode_response(buf: &[u8]) -> Option<(u64, KvResult)> {
             let ci = take_u64(buf, &mut at)?;
             let value = match take_u8(buf, &mut at)? {
                 0x00 => None,
-                0x01 => Some(take_bytes(buf, &mut at)?),
+                0x01 => Some(take_bytes(buf, &mut at)?.to_vec()),
                 _ => return None,
             };
             KvResult::Value { ci, value }
@@ -366,9 +435,9 @@ pub fn encode_cast(submitter: u32, token: u64, op: &KvOp) -> Vec<u8> {
 
 /// Decodes a replicated cast payload that carries exactly one operation.
 pub fn decode_cast(buf: &[u8]) -> Option<(u32, u64, KvOp)> {
-    let (submitter, mut ops) = decode_cast_batch(buf)?;
-    let (token, op) = ops.pop()?;
-    ops.is_empty().then_some((submitter, token, op))
+    let cast = CastView::parse(buf)?;
+    let (token, op, _) = cast.ops().next()?;
+    (cast.len() == 1).then(|| (cast.submitter(), token, op.to_op()))
 }
 
 /// Encodes the replicated cast payload: who proposed (`submitter`, an
@@ -378,39 +447,154 @@ pub fn decode_cast(buf: &[u8]) -> Option<(u32, u64, KvOp)> {
 /// tokens to find the waiting clients.
 pub fn encode_cast_batch(submitter: u32, first_token: u64, ops: &[KvOp]) -> Vec<u8> {
     debug_assert!(!ops.is_empty(), "a cast carries at least one operation");
-    let len = 4 + ops.iter().map(|op| 8 + encoded_op_len(op)).sum::<usize>();
-    let mut out = Vec::with_capacity(len);
-    out.extend_from_slice(&submitter.to_le_bytes());
-    for (token, op) in (first_token..).zip(ops) {
-        out.extend_from_slice(&token.to_le_bytes());
-        encode_op(&mut out, op);
+    let mut cast = CastBuf::default();
+    for op in ops {
+        cast.push(op);
     }
-    out
+    cast.seal(submitter, first_token);
+    cast.bytes
 }
 
 /// Decodes a replicated cast payload into its submitter and every
-/// `(token, op)` it carries, in order. All or nothing: a payload with
-/// no operation, a truncated one or trailing bytes is refused whole, so
-/// a replica never applies part of a cast.
+/// `(token, op)` it carries, in order: [`CastView`], owned.
 pub fn decode_cast_batch(buf: &[u8]) -> Option<(u32, Vec<(u64, KvOp)>)> {
-    let mut at = 0;
-    let submitter = take_u32(buf, &mut at)?;
-    let mut ops = Vec::new();
-    loop {
-        let token = take_u64(buf, &mut at)?;
-        ops.push((token, decode_op(buf, &mut at)?));
-        if at == buf.len() {
-            return Some((submitter, ops));
+    let cast = CastView::parse(buf)?;
+    let ops = cast.ops().map(|(token, op, _)| (token, op.to_op()));
+    Some((cast.submitter(), ops.collect()))
+}
+
+/// A cast payload built in place, one operation at a time, for a
+/// proposer that learns the submitter and the tokens only when it
+/// proposes: [`CastBuf::seal`] writes them into the slots left for
+/// them. Cleared, it keeps its buffers for the next cast.
+pub(crate) struct CastBuf {
+    bytes: Vec<u8>,
+    /// Offset of each operation's token slot.
+    tokens: Vec<usize>,
+}
+
+impl Default for CastBuf {
+    fn default() -> CastBuf {
+        CastBuf {
+            bytes: vec![0; 4],
+            tokens: Vec::new(),
         }
     }
+}
+
+impl CastBuf {
+    /// Operations pushed since the last clear.
+    pub(crate) fn len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Appends `op`, encoded.
+    pub(crate) fn push(&mut self, op: &KvOp) {
+        self.token_slot();
+        op.encode(&mut self.bytes);
+    }
+
+    /// Appends the bytes of one operation already encoded — a request
+    /// frame's, checked by [`parse_request`] — as they are.
+    pub(crate) fn push_encoded(&mut self, op: &[u8]) {
+        self.token_slot();
+        self.bytes.extend_from_slice(op);
+    }
+
+    fn token_slot(&mut self) {
+        self.tokens.push(self.bytes.len());
+        self.bytes.extend_from_slice(&[0; 8]);
+    }
+
+    /// Writes `submitter` and the tokens `first_token..` and returns the
+    /// payload.
+    pub(crate) fn seal(&mut self, submitter: u32, first_token: u64) -> &[u8] {
+        self.bytes[..4].copy_from_slice(&submitter.to_le_bytes());
+        for (token, &at) in (first_token..).zip(&self.tokens) {
+            self.bytes[at..at + 8].copy_from_slice(&token.to_le_bytes());
+        }
+        &self.bytes
+    }
+
+    /// Empties the cast, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.bytes.truncate(4);
+        self.tokens.clear();
+    }
+}
+
+/// A replicated cast payload, checked whole and read in place. All or
+/// nothing: a payload with no operation, a truncated one or trailing
+/// bytes does not parse, so a replica never applies part of a cast.
+#[derive(Clone, Copy, Debug)]
+pub struct CastView<'a> {
+    submitter: u32,
+    buf: &'a [u8],
+    len: usize,
+}
+
+impl<'a> CastView<'a> {
+    /// Checks every operation of `buf` without copying any.
+    pub fn parse(buf: &'a [u8]) -> Option<CastView<'a>> {
+        let mut at = 0;
+        let submitter = take_u32(buf, &mut at)?;
+        let mut len = 0;
+        loop {
+            take_u64(buf, &mut at)?;
+            decode_op_ref(buf, &mut at)?;
+            len += 1;
+            if at == buf.len() {
+                return Some(CastView {
+                    submitter,
+                    buf,
+                    len,
+                });
+            }
+        }
+    }
+
+    /// The proposer's endpoint id.
+    pub fn submitter(&self) -> u32 {
+        self.submitter
+    }
+
+    /// How many operations the cast carries (at least one).
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Always `false`: a cast carries at least one operation.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every operation in order, as `(token, op, op's encoded bytes)`.
+    pub fn ops(&self) -> impl Iterator<Item = (u64, OpRef<'a>, &'a [u8])> {
+        let buf = self.buf;
+        let mut at = 4;
+        std::iter::from_fn(move || {
+            let token = take_u64(buf, &mut at)?;
+            let start = at;
+            let op = decode_op_ref(buf, &mut at)?;
+            Some((token, op, &buf[start..at]))
+        })
+    }
+}
+
+/// Appends one length-prefixed frame, its payload written by `payload`.
+fn put_frame_with(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - start - 4;
+    debug_assert!(len <= MAX_FRAME);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
 /// Appends one length-prefixed frame to `out`, so a caller can encode
 /// any number of frames into one buffer and hand them to one `write_all`.
 pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
-    debug_assert!(payload.len() <= MAX_FRAME);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    put_frame_with(out, |out| out.extend_from_slice(payload));
 }
 
 /// Writes one length-prefixed frame (one `write_all`: one syscall and,
@@ -526,7 +710,7 @@ mod tests {
         for op in ops() {
             let mut buf = Vec::new();
             encode_op(&mut buf, &op);
-            assert_eq!(encoded_op_len(&op), buf.len(), "{op:?}");
+            assert_eq!(op.encoded_len(), buf.len(), "{op:?}");
         }
     }
 

@@ -17,7 +17,7 @@
 
 use crate::config::KvConfig;
 use crate::metrics::KvMetrics;
-use crate::proto::{decode_cast_batch, encode_cast_batch, KvError, KvOp, KvResult};
+use crate::proto::{decode_cast_batch, CastBuf, CastView, KvError, KvOp, KvResult};
 use crate::store::KvStore;
 use crate::wal::{RecoveryReport, Wal};
 use ensemble_cluster::{ClusterError, ClusterEvent, ClusterNode, StateProvider};
@@ -44,7 +44,7 @@ enum Inbox {
     Version(Sender<u64>),
     /// Reply with the store's snapshot (it carries the commit index).
     Snapshot(Sender<Vec<u8>>),
-    /// Reply with a copy of the commit log.
+    /// Reply with the commit log, decoded.
     Log(Sender<Vec<(u64, KvOp)>>),
     /// This thread's own writer of the node's flight recorder, sent once
     /// `form` returns: KV tracing starts here, and what the thread
@@ -119,24 +119,27 @@ impl ReplicaFront {
         let done: Completion = Box::new(move |result| {
             let _ = tx.send(result);
         });
-        let token = self.submit_batch(std::slice::from_ref(op), vec![done]);
+        let mut cast = CastBuf::default();
+        cast.push(op);
+        let token = self.submit_batch(&mut cast, vec![done]);
         (rx, token)
     }
 
-    /// Proposes `ops` as one cast — they commit at consecutive commit
-    /// indices, in order — and has the apply loop hand the result of
-    /// `ops[i]` to `done[i]`, which must only pass it on (see
-    /// `Completion`). Each completion runs exactly once unless its
-    /// operation is [`withdraw`]n first; a rejection (not serving, cast
-    /// refused) runs them all before this returns. Returns the
-    /// pending-table token of `ops[0]` — `ops[i]` holds that plus `i` —
-    /// or `None` for "not serving".
+    /// Proposes the operations of `cast` as one cast — they commit at
+    /// consecutive commit indices, in order — and has the apply loop
+    /// hand the result of operation `i` to `done[i]`, which must only
+    /// pass it on (see `Completion`). Each completion runs exactly once
+    /// unless its operation is [`withdraw`]n first; a rejection (not
+    /// serving, cast refused) runs them all before this returns. Returns
+    /// the pending-table token of the first operation — operation `i`
+    /// holds that plus `i` — or `None` for "not serving". The one submit
+    /// path: `cast` is sealed here with this replica's id and the tokens.
     ///
     /// [`withdraw`]: ReplicaFront::withdraw
-    pub(crate) fn submit_batch(&self, ops: &[KvOp], done: Vec<Completion>) -> Option<u64> {
-        assert!(!ops.is_empty(), "a cast carries at least one operation");
-        assert_eq!(ops.len(), done.len(), "one completion per operation");
-        let n = ops.len() as u64;
+    pub(crate) fn submit_batch(&self, cast: &mut CastBuf, done: Vec<Completion>) -> Option<u64> {
+        assert!(cast.len() > 0, "a cast carries at least one operation");
+        assert_eq!(cast.len(), done.len(), "one completion per operation");
+        let n = cast.len() as u64;
         if !self.serving.load(Ordering::Relaxed) {
             self.metrics
                 .rejected_not_serving
@@ -150,11 +153,7 @@ impl ReplicaFront {
         self.lock_pending().extend((first..).zip(done));
         self.metrics.requests.fetch_add(n, Ordering::Relaxed);
         self.metrics.casts.fetch_add(1, Ordering::Relaxed);
-        if self
-            .sender
-            .cast(&encode_cast_batch(self.id, first, ops))
-            .is_err()
-        {
+        if self.sender.cast(cast.seal(self.id, first)).is_err() {
             let refused: Vec<Completion> = {
                 let mut pending = self.lock_pending();
                 (first..first + n)
@@ -399,9 +398,16 @@ impl KvReplica {
 
     /// A copy of the applied log (commit index, operation) — the
     /// checker's per-replica feed. It holds every cast the apply thread
-    /// was handed before this call.
+    /// was handed before this call, decoded for it.
     pub fn commit_log(&self) -> Vec<(u64, KvOp)> {
         ask(&self.inbox, Inbox::Log)
+    }
+
+    /// The index of the last operation the apply thread has applied, at
+    /// the moment it reads this request: what a caller that only counts
+    /// commits asks instead of [`KvReplica::commit_log`].
+    pub fn commit_index(&self) -> u64 {
+        ask(&self.inbox, Inbox::Version)
     }
 
     fn node(&self) -> &ClusterNode {
@@ -463,7 +469,9 @@ impl Drop for KvReplica {
 struct ApplyLoop {
     my_id: u32,
     store: KvStore,
-    log: Vec<(u64, KvOp)>,
+    /// One entry per applied cast: its first commit index and the bytes
+    /// it was delivered as.
+    log: Vec<(u64, Vec<u8>)>,
     pending: PendingTable,
     metrics: Arc<KvMetrics>,
     /// Durable mode: every commit is WAL-appended before its ack.
@@ -526,7 +534,7 @@ impl ApplyLoop {
                     let _ = reply.send(self.store.snapshot());
                 }
                 Inbox::Log(reply) => {
-                    let _ = reply.send(self.log.clone());
+                    let _ = reply.send(self.decoded_log());
                 }
                 Inbox::Obs(w) => {
                     let tag = w.register("kv");
@@ -595,7 +603,7 @@ impl ApplyLoop {
                 }
             }
             ClusterEvent::Delivery(Delivery::Cast { bytes, .. }) => {
-                self.on_cast(&bytes);
+                self.on_cast(bytes);
             }
             // Views, sends, stalls, fences: membership is the cluster
             // layer's business; the serving flag already reflects it.
@@ -605,9 +613,10 @@ impl ApplyLoop {
 
     /// Applies one ordered cast: every operation it carries, in order at
     /// consecutive commit indices, logged with one WAL append — or, if
-    /// it does not decode, none of them.
-    fn on_cast(&mut self, bytes: &[u8]) {
-        let Some((submitter, ops)) = decode_cast_batch(bytes) else {
+    /// it does not parse, none of them. The operations are read where
+    /// they lie in `bytes`, which the commit log then keeps.
+    fn on_cast(&mut self, bytes: Vec<u8>) {
+        let Some(cast) = CastView::parse(&bytes) else {
             // Every replica was delivered these bytes at this position:
             // one that cannot decode them has diverged from any that
             // can, and the least it owes is to say so.
@@ -618,17 +627,23 @@ impl ApplyLoop {
                 .record(self.my_id, EventKind::KvUndecodable, bytes.len() as u64);
             return;
         };
-        let n = ops.len() as u64;
+        let n = cast.len() as u64;
         let first_ci = self.store.commit_index() + 1;
-        let results: Vec<KvResult> = ops.iter().map(|(_, op)| self.store.apply(op)).collect();
         let last_ci = first_ci + n - 1;
+        // Only the submitter answers, so only it reads a GET's value.
+        let mine = cast.submitter() == self.my_id;
+        for (ci, (token, op, _)) in (first_ci..).zip(cast.ops()) {
+            if let Some(result) = self.store.apply_ref(op, mine) {
+                self.await_ack.push_back((ci, token, result));
+            }
+        }
         self.metrics.commits.fetch_add(n, Ordering::Relaxed);
         if let Some(wal) = &mut self.wal {
             // Write-ahead before ack: a record must be durable (or
             // superseded by a checkpoint) before the submitting client
             // hears the result.
-            let records = (first_ci..).zip(ops.iter().map(|(_, op)| op));
-            let (durable, len) = wal.append_batch(records);
+            let records = (first_ci..).zip(cast.ops().map(|(_, _, op)| op));
+            let (durable, len) = wal.append_encoded(records);
             self.metrics.wal_appends.fetch_add(n, Ordering::Relaxed);
             self.metrics
                 .wal_bytes
@@ -642,18 +657,24 @@ impl ApplyLoop {
                 self.trace.record(self.my_id, EventKind::WalAppend, last_ci);
             }
         }
-        let mine = submitter == self.my_id;
-        for (ci, ((token, op), result)) in (first_ci..).zip(ops.into_iter().zip(results)) {
-            self.log.push((ci, op));
+        for ci in first_ci..=last_ci {
             self.trace.record(self.my_id, EventKind::KvCommit, ci);
-            if mine {
-                self.await_ack.push_back((ci, token, result));
-            }
         }
+        self.log.push((first_ci, bytes));
         self.drain_acks();
         if self.wal.as_ref().is_some_and(|w| w.checkpoint_due()) {
             self.take_checkpoint();
         }
+    }
+
+    /// The commit log as `(commit index, operation)`, one per operation.
+    fn decoded_log(&self) -> Vec<(u64, KvOp)> {
+        let mut out = Vec::new();
+        for (first_ci, bytes) in &self.log {
+            let (_, ops) = decode_cast_batch(bytes).expect("only casts that parse are logged");
+            out.extend((*first_ci..).zip(ops.into_iter().map(|(_, op)| op)));
+        }
+        out
     }
 
     /// Releases every held-back ack the durable frontier now covers
@@ -680,9 +701,11 @@ impl ApplyLoop {
         {
             let (ci, token, result) = self.await_ack.pop_front().expect("front checked");
             if let Some(done) = pending.remove(&token) {
-                done(result);
+                // Counted and traced before the client can hear it, so a
+                // client that has its answer finds it in both.
                 self.metrics.responses.fetch_add(1, Ordering::Relaxed);
                 self.trace.record(self.my_id, EventKind::KvResponse, ci);
+                done(result);
             }
         }
     }
@@ -729,8 +752,10 @@ impl KvTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MemDisk, StorageFaults};
+    use crate::proto::encode_cast_batch;
+    use crate::{MemDisk, StorageFaults, WalConfig};
     use ensemble_runtime::{FaultPlan, LoopbackHub};
+    use ensemble_util::DetRng;
     use std::time::Instant;
 
     /// A three-replica group over fresh loopback hubs (control, data).
@@ -795,6 +820,88 @@ mod tests {
             origin: 9,
             bytes: encode_cast_batch(9, 0, ops),
         }))
+    }
+
+    /// A random operation over `keys` keys, so that keys are present
+    /// and absent in turn; a CAS expects the model's current value half
+    /// of the time.
+    fn random_op(rng: &mut DetRng, model: &KvStore, keys: u64) -> KvOp {
+        let key = format!("k{}", rng.below(keys)).into_bytes();
+        let mut value = vec![0u8; rng.below(40) as usize];
+        rng.fill_bytes(&mut value);
+        match rng.below(4) {
+            0 => KvOp::Get(key),
+            1 => KvOp::Set(key, value),
+            2 => KvOp::Del(key),
+            _ => {
+                let expect = match rng.below(4) {
+                    0 | 1 => model.peek(&key).map(<[u8]>::to_vec),
+                    2 => None,
+                    _ => Some(value.clone()),
+                };
+                KvOp::Cas {
+                    key,
+                    expect,
+                    new: value,
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn casts_applied_in_place_match_the_owned_path_and_recover_from_the_wal() {
+        for seed in 0..8u64 {
+            let mut rng = DetRng::new(seed);
+            let disk = MemDisk::new(seed, StorageFaults::clean());
+            let cfg = WalConfig {
+                checkpoint_every: 64,
+                sync_every: 8,
+            };
+            let mut wal = Wal::on_mem_disk(&disk, "r", cfg);
+            wal.recover().expect("an empty disk recovers");
+            let mut apply = bare_loop(Some(wal));
+            let answered: Arc<Mutex<Vec<(u64, KvResult)>>> = Arc::default();
+            let mut model = KvStore::new();
+            let mut want = Vec::new();
+            let mut token = 0u64;
+            for _ in 0..60 {
+                let n = 1 + rng.below(40);
+                let ops: Vec<KvOp> = (0..n).map(|_| random_op(&mut rng, &model, 24)).collect();
+                // Half of the casts are this replica's own: it answers
+                // those, and only those.
+                let submitter = if rng.below(2) == 0 { apply.my_id } else { 7 };
+                let bytes = encode_cast_batch(submitter, token, &ops);
+                let (_, decoded) = decode_cast_batch(&bytes).expect("own cast decodes");
+                for (t, op) in decoded {
+                    let result = model.apply(&op);
+                    if submitter == apply.my_id {
+                        want.push((t, result));
+                        let answered = Arc::clone(&answered);
+                        let done: Completion = Box::new(move |r| {
+                            answered.lock().unwrap().push((t, r));
+                        });
+                        apply.pending.lock().unwrap().insert(t, done);
+                    }
+                }
+                token += n;
+                apply.on_cast(bytes);
+                apply.on_drained();
+            }
+            assert_eq!(apply.store, model, "seed {seed}: the stores differ");
+            assert_eq!(
+                *answered.lock().unwrap(),
+                want,
+                "seed {seed}: the answers differ"
+            );
+            assert!(apply.metrics.checkpoints.load(Ordering::Relaxed) > 0);
+            let rep = Wal::on_mem_disk(&disk, "r", cfg)
+                .recover()
+                .expect("recovers");
+            assert_eq!(
+                rep.store, model,
+                "seed {seed}: the WAL rebuilds another store"
+            );
+        }
     }
 
     #[test]
@@ -939,7 +1046,11 @@ mod tests {
                     as Completion
             })
             .collect();
-        let first = front.submit_batch(&ops, done).expect("serving");
+        let mut cast = CastBuf::default();
+        for op in &ops {
+            cast.push(op);
+        }
+        let first = front.submit_batch(&mut cast, done).expect("serving");
         assert_eq!(front.pending_len(), 32);
         assert_eq!(front.metrics().casts.load(Ordering::Relaxed), 1);
         assert!(front.withdraw(first + 7), "still pending");
@@ -961,7 +1072,7 @@ mod tests {
         assert_eq!(front.pending_len(), 0);
         for r in &replicas {
             await_that("a replica never applied the batch", || {
-                r.commit_log().len() == 32
+                r.commit_index() == 32
             });
             let log: Vec<KvOp> = r.commit_log().into_iter().map(|(_, op)| op).collect();
             assert_eq!(log, ops);

@@ -8,11 +8,12 @@
 //! wait in the queue.
 //!
 //! A connection is two blocking halves joined by one queue. The pool
-//! worker is the *reader*: it blocks in `read`, decodes, and submits
-//! every complete frame that `read` delivered as one batch — one cast,
-//! one traversal of the stack, one WAL append, however many requests the
-//! client wrote together — stopping at `pipeline_depth` requests whose
-//! response is not written yet. A per-connection *writer* blocks on the
+//! worker is the *reader*: it blocks in `read`, checks each request
+//! frame where it lies, copies its operation's bytes into the cast it
+//! builds, and submits every complete frame that `read` delivered as one
+//! batch — one cast, one traversal of the stack, one WAL append, however
+//! many requests the client wrote together — stopping at
+//! `pipeline_depth` requests whose response is not written yet. A per-connection *writer* blocks on the
 //! queue, into which the replica's apply loop pushes each result the
 //! moment it commits; it encodes everything that is ready when it wakes
 //! into one buffer and writes it with one `write_all`, in *completion*
@@ -28,7 +29,7 @@
 //! waiting. Rejections travel through the queue like any completion, so
 //! only the writer ever writes to the socket.
 
-use crate::proto::{decode_request, encode_response, put_frame, FrameBuf, KvError, KvOp, KvResult};
+use crate::proto::{parse_request, put_response, CastBuf, FrameBuf, KvError, KvResult};
 use crate::replica::{Completion, ReplicaFront};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
@@ -318,12 +319,12 @@ fn read_requests(
         // things bound it: the fill (`FrameBuf::READ_CHUNK` bytes plus
         // the partial frame carried over) and `pipeline_depth`.
         loop {
-            let decoded = match frames.next_frame() {
-                Ok(Some(payload)) => decode_request(payload),
+            let parsed = match frames.next_frame() {
+                Ok(Some(payload)) => parse_request(payload),
                 Ok(None) => break,
                 Err(_) => None,
             };
-            let Some((req_id, op)) = decoded else {
+            let Some((req_id, op)) = parsed else {
                 // What came before the bad frame was well-formed.
                 batch.submit(front, cfg, queue);
                 return;
@@ -345,7 +346,7 @@ fn read_requests(
                 return;
             }
             gate.unwritten.fetch_add(1, Ordering::SeqCst);
-            batch.ops.push(op);
+            batch.cast.push_encoded(op);
             batch.reqs.push((seq, req_id));
             seq += 1;
         }
@@ -353,12 +354,13 @@ fn read_requests(
     }
 }
 
-/// The requests decoded from one `read`, in arrival order, not yet
+/// The requests read from one `read`, in arrival order, not yet
 /// submitted. Each already counts in `Gate::unwritten`.
 #[derive(Default)]
 struct Batch {
-    ops: Vec<KvOp>,
-    /// `(seq, req_id)` of `ops[i]`.
+    /// Their operations, copied from the frames into the cast.
+    cast: CastBuf,
+    /// `(seq, req_id)` of the cast's operation `i`.
     reqs: Vec<(u64, u64)>,
 }
 
@@ -366,7 +368,7 @@ impl Batch {
     /// Submits the batch as one cast, announces it to the writer, and
     /// leaves the batch empty.
     fn submit(&mut self, front: &ReplicaFront, cfg: &ListenerConfig, queue: &Sender<ConnEvent>) {
-        if self.ops.is_empty() {
+        if self.reqs.is_empty() {
             return;
         }
         let done = self
@@ -383,7 +385,7 @@ impl Batch {
                 }) as Completion
             })
             .collect();
-        let first = front.submit_batch(&self.ops, done);
+        let first = front.submit_batch(&mut self.cast, done);
         let deadline = Instant::now() + cfg.request_timeout;
         let submitted = (0u64..)
             .zip(self.reqs.drain(..))
@@ -395,7 +397,7 @@ impl Batch {
             })
             .collect();
         let _ = queue.send(ConnEvent::Submitted(submitted));
-        self.ops.clear();
+        self.cast.clear();
     }
 }
 
@@ -517,7 +519,7 @@ impl Writer<'_> {
     }
 
     fn respond(&mut self, req_id: u64, result: &KvResult) {
-        put_frame(&mut self.out, &encode_response(req_id, result));
+        put_response(&mut self.out, req_id, result);
         self.encoded += 1;
     }
 

@@ -1,4 +1,4 @@
-//! The replicated state machine: a sorted map plus a commit index.
+//! The replicated state machine: a hash map plus a commit index.
 //!
 //! Every operation — reads included — is applied in the total order the
 //! group delivers, and each application assigns the next commit index.
@@ -7,13 +7,13 @@
 //! computes is the `(commit_index, result)` every replica computes, and
 //! the commit index doubles as the operation's linearization point.
 
-use crate::proto::{decode_op, encode_set, encoded_set_len, KvOp, KvResult};
-use std::collections::BTreeMap;
+use crate::proto::{decode_op_ref, KvOp, KvResult, OpRef};
+use std::collections::HashMap;
 
 /// One replica's materialized state.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvStore {
-    map: BTreeMap<Vec<u8>, Vec<u8>>,
+    map: HashMap<Vec<u8>, Vec<u8>>,
     commit_index: u64,
 }
 
@@ -45,29 +45,55 @@ impl KvStore {
     }
 
     /// Applies `op` as the next committed operation and returns its
-    /// assigned commit index inside the result.
+    /// assigned commit index inside the result: [`KvStore::apply_ref`],
+    /// answered.
     pub fn apply(&mut self, op: &KvOp) -> KvResult {
+        self.apply_ref(op.view(), true)
+            .expect("an answered apply returns its result")
+    }
+
+    /// Applies `op`, read in place from a cast or a log record, as the
+    /// next committed operation. With `answer` it returns the result;
+    /// without (nobody waits on it here) it returns `None` and a GET's
+    /// value is not even read. A write to a key that exists overwrites
+    /// the value's buffer in place.
+    pub fn apply_ref(&mut self, op: OpRef<'_>, answer: bool) -> Option<KvResult> {
         self.commit_index += 1;
         let ci = self.commit_index;
-        match op {
-            KvOp::Get(k) => KvResult::Value {
+        let result = match op {
+            OpRef::Get(_) if !answer => return None,
+            OpRef::Get(k) => KvResult::Value {
                 ci,
                 value: self.map.get(k).cloned(),
             },
-            KvOp::Set(k, v) => {
-                self.map.insert(k.clone(), v.clone());
+            OpRef::Set(k, v) => {
+                self.put(k, v);
                 KvResult::Applied { ci }
             }
-            KvOp::Del(k) => {
+            OpRef::Del(k) => {
                 self.map.remove(k);
                 KvResult::Applied { ci }
             }
-            KvOp::Cas { key, expect, new } => {
-                let ok = self.map.get(key).map(|v| v.as_slice()) == expect.as_deref();
+            OpRef::Cas { key, expect, new } => {
+                let ok = self.map.get(key).map(|v| v.as_slice()) == expect;
                 if ok {
-                    self.map.insert(key.clone(), new.clone());
+                    self.put(key, new);
                 }
                 KvResult::Cas { ci, ok }
+            }
+        };
+        answer.then_some(result)
+    }
+
+    /// Binds `key` to `value`, reusing the old value's buffer.
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        match self.map.get_mut(key) {
+            Some(old) => {
+                old.clear();
+                old.extend_from_slice(value);
+            }
+            None => {
+                self.map.insert(key.to_vec(), value.to_vec());
             }
         }
     }
@@ -81,15 +107,21 @@ impl KvStore {
     }
 
     /// Appends the snapshot to `out` (reserved once, exactly) — the WAL
-    /// passes a buffer that already holds its slot header.
+    /// passes a buffer that already holds its slot header. Bindings go
+    /// in key order, one encoded SET each, so equal stores write equal
+    /// bytes.
     pub(crate) fn encode_snapshot(&self, out: &mut Vec<u8>) {
-        let bindings: usize = self.map.iter().map(|(k, v)| encoded_set_len(k, v)).sum();
-        out.reserve(12 + bindings);
+        let mut bindings: Vec<(&Vec<u8>, &Vec<u8>)> = self.map.iter().collect();
+        bindings.sort_unstable_by_key(|(k, _)| *k);
+        let len: usize = bindings
+            .iter()
+            .map(|(k, v)| OpRef::Set(k, v).encoded_len())
+            .sum();
+        out.reserve(12 + len);
         out.extend_from_slice(&self.commit_index.to_le_bytes());
         out.extend_from_slice(&(self.map.len() as u32).to_le_bytes());
-        for (k, v) in &self.map {
-            // Reuse the wire op encoding: one SET per binding.
-            encode_set(out, k, v);
+        for (k, v) in bindings {
+            OpRef::Set(k, v).encode(out);
         }
     }
 
@@ -102,11 +134,11 @@ impl KvStore {
         let commit_index = u64::from_le_bytes(snap[..8].try_into().unwrap());
         let count = u32::from_le_bytes(snap[8..12].try_into().unwrap());
         let mut at = 12;
-        let mut map = BTreeMap::new();
+        let mut map = HashMap::with_capacity(count as usize);
         for _ in 0..count {
-            match decode_op(snap, &mut at) {
-                Some(KvOp::Set(k, v)) => {
-                    map.insert(k, v);
+            match decode_op_ref(snap, &mut at) {
+                Some(OpRef::Set(k, v)) => {
+                    map.insert(k.to_vec(), v.to_vec());
                 }
                 _ => return false,
             }
@@ -185,22 +217,26 @@ mod tests {
 
     #[test]
     fn snapshot_bytes_are_one_owned_set_encoding_per_binding() {
-        // The format's definition: what the cloning encoder produced.
+        // The format's definition: the header, then one owned SET
+        // encoding per binding in key order.
         let mut rng = ensemble_util::DetRng::new(18);
         let mut s = KvStore::new();
+        let mut model = std::collections::BTreeMap::new();
         s.apply(&KvOp::Set(Vec::new(), Vec::new()));
+        model.insert(Vec::new(), Vec::new());
         for _ in 0..300 {
             let mut k = vec![0u8; rng.below(24) as usize];
             let mut v = vec![0u8; rng.below(300) as usize];
             rng.fill_bytes(&mut k);
             rng.fill_bytes(&mut v);
-            s.apply(&KvOp::Set(k, v));
+            s.apply(&KvOp::Set(k.clone(), v.clone()));
+            model.insert(k, v);
         }
         let mut want = Vec::new();
         want.extend_from_slice(&s.commit_index.to_le_bytes());
-        want.extend_from_slice(&(s.map.len() as u32).to_le_bytes());
-        for (k, v) in &s.map {
-            crate::proto::encode_op(&mut want, &KvOp::Set(k.clone(), v.clone()));
+        want.extend_from_slice(&(model.len() as u32).to_le_bytes());
+        for (k, v) in model {
+            crate::proto::encode_op(&mut want, &KvOp::Set(k, v));
         }
         assert_eq!(s.snapshot(), want);
         // Appending after a reserved header leaves the header alone.

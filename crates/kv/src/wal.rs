@@ -29,19 +29,20 @@
 //! until the next checkpoint truncates them, appended records are held
 //! back (never written behind them, never reported durable).
 //!
-//! Durability tracking: [`Wal::append_batch`] encodes the records of
-//! one cast into one buffer and tries to flush it (one medium append,
-//! then fsync by group commit — the sync runs once
-//! [`WalConfig::sync_every`] *records* sit unsynced, or on any forced
-//! [`Wal::flush`]); [`Wal::append`] is its one-record case. The bytes
-//! are the same however the records were grouped, so recovery never
-//! sees a batch. The caller may only acknowledge a client once
+//! Durability tracking: [`Wal::append_encoded`] writes the records of
+//! one cast, from the operations' encoded bytes, into one buffer and
+//! tries to flush it (one medium append, then fsync by group commit —
+//! the sync runs once [`WalConfig::sync_every`] *records* sit unsynced,
+//! or on any forced [`Wal::flush`]); [`Wal::append_batch`] and
+//! [`Wal::append`] encode owned operations and delegate to it. The
+//! bytes are the same however the records were grouped, so recovery
+//! never sees a batch. The caller may only acknowledge a client once
 //! [`Wal::durable_ci`] covers the operation's commit index — records
 //! stuck behind an injected short write or fsync failure are retried on
 //! the next flush, and a successful checkpoint also makes them durable
 //! (the snapshot supersedes the log).
 
-use crate::proto::{decode_op, encode_op, encoded_op_len, KvOp, MAX_FRAME};
+use crate::proto::{decode_op_ref, encode_op, KvOp, MAX_FRAME};
 use crate::storage::StorageMedium;
 use crate::store::KvStore;
 use std::collections::VecDeque;
@@ -166,7 +167,7 @@ impl RecoveryReport {
     }
 }
 
-/// The records of one [`Wal::append_batch`], back to back in one buffer:
+/// The records of one [`Wal::append_encoded`], back to back in one buffer:
 /// what one `StorageMedium::append` receives, whole or not at all.
 struct Run {
     /// Commit index of the last record in `bytes`.
@@ -184,6 +185,8 @@ pub struct Wal {
     cfg: WalConfig,
     /// Record runs encoded but not yet written into the log medium.
     backlog: VecDeque<Run>,
+    /// The buffer of the last run written, for the next one to fill.
+    spare: Vec<u8>,
     /// Highest ci written into the log medium (possibly unsynced).
     written_ci: u64,
     /// Highest ci known durable (synced log record or checkpoint).
@@ -224,6 +227,7 @@ impl Wal {
             slots: [slot_a, slot_b],
             cfg,
             backlog: VecDeque::new(),
+            spare: Vec::new(),
             written_ci: 0,
             durable_ci: 0,
             unsynced: 0,
@@ -302,38 +306,58 @@ impl Wal {
     }
 
     /// Encodes and buffers the record for `(ci, op)`, then tries to
-    /// flush: the one-record case of [`Wal::append_batch`]. Returns the
+    /// flush: the one-record case of [`Wal::append_encoded`]. Returns the
     /// durable frontier after the attempt; the record's encoded length
     /// is returned for byte accounting.
     pub fn append(&mut self, ci: u64, op: &KvOp) -> (u64, usize) {
-        self.append_batch([(ci, op)])
+        let mut bytes = Vec::with_capacity(op.encoded_len());
+        encode_op(&mut bytes, op);
+        self.append_encoded([(ci, &bytes[..])])
     }
 
-    /// Encodes one record per `(ci, op)` into one buffer — the bytes
-    /// [`Wal::append`] would have written one by one — and tries to
-    /// flush it with one `StorageMedium::append`. Group commit keeps
-    /// counting records: the sync runs once `sync_every` of them sit
-    /// unsynced, wherever batch boundaries fall. Returns the durable
-    /// frontier after the attempt and the buffer's length.
+    /// Encodes each `(ci, op)` and appends them as one batch: see
+    /// [`Wal::append_encoded`].
     pub fn append_batch<'a>(
         &mut self,
         records: impl IntoIterator<Item = (u64, &'a KvOp)>,
     ) -> (u64, usize) {
+        let encoded: Vec<(u64, Vec<u8>)> = records
+            .into_iter()
+            .map(|(ci, op)| {
+                let mut bytes = Vec::with_capacity(op.encoded_len());
+                encode_op(&mut bytes, op);
+                (ci, bytes)
+            })
+            .collect();
+        self.append_encoded(encoded.iter().map(|(ci, op)| (*ci, &op[..])))
+    }
+
+    /// Writes one record per `(ci, op)` — `op` one operation's encoded
+    /// bytes, as a cast carries it — into one buffer and tries to flush
+    /// it with one `StorageMedium::append`. The bytes are the same
+    /// however records are grouped into calls. Group commit keeps
+    /// counting records: the sync runs once `sync_every` of them sit
+    /// unsynced, wherever batch boundaries fall. Returns the durable
+    /// frontier after the attempt and the buffer's length.
+    pub fn append_encoded<'a>(
+        &mut self,
+        records: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> (u64, usize) {
         let mut run = Run {
             last_ci: 0,
             records: 0,
-            bytes: Vec::new(),
+            bytes: std::mem::take(&mut self.spare),
         };
+        run.bytes.clear();
         for (ci, op) in records {
-            let payload_len = 8 + encoded_op_len(op);
+            let payload_len = 8 + op.len();
             let start = run.bytes.len();
             run.bytes.reserve(REC_HDR + payload_len);
             run.bytes
                 .extend_from_slice(&(payload_len as u32).to_le_bytes());
             run.bytes.extend_from_slice(&[0; 4]); // crc, patched below
             run.bytes.extend_from_slice(&ci.to_le_bytes());
-            encode_op(&mut run.bytes, op);
-            debug_assert_eq!(run.bytes.len(), start + REC_HDR + payload_len);
+            run.bytes.extend_from_slice(op);
             let crc = crc32(&run.bytes[start + REC_HDR..]);
             run.bytes[start + 4..start + REC_HDR].copy_from_slice(&crc.to_le_bytes());
             run.last_ci = ci;
@@ -373,7 +397,9 @@ impl Wal {
             }
             self.written_ci = run.last_ci;
             self.unsynced += run.records;
-            self.backlog.pop_front();
+            if let Some(run) = self.backlog.pop_front() {
+                self.spare = run.bytes;
+            }
         }
         if self.unsynced > 0 && (force || self.unsynced >= self.cfg.sync_every.max(1)) {
             if self.log.sync().is_err() {
@@ -492,7 +518,7 @@ impl Wal {
             }
             let ci = u64::from_le_bytes(payload[..8].try_into().unwrap());
             let mut op_at = 8;
-            let Some(op) = decode_op(payload, &mut op_at) else {
+            let Some(op) = decode_op_ref(payload, &mut op_at) else {
                 torn += 1;
                 break;
             };
@@ -504,7 +530,7 @@ impl Wal {
                 // Covered by the checkpoint (truncation raced a crash).
                 skipped += 1;
             } else if ci == store.commit_index() + 1 {
-                store.apply(&op);
+                store.apply_ref(op, false);
                 replayed += 1;
             } else {
                 // A gap: records here were never reachable from the

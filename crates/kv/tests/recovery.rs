@@ -109,11 +109,7 @@ fn push_sets(replicas: &[&KvReplica], n: u64, from_ci: u64, keys: u64, value_len
     wait_for(
         "all replicas apply the batch",
         Duration::from_secs(20),
-        || {
-            replicas
-                .iter()
-                .all(|r| r.commit_log().last().map(|(ci, _)| *ci) >= Some(from_ci + n))
-        },
+        || replicas.iter().all(|r| r.commit_index() >= from_ci + n),
     );
 }
 
@@ -497,10 +493,7 @@ fn torn_crash_inside_a_batch_run_loses_no_acknowledged_op() {
     wait_for(
         "the tail commits everywhere",
         Duration::from_secs(20),
-        || {
-            all.iter()
-                .all(|r| r.commit_log().len() as u64 == acked + TAIL)
-        },
+        || all.iter().all(|r| r.commit_index() == acked + TAIL),
     );
     drop(all);
     assert!(disks[VICTIM].pending_len() > 0, "the tail must be volatile");

@@ -325,7 +325,7 @@ fn a_connection_dropped_with_a_batch_in_flight_empties_the_pending_table() {
     // The cast still commits, everywhere, and finds nobody waiting.
     data.heal();
     await_that(Duration::from_secs(20), "the batch never committed", || {
-        replicas.iter().all(|r| r.commit_log().len() == 32)
+        replicas.iter().all(|r| r.commit_index() == 32)
     });
     assert_eq!(metrics.responses.load(Relaxed), 0);
     assert_eq!(metrics.timeouts.load(Relaxed), 0);

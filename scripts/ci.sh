@@ -15,8 +15,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (tier-1)"
-cargo test -q
+echo "==> cargo test -q --no-fail-fast (tier-1)"
+# --no-fail-fast: a failing test binary (kv_chaos fails on a share of
+# runs, ROADMAP "The view-change bug") must not hide the binaries after
+# it; the step still fails if any test did.
+cargo test -q --no-fail-fast
 
 echo "==> runtime integration tests (release)"
 cargo test --release -p ensemble-runtime --test loopback_stack

@@ -465,3 +465,133 @@ fn direction1_a_new_view_lost_in_flight_is_never_repaired() {
     assert_eq!(sim.views(1).len(), 1, "member 1 never leaves the old view");
     assert_eq!(sim.current_view(0).nmembers(), 1, "member 0 ends up alone");
 }
+
+// ---------------------------------------------------------------------
+// ROADMAP direction 1 (vi), finding (c): a cut-off origin's casts are
+// repaired by nobody, so two survivors can install the same view yet
+// disagree on the one before it.
+// ---------------------------------------------------------------------
+
+/// How [`cut_off_origin`] takes member 2 away.
+#[derive(Clone, Copy, Debug)]
+enum Cut {
+    /// `split([[0, 1], [2]])`, no drops, casts 4–10 µs apart.
+    Split,
+    /// `kill(2)`, 20 % drops, casts 20 µs apart.
+    Kill,
+}
+
+/// What [`cut_off_origin`] does, for failure messages.
+const CUT_OFF_SCRIPT: &str = "3 members, STACK_VSYNC, IMP, LayerConfig::fast(), 15 µs latency; \
+    5 ms warm-up; then FaultPlan::lossy(drop, 0, 0.3); members 2 and 0 alternate 6 casts each \
+    (member 2 casts 200..206, member 0 casts 0..6), 4 µs + below(7 µs) apart drawn from \
+    DetRng(seed) (Split, drop 0) or 20 µs apart (Kill, drop 0.2); then split([[0,1],[2]]) \
+    (Split) or kill(2) (Kill), and suspect(0,[2]); 3 s; member 0 casts 6 and member 1 casts \
+    100; 100 ms to settle";
+
+/// One seed of the schedule in [`CUT_OFF_SCRIPT`]. Member 0 is the
+/// sequencer: it orders member 2's casts as they arrive, so casts whose
+/// copy to member 1 the cut stops are ordered and delivered at member 0
+/// only. Returns the first violated property of (i) members 0 and 1
+/// end in one 2-member view, (ii) they saw the same views and
+/// delivered the same casts, in the same order, in each.
+fn cut_off_origin(seed: u64, cut: Cut) -> Result<(), String> {
+    let latency = Duration::from_micros(15);
+    let (kind, cfg) = (EngineKind::Imp, LayerConfig::fast());
+    let mut sim = Simulation::new(3, STACK_VSYNC, kind, cfg, latency, seed).unwrap();
+    sim.run_for(Duration::from_millis(5));
+    let drop_p = match cut {
+        Cut::Split => 0.0,
+        Cut::Kill => 0.2,
+    };
+    sim.set_plan(FaultPlan::lossy(drop_p, 0.0, 0.3));
+    let mut jitter = ensemble_util::DetRng::new(seed);
+    for i in 0..6u8 {
+        for (member, first) in [(2, 200), (0, 0)] {
+            sim.cast(member, &[first + i]);
+            let gap = match cut {
+                Cut::Split => 4 + jitter.below(7),
+                Cut::Kill => 20,
+            };
+            sim.run_for(Duration::from_micros(gap));
+        }
+    }
+    match cut {
+        Cut::Split => sim.split(vec![vec![0, 1], vec![2]]),
+        Cut::Kill => sim.kill(2),
+    }
+    sim.suspect(0, &[2]);
+    sim.run_for(Duration::from_millis(3_000));
+    sim.cast(0, &[6]);
+    sim.cast(1, &[100]);
+    sim.run_for(Duration::from_millis(100));
+
+    let (v0, v1) = (sim.current_view(0), sim.current_view(1));
+    if v0.view_id != v1.view_id || v0.nmembers() != 2 {
+        let (a, b) = (v0.view_id, v1.view_id);
+        return Err(format!(
+            "(i) ep0 is in {a:?} of {}, ep1 in {b:?}",
+            v0.nmembers()
+        ));
+    }
+    let ids = |r| -> Vec<_> { sim.views(r).iter().map(|v| v.view_id).collect() };
+    if ids(0) != ids(1) {
+        return Err(format!("(ii) views differ: {:?} vs {:?}", ids(0), ids(1)));
+    }
+    for k in 0..sim.views(0).len() {
+        let seq = |r| -> Vec<u8> { sim.casts_in_view(r, k).iter().map(|(_, b)| b[0]).collect() };
+        if seq(0) != seq(1) {
+            return Err(format!(
+                "(ii) view #{k}: ep0 delivered {:?}, ep1 {:?}",
+                seq(0),
+                seq(1)
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The split shape at its first failing seed, pinned as present
+/// behaviour: members 0 and 1 install the same 2-member view, but in
+/// the 3-member view before it member 0 delivered member 2's casts 204
+/// and 205 and member 1 never did. Direction 1 (vi) flips this test.
+#[test]
+fn direction1_a_split_origins_casts_reach_one_survivor_only() {
+    println!("script: {CUT_OFF_SCRIPT}");
+    for seed in 1..4 {
+        assert_eq!(cut_off_origin(seed, Cut::Split), Ok(()), "seed {seed}");
+    }
+    assert_eq!(
+        cut_off_origin(4, Cut::Split),
+        Err(
+            "(ii) view #0: ep0 delivered [0, 200, 1, 201, 2, 202, 3, 4, 5, 203, 204, 205], \
+             ep1 [0, 200, 1, 201, 2, 202, 3, 4, 5, 203]"
+                .to_string()
+        )
+    );
+}
+
+/// The kill shape at its first seed that fails the same way: member 0
+/// delivered member 2's casts 204 and member 0's own 4 and 5, member 1
+/// holds the slot of a cast it never received and delivers none of
+/// them. Seeds 1, 2 and 7 fail earlier on property (i) — member 1 is
+/// left in the old view, finding (a) under drops — and are not pinned
+/// here. Direction 1 (vi) flips this test.
+#[test]
+fn direction1_a_killed_origins_casts_reach_one_survivor_only() {
+    println!("script: {CUT_OFF_SCRIPT}");
+    for seed in 1..8 {
+        match cut_off_origin(seed, Cut::Kill) {
+            Ok(()) => {}
+            Err(e) => assert!(e.starts_with("(i)"), "seed {seed}: {e}"),
+        }
+    }
+    assert_eq!(
+        cut_off_origin(8, Cut::Kill),
+        Err(
+            "(ii) view #0: ep0 delivered [200, 0, 201, 1, 2, 202, 203, 3, 204, 4, 5], \
+             ep1 [200, 0, 201, 1, 2, 202, 203, 3]"
+                .to_string()
+        )
+    );
+}
