@@ -18,7 +18,7 @@ pub struct KvMetrics {
     pub undecodable_casts: AtomicU64,
     /// Operations applied to the state machine (commit indices assigned).
     pub commits: AtomicU64,
-    /// Completions handed back to a waiting client.
+    /// Operations answered to a waiting client.
     pub responses: AtomicU64,
     /// Requests rejected immediately because the replica is not serving
     /// (minority partition or fenced).

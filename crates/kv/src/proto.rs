@@ -43,7 +43,7 @@
 //! each op from a borrowed view of the delivered cast ([`OpRef`]). The
 //! owned [`KvOp`] is for clients, tests and the checker.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Frames larger than this are refused — a corrupt length prefix must
 /// not make a worker allocate gigabytes.
@@ -288,11 +288,6 @@ impl<B: AsRef<[u8]>> Op<B> {
     }
 }
 
-/// Appends the encoding of `op` to `out`.
-pub fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
-    op.encode(out)
-}
-
 /// Reads one `op` from `buf` at `*at` in place, advancing the cursor.
 pub fn decode_op_ref<'a>(buf: &'a [u8], at: &mut usize) -> Option<OpRef<'a>> {
     match take_u8(buf, at)? {
@@ -319,7 +314,7 @@ pub fn decode_op_ref<'a>(buf: &'a [u8], at: &mut usize) -> Option<OpRef<'a>> {
 /// Appends the request payload (without the frame length prefix).
 fn encode_request_into(out: &mut Vec<u8>, req_id: u64, op: &KvOp) {
     out.extend_from_slice(&req_id.to_le_bytes());
-    encode_op(out, op);
+    op.encode(out);
 }
 
 /// Encodes a request payload (without the frame length prefix).
@@ -597,14 +592,6 @@ pub fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     put_frame_with(out, |out| out.extend_from_slice(payload));
 }
 
-/// Writes one length-prefixed frame (one `write_all`: one syscall and,
-/// with `TCP_NODELAY`, one segment).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::new();
-    put_frame(&mut frame, payload);
-    w.write_all(&frame)
-}
-
 /// The receive side of a connection's framing, for both ends: bytes as
 /// `read` delivers them go in, complete frames come out.
 ///
@@ -709,7 +696,7 @@ mod tests {
     fn encoded_lengths_match_the_encoder() {
         for op in ops() {
             let mut buf = Vec::new();
-            encode_op(&mut buf, &op);
+            op.encode(&mut buf);
             assert_eq!(op.encoded_len(), buf.len(), "{op:?}");
         }
     }
@@ -758,7 +745,7 @@ mod tests {
             let mut want = Vec::new();
             want.extend_from_slice(&3u32.to_le_bytes());
             want.extend_from_slice(&42u64.to_le_bytes());
-            encode_op(&mut want, &op);
+            op.encode(&mut want);
             assert_eq!(encode_cast(3, 42, &op), want);
             assert_eq!(encode_cast_batch(3, 42, std::slice::from_ref(&op)), want);
             assert_eq!(decode_cast_batch(&want), Some((3, vec![(42, op)])));
@@ -818,8 +805,8 @@ mod tests {
     #[test]
     fn frame_roundtrip_and_eof() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        put_frame(&mut buf, b"hello");
+        put_frame(&mut buf, b"");
         let mut r = &buf[..];
         assert_eq!(read_frame(&mut r).unwrap(), Some(b"hello".to_vec()));
         assert_eq!(read_frame(&mut r).unwrap(), Some(Vec::new()));
@@ -856,12 +843,6 @@ mod tests {
         for p in &payloads {
             put_frame(&mut wire, p);
         }
-        // put_frame and write_frame agree on the bytes.
-        let mut written = Vec::new();
-        for p in &payloads {
-            write_frame(&mut written, p).unwrap();
-        }
-        assert_eq!(wire, written);
         for step in 1..=wire.len() {
             let mut r = Trickle(&wire, step);
             let mut frames = FrameBuf::new();

@@ -2,10 +2,11 @@
 //!
 //! The replica proposes every client operation as a group cast and
 //! applies casts to its [`KvStore`] strictly in delivery order — the
-//! total order *is* the commit order. The replica that proposed an
-//! operation recognizes its own cast coming back (submitter id + token)
-//! and completes the waiting client with the `(commit index, result)`
-//! the state machine computed.
+//! total order *is* the commit order. The replica that proposed a
+//! cast recognizes it coming back (submitter id + first token) and runs
+//! its one completion with every result the state machine computed, in
+//! op order — once the WAL, when there is one, holds the cast's last
+//! record durably.
 //!
 //! Threading: the apply thread owns the store, the commit log and the
 //! WAL, and reads one FIFO inbox that every producer writes to — the
@@ -66,13 +67,16 @@ impl From<ClusterEvent> for Inbox {
 /// (records an injected short write or fsync failure left unsynced).
 const FLUSH_RETRY: Duration = Duration::from_millis(2);
 
-/// What the apply loop runs, once, with a request's result. It is called
-/// with the pending table locked, so it must only hand the result on —
-/// push it into a queue — and never block or submit.
-pub(crate) type Completion = Box<dyn FnOnce(KvResult) + Send>;
+/// What the apply loop runs, once per cast, with the cast's first token
+/// and its results in op order. It is called with the pending table
+/// locked, so it must only hand the results on — push them into a queue
+/// — and never block or submit.
+pub(crate) type Completion = Box<dyn FnOnce(u64, Vec<KvResult>) + Send>;
 
-/// Submitted operations awaiting their commit, by token.
-type PendingTable = Arc<Mutex<HashMap<u64, Completion>>>;
+/// Submitted casts awaiting their commit, by first token: how many
+/// operations each carries, and its completion.
+type Pending = HashMap<u64, (u64, Completion)>;
+type PendingTable = Arc<Mutex<Pending>>;
 
 /// The cheaply cloneable client-facing seam of a replica.
 #[derive(Clone)]
@@ -102,92 +106,85 @@ impl ReplicaFront {
         &self.metrics
     }
 
-    /// Proposes `op` into the total order; the receiver completes with
-    /// the committed result (or an error if it never commits).
-    pub fn submit(&self, op: &KvOp) -> Receiver<KvResult> {
-        let (rx, _) = self.submit_tracked(op);
-        rx
-    }
-
-    /// Like [`ReplicaFront::submit`], but also returns the pending-table
-    /// token (when one was issued) so the caller can [`withdraw`] the
-    /// operation if it stops waiting.
+    /// Proposes `op` into the total order and returns a receiver that
+    /// completes with the committed result (or at once with the error if
+    /// the replica refused it), plus the pending-table token when one was
+    /// issued, so the caller can [`withdraw`] the operation if it stops
+    /// waiting.
     ///
     /// [`withdraw`]: ReplicaFront::withdraw
     pub fn submit_tracked(&self, op: &KvOp) -> (Receiver<KvResult>, Option<u64>) {
         let (tx, rx) = channel();
-        let done: Completion = Box::new(move |result| {
-            let _ = tx.send(result);
+        let reply = tx.clone();
+        let done: Completion = Box::new(move |_, mut results| {
+            let _ = reply.send(results.pop().expect("one result for one op"));
         });
         let mut cast = CastBuf::default();
         cast.push(op);
-        let token = self.submit_batch(&mut cast, vec![done]);
-        (rx, token)
+        match self.submit_batch(&mut cast, done) {
+            Ok(token) => (rx, Some(token)),
+            Err(e) => {
+                let _ = tx.send(KvResult::Err(e));
+                (rx, None)
+            }
+        }
     }
 
     /// Proposes the operations of `cast` as one cast — they commit at
-    /// consecutive commit indices, in order — and has the apply loop
-    /// hand the result of operation `i` to `done[i]`, which must only
-    /// pass it on (see `Completion`). Each completion runs exactly once
-    /// unless its operation is [`withdraw`]n first; a rejection (not
-    /// serving, cast refused) runs them all before this returns. Returns
-    /// the pending-table token of the first operation — operation `i`
-    /// holds that plus `i` — or `None` for "not serving". The one submit
-    /// path: `cast` is sealed here with this replica's id and the tokens.
+    /// consecutive commit indices, in order — and has the apply loop run
+    /// `done` once with their results, which must only pass them on (see
+    /// `Completion`), unless the cast is [`withdraw`]n first. Returns the
+    /// cast's pending-table token, or the rejection: `NotServing`, or
+    /// `Closed` when the cast was refused; `done` never runs then. The
+    /// one submit path: `cast` is sealed here with this replica's id and
+    /// the tokens.
     ///
     /// [`withdraw`]: ReplicaFront::withdraw
-    pub(crate) fn submit_batch(&self, cast: &mut CastBuf, done: Vec<Completion>) -> Option<u64> {
+    pub(crate) fn submit_batch(
+        &self,
+        cast: &mut CastBuf,
+        done: Completion,
+    ) -> Result<u64, KvError> {
         assert!(cast.len() > 0, "a cast carries at least one operation");
-        assert_eq!(cast.len(), done.len(), "one completion per operation");
         let n = cast.len() as u64;
         if !self.serving.load(Ordering::Relaxed) {
             self.metrics
                 .rejected_not_serving
                 .fetch_add(n, Ordering::Relaxed);
-            for done in done {
-                done(KvResult::Err(KvError::NotServing));
-            }
-            return None;
+            return Err(KvError::NotServing);
         }
         let first = self.next_token.fetch_add(n, Ordering::Relaxed);
-        self.lock_pending().extend((first..).zip(done));
+        self.lock_pending().insert(first, (n, done));
         self.metrics.requests.fetch_add(n, Ordering::Relaxed);
         self.metrics.casts.fetch_add(1, Ordering::Relaxed);
-        if self.sender.cast(cast.seal(self.id, first)).is_err() {
-            let refused: Vec<Completion> = {
-                let mut pending = self.lock_pending();
-                (first..first + n)
-                    .filter_map(|token| pending.remove(&token))
-                    .collect()
-            };
-            for done in refused {
-                done(KvResult::Err(KvError::Closed));
-            }
+        if self.sender.cast(cast.seal(self.id, first)).is_err() && self.withdraw(first) {
+            return Err(KvError::Closed);
         }
-        Some(first)
+        Ok(first)
     }
 
-    fn lock_pending(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Completion>> {
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Pending> {
         self.pending
             .lock()
             .expect("kv pending table mutex poisoned")
     }
 
-    /// Withdraws a pending operation the caller no longer waits on.
+    /// Withdraws a pending cast, by the token `submit_batch` returned,
+    /// that the caller no longer waits on.
     ///
     /// Returns `true` if the entry was still pending (a later commit
     /// goes unobserved — but perfectly linearized). Returns `false` if
     /// the commit already completed it; the apply loop completes
-    /// entries while holding the table lock, so in that case the result
-    /// is guaranteed to be sitting in the submit receiver (or wherever
-    /// else the operation's completion puts it).
+    /// entries while holding the table lock, so in that case the results
+    /// are guaranteed to be sitting in the submit receiver (or wherever
+    /// else the cast's completion puts them).
     pub fn withdraw(&self, token: u64) -> bool {
         self.lock_pending().remove(&token).is_some()
     }
 
     /// Operations submitted here and neither completed nor withdrawn.
     pub fn pending_len(&self) -> usize {
-        self.lock_pending().len()
+        self.lock_pending().values().map(|(n, _)| *n as usize).sum()
     }
 
     /// Proposes `op` and waits up to `timeout` for its commit.
@@ -476,10 +473,10 @@ struct ApplyLoop {
     metrics: Arc<KvMetrics>,
     /// Durable mode: every commit is WAL-appended before its ack.
     wal: Option<Wal>,
-    /// This replica's own operations, applied and not yet acknowledged:
-    /// held until the WAL's durable frontier covers them, when there is
-    /// a WAL (commit index, pending-table token, result).
-    await_ack: VecDeque<(u64, u64, KvResult)>,
+    /// This replica's own casts, applied and not yet acknowledged: held
+    /// until the WAL's durable frontier covers them, when there is a WAL
+    /// (last commit index, pending-table token, results in op order).
+    await_ack: VecDeque<(u64, u64, Vec<KvResult>)>,
     /// Commit index recovered at startup (0 = cold start).
     recovered_ci: u64,
     /// A state snapshot arrived (used to spot the skip fast path).
@@ -632,10 +629,14 @@ impl ApplyLoop {
         let last_ci = first_ci + n - 1;
         // Only the submitter answers, so only it reads a GET's value.
         let mine = cast.submitter() == self.my_id;
-        for (ci, (token, op, _)) in (first_ci..).zip(cast.ops()) {
-            if let Some(result) = self.store.apply_ref(op, mine) {
-                self.await_ack.push_back((ci, token, result));
-            }
+        let mut results = Vec::with_capacity(if mine { cast.len() } else { 0 });
+        results.extend(
+            cast.ops()
+                .filter_map(|(_, op, _)| self.store.apply_ref(op, mine)),
+        );
+        if mine {
+            let (token, ..) = cast.ops().next().expect("a cast carries an op");
+            self.await_ack.push_back((last_ci, token, results));
         }
         self.metrics.commits.fetch_add(n, Ordering::Relaxed);
         if let Some(wal) = &mut self.wal {
@@ -677,8 +678,10 @@ impl ApplyLoop {
         out
     }
 
-    /// Releases every held-back ack the durable frontier now covers
-    /// (without a WAL: all of them). The table lock is held across each
+    /// Releases every held-back cast whose last record the durable
+    /// frontier now covers (without a WAL: all of them). The frontier
+    /// moves by whole casts — a WAL run is one cast's records — so a
+    /// cast's acks go together. The table lock is held across each
     /// remove-then-hand-over: `submit_timeout` and the listener's
     /// connection writers rely on that being atomic with respect to
     /// their own withdrawal.
@@ -699,13 +702,15 @@ impl ApplyLoop {
             .front()
             .is_some_and(|(ci, ..)| *ci <= durable)
         {
-            let (ci, token, result) = self.await_ack.pop_front().expect("front checked");
-            if let Some(done) = pending.remove(&token) {
+            let (last_ci, token, results) = self.await_ack.pop_front().expect("front checked");
+            if let Some((n, done)) = pending.remove(&token) {
                 // Counted and traced before the client can hear it, so a
                 // client that has its answer finds it in both.
-                self.metrics.responses.fetch_add(1, Ordering::Relaxed);
-                self.trace.record(self.my_id, EventKind::KvResponse, ci);
-                done(result);
+                self.metrics.responses.fetch_add(n, Ordering::Relaxed);
+                for ci in last_ci + 1 - n..=last_ci {
+                    self.trace.record(self.my_id, EventKind::KvResponse, ci);
+                }
+                done(token, results);
             }
         }
     }
@@ -860,7 +865,7 @@ mod tests {
             let mut wal = Wal::on_mem_disk(&disk, "r", cfg);
             wal.recover().expect("an empty disk recovers");
             let mut apply = bare_loop(Some(wal));
-            let answered: Arc<Mutex<Vec<(u64, KvResult)>>> = Arc::default();
+            let (answer, answered) = channel();
             let mut model = KvStore::new();
             let mut want = Vec::new();
             let mut token = 0u64;
@@ -872,16 +877,12 @@ mod tests {
                 let submitter = if rng.below(2) == 0 { apply.my_id } else { 7 };
                 let bytes = encode_cast_batch(submitter, token, &ops);
                 let (_, decoded) = decode_cast_batch(&bytes).expect("own cast decodes");
-                for (t, op) in decoded {
-                    let result = model.apply(&op);
-                    if submitter == apply.my_id {
-                        want.push((t, result));
-                        let answered = Arc::clone(&answered);
-                        let done: Completion = Box::new(move |r| {
-                            answered.lock().unwrap().push((t, r));
-                        });
-                        apply.pending.lock().unwrap().insert(t, done);
-                    }
+                let results = decoded.iter().map(|(_, op)| model.apply(op)).collect();
+                if submitter == apply.my_id {
+                    want.push((token, results));
+                    let answer = answer.clone();
+                    let done: Completion = Box::new(move |t, r| answer.send((t, r)).unwrap());
+                    apply.pending.lock().unwrap().insert(token, (n, done));
                 }
                 token += n;
                 apply.on_cast(bytes);
@@ -889,7 +890,7 @@ mod tests {
             }
             assert_eq!(apply.store, model, "seed {seed}: the stores differ");
             assert_eq!(
-                *answered.lock().unwrap(),
+                answered.try_iter().collect::<Vec<_>>(),
                 want,
                 "seed {seed}: the answers differ"
             );
@@ -1031,47 +1032,78 @@ mod tests {
     }
 
     #[test]
-    fn withdrawing_one_op_of_a_batch_leaves_the_others_answered_once() {
+    fn a_cast_is_answered_once_in_op_order_when_its_last_record_is_durable() {
+        let disk = MemDisk::new(5, StorageFaults::clean());
+        // Group commit waits for more records than the cast carries: only
+        // the drained inbox's forced sync makes it durable.
+        let cfg = WalConfig {
+            checkpoint_every: 1 << 20,
+            sync_every: 64,
+        };
+        let mut wal = Wal::on_mem_disk(&disk, "r", cfg);
+        wal.recover().expect("an empty disk recovers");
+        let mut apply = bare_loop(Some(wal));
+        let (tx, rx) = channel();
+        let synced = disk.clone();
+        let done: Completion = Box::new(move |token, results| {
+            // Runs under the table lock: what the disk holds unsynced now
+            // is what a crash before the client hears back could lose.
+            let unsynced = synced.pending_len();
+            tx.send((token, unsynced, results))
+                .expect("test is listening");
+        });
+        let token = 1 << 20;
+        apply.pending.lock().unwrap().insert(token, (32, done));
+        apply.on_cast(encode_cast_batch(apply.my_id, token, &sets(32)));
+        assert!(disk.pending_len() > 0, "the cast is written, not synced");
+        assert!(rx.try_recv().is_err(), "answered before it was durable");
+        apply.on_drained();
+        let (got_token, unsynced, results) = rx.try_recv().expect("answered at the sync");
+        assert_eq!(got_token, token);
+        assert_eq!(unsynced, 0, "answered with records unsynced");
+        let want: Vec<KvResult> = (1..=32).map(|ci| KvResult::Applied { ci }).collect();
+        assert_eq!(results, want, "one result per op, in op order");
+        assert!(rx.try_recv().is_err(), "a second completion");
+        assert!(apply.pending.lock().unwrap().is_empty());
+        assert_eq!(apply.metrics.responses.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn a_withdrawn_cast_is_answered_by_nobody() {
         let (replicas, _control, data) = group(43);
         let front = replicas[2].front();
+        let (tx, rx) = channel();
+        let submit = |ops: &[KvOp]| {
+            let tx = tx.clone();
+            let done: Completion = Box::new(move |token, results| {
+                tx.send((token, results)).expect("test is listening")
+            });
+            let mut cast = CastBuf::default();
+            for op in ops {
+                cast.push(op);
+            }
+            front.submit_batch(&mut cast, done).expect("serving")
+        };
         // Cut the data plane only: nobody is suspected, the cast goes
         // nowhere until the heal, so the withdrawal cannot lose a race.
         data.split(vec![vec![0, 1], vec![2]]);
         let ops = sets(32);
-        let (tx, rx) = channel();
-        let done: Vec<Completion> = (0..ops.len())
-            .map(|i| {
-                let tx = tx.clone();
-                Box::new(move |result| tx.send((i, result)).expect("test is listening"))
-                    as Completion
-            })
-            .collect();
-        let mut cast = CastBuf::default();
-        for op in &ops {
-            cast.push(op);
-        }
-        let first = front.submit_batch(&mut cast, done).expect("serving");
-        assert_eq!(front.pending_len(), 32);
-        assert_eq!(front.metrics().casts.load(Ordering::Relaxed), 1);
-        assert!(front.withdraw(first + 7), "still pending");
-        data.heal();
-        let mut answered: Vec<(usize, KvResult)> = (0..31)
-            .map(|_| {
-                rx.recv_timeout(Duration::from_secs(20))
-                    .expect("31 answers")
-            })
-            .collect();
-        answered.sort_by_key(|(i, _)| *i);
-        // The withdrawn op committed like the rest, unobserved: the
-        // others sit at consecutive commit indices around its gap.
-        let want: Vec<(usize, KvResult)> = (0..32)
-            .filter(|&i| i != 7)
-            .map(|i| (i, KvResult::Applied { ci: i as u64 + 1 }))
-            .collect();
-        assert_eq!(answered, want);
+        let withdrawn = submit(&ops[..16]);
+        assert_eq!(front.pending_len(), 16, "operations, not casts");
+        assert!(front.withdraw(withdrawn), "still pending");
+        assert!(!front.withdraw(withdrawn), "withdrawn once");
         assert_eq!(front.pending_len(), 0);
+        data.heal();
+        // Ordered behind the withdrawn cast, which commits unobserved.
+        let answered = submit(&ops[16..]);
+        let (token, results) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("the second cast is answered");
+        assert_eq!(token, answered);
+        let want: Vec<KvResult> = (17..=32).map(|ci| KvResult::Applied { ci }).collect();
+        assert_eq!(results, want);
         for r in &replicas {
-            await_that("a replica never applied the batch", || {
+            await_that("a replica never applied both casts", || {
                 r.commit_index() == 32
             });
             let log: Vec<KvOp> = r.commit_log().into_iter().map(|(_, op)| op).collect();
@@ -1079,9 +1111,11 @@ mod tests {
         }
         assert!(
             rx.recv_timeout(Duration::from_millis(200)).is_err(),
-            "a second answer"
+            "the withdrawn cast was answered"
         );
-        assert_eq!(front.metrics().responses.load(Ordering::Relaxed), 31);
+        assert_eq!(front.pending_len(), 0);
+        assert_eq!(front.metrics().casts.load(Ordering::Relaxed), 2);
+        assert_eq!(front.metrics().responses.load(Ordering::Relaxed), 16);
     }
 
     #[test]

@@ -13,21 +13,25 @@
 //! builds, and submits every complete frame that `read` delivered as one
 //! batch — one cast, one traversal of the stack, one WAL append, however
 //! many requests the client wrote together — stopping at
-//! `pipeline_depth` requests whose response is not written yet. A per-connection *writer* blocks on the
-//! queue, into which the replica's apply loop pushes each result the
-//! moment it commits; it encodes everything that is ready when it wakes
-//! into one buffer and writes it with one `write_all`, in *completion*
-//! order — clients match responses by `req_id`, not position. Nothing
-//! polls: every thread here blocks until a byte, a commit, a deadline or
-//! a halt arrives, and `ensemble_kv_listener_wakeups_total` counts each
-//! return from such a wait.
+//! `pipeline_depth` requests whose response is not written yet. The
+//! batch stays the unit on the way back: one pending-table entry, one
+//! completion, into which the replica's apply loop pushes the whole
+//! cast's results the moment it commits, and one deadline. A
+//! per-connection *writer* blocks on the queue; it encodes everything
+//! that is ready when it wakes into one buffer and writes it with one
+//! `write_all`, in *completion* order — clients match responses by
+//! `req_id`, not position. Nothing polls: every thread here blocks until
+//! a byte, a commit, a deadline or a halt arrives, and
+//! `ensemble_kv_listener_wakeups_total` counts each return from such a
+//! wait.
 //!
-//! A request that misses its deadline is answered with a timeout error
-//! and withdrawn from the replica's pending table; one that arrives
-//! while the replica is stalled in a minority partition is rejected
-//! immediately with "not serving" so the client can redirect instead of
-//! waiting. Rejections travel through the queue like any completion, so
-//! only the writer ever writes to the socket.
+//! A batch that misses its deadline is withdrawn from the replica's
+//! pending table, whole, and each of its requests is answered with a
+//! timeout error; one that arrives while the replica is stalled in a
+//! minority partition is rejected immediately with "not serving" so the
+//! client can redirect instead of waiting. Rejections travel through the
+//! queue like any completion, so only the writer ever writes to the
+//! socket.
 
 use crate::proto::{parse_request, put_response, CastBuf, FrameBuf, KvError, KvResult};
 use crate::replica::{Completion, ReplicaFront};
@@ -209,28 +213,25 @@ fn woke(front: &ReplicaFront) {
 
 /// What arrives in a connection's queue.
 enum ConnEvent {
-    /// The reader submitted these requests as one batch. Sent once
-    /// `submit_batch` has returned, so it can trail the requests' own
-    /// `Done`s.
-    Submitted(Vec<Inflight>),
-    /// Request `seq` has its result: from the apply loop at commit, or
-    /// from `submit_batch` itself for a rejection.
-    Done {
-        seq: u64,
-        req_id: u64,
-        result: KvResult,
-    },
+    /// The reader submitted this batch. Sent once `submit_batch` has
+    /// returned, so it can trail the batch's own `Done`.
+    Submitted(Inflight),
+    /// The batch that holds `token` committed, from the apply loop: its
+    /// results, in request order.
+    Done { token: u64, results: Vec<KvResult> },
+    /// The replica refused these requests without proposing them.
+    Refused { req_ids: Vec<u64>, error: KvError },
     /// The client is gone or the listener is halting.
     Close,
 }
 
-/// One submitted request whose response is not written yet.
+/// One submitted batch whose responses are not written yet.
 struct Inflight {
-    /// Position in the connection's request stream; a client may reuse a
-    /// `req_id`, so this is the key.
-    seq: u64,
-    req_id: u64,
-    token: Option<u64>,
+    /// Its pending-table token, unique in the replica.
+    token: u64,
+    /// Its requests, in cast order.
+    req_ids: Vec<u64>,
+    /// Every request of the batch waits until the same instant.
     deadline: Instant,
 }
 
@@ -307,7 +308,6 @@ fn read_requests(
 ) {
     let mut frames = FrameBuf::new();
     let mut batch = Batch::default();
-    let mut seq = 0u64;
     loop {
         match frames.fill(&mut stream) {
             Ok(0) => return,
@@ -347,8 +347,7 @@ fn read_requests(
             }
             gate.unwritten.fetch_add(1, Ordering::SeqCst);
             batch.cast.push_encoded(op);
-            batch.reqs.push((seq, req_id));
-            seq += 1;
+            batch.req_ids.push(req_id);
         }
         batch.submit(front, cfg, queue);
     }
@@ -360,43 +359,30 @@ fn read_requests(
 struct Batch {
     /// Their operations, copied from the frames into the cast.
     cast: CastBuf,
-    /// `(seq, req_id)` of the cast's operation `i`.
-    reqs: Vec<(u64, u64)>,
+    /// The `req_id` of the cast's operation `i`.
+    req_ids: Vec<u64>,
 }
 
 impl Batch {
     /// Submits the batch as one cast, announces it to the writer, and
     /// leaves the batch empty.
     fn submit(&mut self, front: &ReplicaFront, cfg: &ListenerConfig, queue: &Sender<ConnEvent>) {
-        if self.reqs.is_empty() {
+        if self.req_ids.is_empty() {
             return;
         }
-        let done = self
-            .reqs
-            .iter()
-            .map(|&(seq, req_id)| {
-                let queue = queue.clone();
-                Box::new(move |result| {
-                    let _ = queue.send(ConnEvent::Done {
-                        seq,
-                        req_id,
-                        result,
-                    });
-                }) as Completion
-            })
-            .collect();
-        let first = front.submit_batch(&mut self.cast, done);
-        let deadline = Instant::now() + cfg.request_timeout;
-        let submitted = (0u64..)
-            .zip(self.reqs.drain(..))
-            .map(|(i, (seq, req_id))| Inflight {
-                seq,
-                req_id,
-                token: first.map(|t| t + i),
-                deadline,
-            })
-            .collect();
-        let _ = queue.send(ConnEvent::Submitted(submitted));
+        let done_queue = queue.clone();
+        let done: Completion = Box::new(move |token, results| {
+            let _ = done_queue.send(ConnEvent::Done { token, results });
+        });
+        let req_ids: Vec<u64> = self.req_ids.drain(..).collect();
+        let _ = queue.send(match front.submit_batch(&mut self.cast, done) {
+            Ok(token) => ConnEvent::Submitted(Inflight {
+                token,
+                req_ids,
+                deadline: Instant::now() + cfg.request_timeout,
+            }),
+            Err(error) => ConnEvent::Refused { req_ids, error },
+        });
         self.cast.clear();
     }
 }
@@ -410,10 +396,11 @@ struct Writer<'a> {
     cfg: &'a ListenerConfig,
     gate: &'a Gate,
     /// Submitted and unanswered, oldest first — which is deadline order,
-    /// every request getting the same `request_timeout`.
+    /// every batch getting the same `request_timeout`.
     inflight: VecDeque<Inflight>,
-    /// Requests answered before their `Submitted` arrived.
-    early: Vec<u64>,
+    /// Batches whose `Done` arrived before their `Submitted`: token and
+    /// results.
+    early: Vec<(u64, Vec<KvResult>)>,
     /// The responses encoded since the last write, and how many.
     out: Vec<u8>,
     encoded: usize,
@@ -464,58 +451,72 @@ impl Writer<'_> {
 
     fn on_event(&mut self, event: ConnEvent) -> bool {
         match event {
-            ConnEvent::Submitted(reqs) => {
-                for req in reqs {
-                    match self.early.iter().position(|&seq| seq == req.seq) {
-                        Some(i) => drop(self.early.swap_remove(i)),
-                        None => self.inflight.push_back(req),
+            ConnEvent::Submitted(batch) => {
+                match self.early.iter().position(|(t, _)| *t == batch.token) {
+                    Some(i) => {
+                        let (_, results) = self.early.swap_remove(i);
+                        self.answer(&batch.req_ids, results);
                     }
+                    None => self.inflight.push_back(batch),
                 }
             }
-            ConnEvent::Done {
-                seq,
-                req_id,
-                result,
-            } => {
+            ConnEvent::Done { token, results } => {
                 // Commits come back in submission order, so the match is
                 // at or near the front.
-                match self.inflight.iter().position(|req| req.seq == seq) {
-                    Some(i) => drop(self.inflight.remove(i)),
-                    None => self.early.push(seq),
+                match self.inflight.iter().position(|b| b.token == token) {
+                    Some(i) => {
+                        let batch = self.inflight.remove(i).expect("position found it");
+                        self.answer(&batch.req_ids, results);
+                    }
+                    None => self.early.push((token, results)),
                 }
-                self.respond(req_id, &result);
+            }
+            ConnEvent::Refused { req_ids, error } => {
+                for req_id in req_ids {
+                    self.respond(req_id, &KvResult::Err(error));
+                }
             }
             ConnEvent::Close => return false,
         }
         true
     }
 
-    /// Answers every request whose deadline has passed with `Timeout`.
+    /// Answers every request of each batch whose deadline has passed
+    /// with `Timeout`.
     fn expire(&mut self) -> bool {
         let now = Instant::now();
         while let Some(oldest) = self.inflight.front() {
             if oldest.deadline > now {
                 break;
             }
-            if oldest.token.is_some_and(|t| !self.front.withdraw(t)) {
+            if !self.front.withdraw(oldest.token) {
                 // The commit raced the deadline. The apply loop completes
                 // while holding the table lock, so a failed withdraw
-                // means the result is already queued: taking it in
-                // answers the request and removes it from the table.
+                // means the results are already queued: taking them in
+                // answers the batch and removes it from `inflight`.
                 if !self.drain() {
                     return false;
                 }
                 continue;
             }
-            let req_id = oldest.req_id;
-            self.inflight.pop_front();
+            let batch = self.inflight.pop_front().expect("front checked");
             self.front
                 .metrics()
                 .timeouts
-                .fetch_add(1, Ordering::Relaxed);
-            self.respond(req_id, &KvResult::Err(KvError::Timeout));
+                .fetch_add(batch.req_ids.len() as u64, Ordering::Relaxed);
+            for req_id in batch.req_ids {
+                self.respond(req_id, &KvResult::Err(KvError::Timeout));
+            }
         }
         true
+    }
+
+    /// Answers request `req_ids[i]` with `results[i]`.
+    fn answer(&mut self, req_ids: &[u64], results: Vec<KvResult>) {
+        debug_assert_eq!(req_ids.len(), results.len(), "one result per request");
+        for (&req_id, result) in req_ids.iter().zip(&results) {
+            self.respond(req_id, result);
+        }
     }
 
     fn respond(&mut self, req_id: u64, result: &KvResult) {
@@ -551,14 +552,12 @@ impl Writer<'_> {
     /// threads have left, so the queue holds every `Submitted` the table
     /// does not.
     fn withdraw_all(self) {
-        let queued = self.events.try_iter().flat_map(|event| match event {
-            ConnEvent::Submitted(reqs) => reqs,
-            _ => Vec::new(),
+        let queued = self.events.try_iter().filter_map(|event| match event {
+            ConnEvent::Submitted(batch) => Some(batch),
+            _ => None,
         });
-        for req in self.inflight.into_iter().chain(queued) {
-            if let Some(token) = req.token {
-                self.front.withdraw(token);
-            }
+        for batch in self.inflight.into_iter().chain(queued) {
+            self.front.withdraw(batch.token);
         }
     }
 }

@@ -86,10 +86,12 @@ impl StorageFaults {
     }
 }
 
+/// One file's bytes, of which the first `durable` survive any crash;
+/// the rest were appended since the last successful sync.
 #[derive(Default)]
 struct MemFile {
-    durable: Vec<u8>,
-    pending: Vec<u8>,
+    bytes: Vec<u8>,
+    durable: usize,
 }
 
 struct MemDiskInner {
@@ -144,20 +146,20 @@ impl MemDisk {
         let mut rng = inner.rng.fork();
         let faults = inner.faults;
         for file in inner.files.values_mut() {
-            if file.pending.is_empty() {
+            let pending = file.bytes.len() - file.durable;
+            if pending == 0 {
                 continue;
             }
-            let pending = std::mem::take(&mut file.pending);
             if faults.torn_tail_p > 0.0 && rng.chance(faults.torn_tail_p) {
                 // Keep a strict prefix so the tail record is torn.
-                let keep = rng.below(pending.len() as u64 + 1) as usize;
-                let torn_start = file.durable.len();
-                file.durable.extend_from_slice(&pending[..keep]);
+                let keep = rng.below(pending as u64 + 1) as usize;
                 if keep > 0 && faults.bit_flip_p > 0.0 && rng.chance(faults.bit_flip_p) {
-                    let at = torn_start + rng.below(keep as u64) as usize;
-                    file.durable[at] ^= 1 << rng.below(8);
+                    let at = file.durable + rng.below(keep as u64) as usize;
+                    file.bytes[at] ^= 1 << rng.below(8);
                 }
+                file.durable += keep;
             }
+            file.bytes.truncate(file.durable);
         }
     }
 
@@ -170,7 +172,11 @@ impl MemDisk {
     /// what the next crash is allowed to destroy or tear.
     pub fn pending_len(&self) -> u64 {
         let inner = self.inner.lock().expect("mem disk mutex poisoned");
-        inner.files.values().map(|f| f.pending.len() as u64).sum()
+        inner
+            .files
+            .values()
+            .map(|f| (f.bytes.len() - f.durable) as u64)
+            .sum()
     }
 }
 
@@ -195,7 +201,7 @@ impl MemStorage {
 
 impl StorageMedium for MemStorage {
     fn read_all(&mut self) -> Result<Vec<u8>> {
-        Ok(self.with(|f, _, _| f.durable.clone()))
+        Ok(self.with(|f, _, _| f.bytes[..f.durable].to_vec()))
     }
 
     fn append(&mut self, bytes: &[u8]) -> Result<()> {
@@ -206,7 +212,7 @@ impl StorageMedium for MemStorage {
                 // record as not durable and retry or fail upward.
                 return Err(Error::new(ErrorKind::WriteZero, "injected short write"));
             }
-            f.pending.extend_from_slice(bytes);
+            f.bytes.extend_from_slice(bytes);
             Ok(())
         })
     }
@@ -217,8 +223,7 @@ impl StorageMedium for MemStorage {
                 // The tail stays volatile; a crash now can still tear it.
                 return Err(Error::other("injected fsync failure"));
             }
-            let pending = std::mem::take(&mut f.pending);
-            f.durable.extend_from_slice(&pending);
+            f.durable = f.bytes.len();
             Ok(())
         })
     }
@@ -228,14 +233,14 @@ impl StorageMedium for MemStorage {
             if faults.fsync_fail_p > 0.0 && rng.chance(faults.fsync_fail_p) {
                 return Err(Error::other("injected truncate failure"));
             }
-            f.durable.clear();
-            f.pending.clear();
+            f.bytes.clear();
+            f.durable = 0;
             Ok(())
         })
     }
 
     fn durable_len(&mut self) -> Result<u64> {
-        Ok(self.with(|f, _, _| f.durable.len() as u64))
+        Ok(self.with(|f, _, _| f.durable as u64))
     }
 }
 

@@ -236,7 +236,7 @@ mod tests {
         want.extend_from_slice(&s.commit_index.to_le_bytes());
         want.extend_from_slice(&(model.len() as u32).to_le_bytes());
         for (k, v) in model {
-            crate::proto::encode_op(&mut want, &KvOp::Set(k, v));
+            KvOp::Set(k, v).encode(&mut want);
         }
         assert_eq!(s.snapshot(), want);
         // Appending after a reserved header leaves the header alone.

@@ -42,7 +42,7 @@
 //! the next flush, and a successful checkpoint also makes them durable
 //! (the snapshot supersedes the log).
 
-use crate::proto::{decode_op_ref, encode_op, KvOp, MAX_FRAME};
+use crate::proto::{decode_op_ref, KvOp, MAX_FRAME};
 use crate::storage::StorageMedium;
 use crate::store::KvStore;
 use std::collections::VecDeque;
@@ -311,7 +311,7 @@ impl Wal {
     /// is returned for byte accounting.
     pub fn append(&mut self, ci: u64, op: &KvOp) -> (u64, usize) {
         let mut bytes = Vec::with_capacity(op.encoded_len());
-        encode_op(&mut bytes, op);
+        op.encode(&mut bytes);
         self.append_encoded([(ci, &bytes[..])])
     }
 
@@ -325,7 +325,7 @@ impl Wal {
             .into_iter()
             .map(|(ci, op)| {
                 let mut bytes = Vec::with_capacity(op.encoded_len());
-                encode_op(&mut bytes, op);
+                op.encode(&mut bytes);
                 (ci, bytes)
             })
             .collect();

@@ -399,46 +399,52 @@ fn uncommitted_request_times_out_once_and_stays_answered() {
     let Some((replicas, listeners, control, data)) = group(3, 23) else {
         return;
     };
+    const N: u64 = 8;
     let timeout = KvConfig::new(3).request_timeout;
     let metrics = replicas[2].metrics();
+    let front = replicas[2].front();
     let mut stream = TcpStream::connect(listeners[2].addr()).expect("connect");
     stream.set_read_timeout(Some(timeout * 3)).unwrap();
     // Cut the replica off *after* connecting and submit before its
-    // failure detector notices: the request is accepted, its cast never
-    // reaches the sequencer, and no commit comes.
+    // failure detector notices: the requests are accepted as one cast,
+    // which never reaches the sequencer, and no commit comes.
     isolate_replica_2(&control, &data);
     let t0 = Instant::now();
-    send_sets(&mut stream, 1..2);
-    let frame = read_frame(&mut stream).unwrap().expect("a response");
+    send_sets(&mut stream, 1..N + 1);
+    let mut got = read_responses(&mut stream, N as usize);
     let waited = t0.elapsed();
-    assert_eq!(
-        decode_response(&frame),
-        Some((1, KvResult::Err(KvError::Timeout)))
-    );
+    got.sort_by_key(|(req_id, _)| *req_id);
+    let want: Vec<(u64, KvResult)> = (1..N + 1)
+        .map(|id| (id, KvResult::Err(KvError::Timeout)))
+        .collect();
+    assert_eq!(got, want, "each request timed out once");
     assert!(
         waited >= timeout && waited < timeout + Duration::from_millis(500),
         "answered after {waited:?}"
     );
-    assert_eq!(metrics.requests.load(Relaxed), 1, "it was accepted");
-    assert_eq!(metrics.timeouts.load(Relaxed), 1);
+    assert_eq!(metrics.requests.load(Relaxed), N, "they were accepted");
+    assert_eq!(metrics.casts.load(Relaxed), 1, "as one cast");
+    assert_eq!(metrics.timeouts.load(Relaxed), N);
+    assert_eq!(front.pending_len(), 0, "the cast was withdrawn");
 
     control.heal();
     data.heal();
-    let front = replicas[2].front();
     await_that(Duration::from_secs(20), "replica 2 never resumed", || {
         front.is_serving()
     });
-    // Whatever became of the old cast, request 1 is answered: the next
-    // frame on this socket is request 2's, and nothing follows it.
-    send_sets(&mut stream, 2..3);
+    // Whatever became of the old cast, its requests are answered: the
+    // next frame on this socket is the new request's, and nothing
+    // follows it.
+    send_sets(&mut stream, N + 1..N + 2);
     let frame = read_frame(&mut stream).unwrap().expect("a response");
     let (req_id, _) = decode_response(&frame).expect("decodes");
-    assert_eq!(req_id, 2);
+    assert_eq!(req_id, N + 1);
     stream
         .set_read_timeout(Some(Duration::from_millis(300)))
         .unwrap();
     assert!(read_frame(&mut stream).is_err(), "an unasked-for frame");
-    assert_eq!(metrics.timeouts.load(Relaxed), 1);
+    assert_eq!(metrics.timeouts.load(Relaxed), N);
+    assert_eq!(front.pending_len(), 0);
     for l in listeners {
         l.shutdown();
     }

@@ -204,7 +204,10 @@ echo "==> benchmark: the repo benchmark builds against the workspace"
 # measures the PR.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> benchmark: short kv-pipe-durable, cast-small and cast-large runs are correct end to end"
+echo "==> benchmark: short kv-seq, kv-pipe-durable, cast-small and cast-large runs are correct end to end"
+# Three seconds of depth-1 calls: the only run under load, with the
+# linearizability checker, of the one-request cast from socket to
+# socket (one pending entry, one completion, one deadline).
 # Three seconds of pipelined batches on a durable group: the cheapest
 # check that the batched request path, the WAL and the linearizability
 # checker still agree (identical commit logs, 0 violations, no failed op).
@@ -212,7 +215,7 @@ echo "==> benchmark: short kv-pipe-durable, cast-small and cast-large runs are c
 # the batched delivery hand-off through two shards end to end.
 # Three seconds of 4 KiB casts: every fragment cut, marshaled, moved
 # through the hub, reassembled and delivered intact and in order.
-for workload in kv-pipe-durable cast-small cast-large; do
+for workload in kv-seq kv-pipe-durable cast-small cast-large; do
   BENCH_OUT=$(benchmark/run.sh "$workload" --seconds 3 | tail -n 1)
   for want in '"correct": true' '"failed": 0'; do
     grep -qF "$want" <<<"$BENCH_OUT" || {
