@@ -865,6 +865,10 @@ impl<E: From<ClusterEvent>> Driver<E> {
             .fetch_add(1, Ordering::Relaxed);
         self.trace
             .record(self.me, EventKind::MergeGrant, Direction::Up, view_ltime);
+        // The epoch moves now, not when the stack hands the view back: a
+        // fence the old epoch drew must not land on the unstalled member
+        // in between.
+        self.epoch = view_ltime;
         if self.stalled {
             self.stalled = false;
             let _ = self.handle.stall(false);

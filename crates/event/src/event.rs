@@ -36,6 +36,10 @@ pub enum DnEvent {
     Stable(Vec<Seqno>),
     /// The application leaves the group.
     Leave,
+    /// The view is over and its stack is about to be dropped: casts
+    /// flow control still holds go out now, credit or not (consumed by
+    /// `mflow`; absorbed by `bottom`).
+    Drain,
 }
 
 /// Events travelling *up* the stack (towards the application).

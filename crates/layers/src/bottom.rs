@@ -84,7 +84,8 @@ impl Layer for Bottom {
             | DnEvent::BlockOk
             | DnEvent::Suspect { .. }
             | DnEvent::Merge { .. }
-            | DnEvent::Stable(_) => {}
+            | DnEvent::Stable(_)
+            | DnEvent::Drain => {}
         }
     }
 }

@@ -12,6 +12,12 @@
 //! `min(granted)` floor (on the `DnEvent::Suspect` that membership
 //! forwards down) breaks the deadlock: the queue drains toward the live
 //! members and the flush can complete.
+//!
+//! The queue dies with the stack. So when the view is over, the runtime
+//! sends `DnEvent::Drain` and every queued cast goes out uncredited: the
+//! coordinator's `NewView` can sit behind its last casts, and members
+//! whose flush waits for those casts would otherwise never leave the
+//! old view.
 
 use crate::config::LayerConfig;
 use crate::layer::Layer;
@@ -156,6 +162,12 @@ impl Layer for MFlow {
                 self.drain_queue(out);
                 out.dn(ev);
             }
+            DnEvent::Drain => {
+                while let Some(msg) = self.queue.pop_front() {
+                    self.transmit(msg, out);
+                }
+                out.dn(ev);
+            }
             _ => out.dn(ev),
         }
     }
@@ -208,6 +220,29 @@ mod tests {
         g.push_frame(Frame::MFlow(FlowHdr::Credit { granted: 2 }));
         let out = h.up(up_send(2, g));
         assert_eq!(out.dn.len(), 1);
+    }
+
+    #[test]
+    fn drain_sends_every_queued_cast_without_credit() {
+        let mut h = h(1, 0, 3);
+        h.dn(cast(b"1"));
+        h.dn(cast(b"2")).assert_silent();
+        h.dn(cast(b"3")).assert_silent();
+        // No grant ever came back; the view is over regardless.
+        let out = h.dn(DnEvent::Drain);
+        let bodies: Vec<Vec<u8>> = out
+            .dn
+            .iter()
+            .filter_map(|e| e.msg())
+            .map(|m| m.payload().gather())
+            .collect();
+        assert_eq!(bodies, [b"2", b"3"], "in the order they were cast");
+        assert_eq!(
+            out.dn.last(),
+            Some(&DnEvent::Drain),
+            "and it continues down"
+        );
+        assert_eq!(h.layer.queued_count(), 0);
     }
 
     #[test]

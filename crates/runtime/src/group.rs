@@ -274,12 +274,15 @@ pub struct GroupCore {
     /// delivered inconsistently across the view change.
     blocked: bool,
     /// The cluster driver stalled this group: its partition component
-    /// lacks quorum. Casts/sends park (like a flush window) and ingress
-    /// is *dropped* — while stalled the stack must neither originate nor
-    /// consume traffic, or the minority could deliver messages the
-    /// primary partition never agrees on. Cleared by the next installed
-    /// view (the merge) or an explicit unstall.
+    /// lacks quorum. Casts/sends park (like a flush window), ingress is
+    /// *dropped* and timers wait — while stalled the stack must neither
+    /// originate nor consume traffic, or the minority could deliver
+    /// messages the primary partition never agrees on, nor suspect its
+    /// way into a view of its own, which would serve. Cleared by an
+    /// external view (the merge grant) or an explicit unstall.
     stalled: bool,
+    /// Layers whose timer came due while stalled, re-armed on unstall.
+    frozen_timers: Vec<usize>,
     /// Ingress packets dropped while stalled (delta; see
     /// [`GroupCore::take_stall_drops`]).
     stall_drops: u64,
@@ -334,6 +337,7 @@ impl GroupCore {
             stash: VecDeque::new(),
             blocked: false,
             stalled: false,
+            frozen_timers: Vec::new(),
             stall_drops: 0,
             parked: VecDeque::new(),
             bypass_hits: 0,
@@ -379,8 +383,8 @@ impl GroupCore {
     }
 
     /// Stalls or unstalls the group (see the `stalled` field docs).
-    /// Unstalling without a view change replays parked messages into the
-    /// current view.
+    /// Unstalling without a view change re-arms the timers that came due
+    /// meanwhile and replays parked messages into the current view.
     pub fn set_stalled(&mut self, now: Time, on: bool) -> Vec<Action> {
         let mut out = std::mem::take(&mut self.spare);
         if !self.alive || self.stalled == on {
@@ -395,8 +399,17 @@ impl GroupCore {
             CcpFailure::None,
             on as u64,
         );
-        if !on && !self.blocked {
-            self.replay_parked(now, &mut out);
+        if !on {
+            for layer in self.frozen_timers.drain(..) {
+                out.push(Action::Timer {
+                    layer,
+                    deadline: now,
+                    generation: self.generation,
+                });
+            }
+            if !self.blocked {
+                self.replay_parked(now, &mut out);
+            }
         }
         out
     }
@@ -828,6 +841,12 @@ impl GroupCore {
         if !self.alive || generation != self.generation {
             return out; // Stale timer from a replaced stack.
         }
+        if self.stalled {
+            if !self.frozen_timers.contains(&layer) {
+                self.frozen_timers.push(layer);
+            }
+            return out;
+        }
         self.trace(
             now,
             CoreLayer::Layer(layer),
@@ -839,11 +858,6 @@ impl GroupCore {
         let b = self.engine.fire_timer(now, layer);
         self.cost.dispatches += 1;
         self.route(now, b, &mut out);
-        if self.stalled {
-            // Timers keep rescheduling (an unstall must find the stack
-            // live), but a stalled group stays silent on the wire.
-            out.retain(|a| !matches!(a, Action::Transmit(_)));
-        }
         out
     }
 
@@ -1089,7 +1103,16 @@ impl GroupCore {
                     );
                     out.push(Action::Deliver(Delivery::Send { origin: oid, bytes }));
                 }
-                UpEvent::View(vs) => self.install_view(now, vs, out),
+                UpEvent::View(vs) => {
+                    // What the closing stack's flow control still holds
+                    // goes out before the stack is dropped. Else the
+                    // coordinator's `NewView`, queued behind its casts,
+                    // dies here, and the members that wait for those
+                    // casts wait in the old view for good.
+                    let last = self.inject_dn(now, DnEvent::Drain);
+                    self.route(now, last, out);
+                    self.install_view(now, vs, out)
+                }
                 UpEvent::Block => {
                     self.blocked = true;
                     self.trace(
@@ -1146,6 +1169,7 @@ impl GroupCore {
         self.stash.clear();
         self.blocked = false;
         self.stalled = false;
+        self.frozen_timers.clear();
         if let Some(next) = self.next_names.take() {
             self.names = next;
         }
@@ -1799,6 +1823,43 @@ mod tests {
         if let Some(layer) = timer {
             assert!(a.fire_timer(Time::ZERO, layer, 99).is_empty());
         }
+    }
+
+    #[test]
+    fn a_stalled_group_holds_its_timers_until_it_unstalls() {
+        let (mut c, init) = vsync_core(0, 3);
+        let mut layers: Vec<usize> = init
+            .iter()
+            .filter_map(|a| match a {
+                Action::Timer { layer, .. } => Some(*layer),
+                _ => None,
+            })
+            .collect();
+        layers.sort();
+        layers.dedup();
+        assert!(!layers.is_empty());
+        c.set_stalled(Time::ZERO, true);
+        // Long past every suspicion deadline: a running stack would
+        // suspect both peers here and go on to a view of its own.
+        let late = Time(10_000_000_000);
+        for &layer in &layers {
+            assert!(c.fire_timer(late, layer, 0).is_empty(), "layer {layer}");
+        }
+        let mut rearmed: Vec<usize> = c
+            .set_stalled(late, false)
+            .iter()
+            .filter_map(|a| match a {
+                Action::Timer {
+                    layer,
+                    deadline,
+                    generation: 0,
+                } if *deadline == late => Some(*layer),
+                _ => None,
+            })
+            .collect();
+        rearmed.sort();
+        assert_eq!(rearmed, layers, "every held timer, due at the unstall");
+        assert!(layers.iter().any(|&l| !c.fire_timer(late, l, 0).is_empty()));
     }
 
     #[test]

@@ -93,9 +93,16 @@ fn a_backlog_reaches_the_application_in_one_hand_off_not_one_per_cast() {
         .expect("join b");
     let (got, mut deliveries) = casts_from_0(&b, K);
     assert_all_in_order(&got, K, "receiver");
+    // A flush is counted just after its last delivery is queued, so the
+    // casts can be here before their hand-off is counted.
+    let flushes = || receiver.stats().totals().delivery_flushes;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while flushes() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // Every flush counted here has finished queueing, so draining now
     // sees all of its deliveries.
-    let flushes = receiver.stats().totals().delivery_flushes;
+    let flushes = flushes();
     while b.try_recv().is_some() {
         deliveries += 1;
     }
